@@ -3,10 +3,9 @@ feature-importance estimators."""
 
 from .nn import (ArrayDataset, Model, TrainConfig, fit_least_squares,
                  forward, input_gradient, train)
-from .estimators import (EnsembleConfig, IGConfig, ImportanceEstimate,
+from .estimators import (EnsembleConfig, IGConfig, compute_estimates,
                          control_random, control_sobel, ensemble,
-                         estimate_gb, estimate_grad, estimate_ig,
-                         square_estimate)
+                         estimate_gb, estimate_grad, estimate_ig)
 from .pipeline import (ModificationSpec, ModifiedDataset, ResultGrid,
                        generate_modified_datasets, modify_sample,
                        rank_features, run_deletion_metric, run_roar)
@@ -15,8 +14,8 @@ from .toydata import ToyConfig, ToyDataset, generate_toy, ground_truth_ranking
 __all__ = [
     "ArrayDataset", "Model", "TrainConfig", "fit_least_squares", "forward",
     "input_gradient", "train", "EnsembleConfig", "IGConfig",
-    "ImportanceEstimate", "control_random", "control_sobel", "ensemble",
-    "estimate_gb", "estimate_grad", "estimate_ig", "square_estimate",
+    "compute_estimates", "control_random", "control_sobel", "ensemble",
+    "estimate_gb", "estimate_grad", "estimate_ig",
     "ModificationSpec", "ModifiedDataset", "ResultGrid",
     "generate_modified_datasets", "modify_sample", "rank_features",
     "run_deletion_metric", "run_roar", "ToyConfig", "ToyDataset",

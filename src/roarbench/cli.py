@@ -95,16 +95,15 @@ def cmd_modify(args) -> int:
                                               cfg.estimators.ids)
     else:
         estimates = experiment.compute_all_estimates(ctx, model)
-    modified = pipeline.generate_modified_datasets(
-        ctx.dataset, estimates, cfg.thresholds, modes=cfg.modes,
-        granularity=ctx.granularity, image_shape=ctx.image_shape,
-        source_id=ctx.source_id)
-    for m in modified:
+    # Each dataset is saved as it is built; none is kept in memory after.
+    for m in pipeline.generate_modified_datasets(
+            ctx.dataset, estimates, cfg.thresholds, modes=cfg.modes,
+            granularity=ctx.granularity, image_shape=ctx.image_shape,
+            source_id=ctx.source_id):
         p = m.provenance
-        directory = os.path.join(
+        pipeline.save_modified_dataset(m, os.path.join(
             cfg.output, "modified",
-            f"{p.estimator_id}_t{p.threshold:.4f}_{p.mode}")
-        pipeline.save_modified_dataset(m, directory)
+            pipeline.cell_name(p.estimator_id, p.threshold, p.mode)))
     return EXIT_OK
 
 

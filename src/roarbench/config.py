@@ -196,6 +196,9 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("threshold list is empty")
     if sorted(cfg.thresholds) != cfg.thresholds:
         raise ConfigError("thresholds must be sorted ascending")
+    if len({f"{t:.6f}" for t in cfg.thresholds}) != len(cfg.thresholds):
+        raise ConfigError("thresholds must differ at 6 decimals, the "
+                          "precision of results and cell names")
     for t in cfg.thresholds:
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"threshold {t} outside [0, 1]")

@@ -1,6 +1,6 @@
 """Image dataset ingestion: IDX (big-endian) reading and writing, [0,1]
-normalization, per-channel means, and a synthetic oriented-bar generator so
-experiments need no downloads."""
+normalization, and a synthetic oriented-bar generator so experiments need no
+downloads."""
 
 from __future__ import annotations
 
@@ -110,14 +110,6 @@ def load_idx_dataset(train_images_path, train_labels_path,
                      test_images_path, test_labels_path) -> ImageDataset:
     return make_image_dataset(*load_idx(train_images_path, train_labels_path),
                               *load_idx(test_images_path, test_labels_path))
-
-
-def channel_means(dataset: ImageDataset) -> np.ndarray:
-    """Mean over all train pixels, one value per channel."""
-    if dataset.train_x.shape[0] == 0:
-        raise ValueError("empty train split")
-    h, w, c = dataset.image_shape
-    return dataset.train_x.reshape(-1, h * w, c).mean(axis=(0, 1))
 
 
 def generate_bars(n_train: int, n_test: int, size: int = 12,

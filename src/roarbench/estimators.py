@@ -1,28 +1,26 @@
 """Feature-importance estimators: gradient, guided backprop, integrated
 gradients, the SmoothGrad-family ensembles, squared variants, and the two
-model-independent controls (random scores, Sobel edge magnitude)."""
+model-independent controls (random scores, Sobel edge magnitude).
+
+Every model-based estimator maps (model, X, targets) -- (n, d) rows and (n,)
+target units -- to (n, d) scores."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .nn import GUIDED, STANDARD, Model, input_gradient
+from .nn import GUIDED, Model, input_gradient
 
 SG = "sg"
 SG_SQ = "sg_sq"
 VAR = "var"
 
-@dataclass
-class ImportanceEstimate:
-    scores: np.ndarray
-    estimator_id: str
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError(f"non-finite scores from {self.estimator_id}")
+# Rows scored per pass; bounds the ensemble noise and gradient buffers.
+ROW_BLOCK = 64
 
 
 @dataclass
@@ -43,109 +41,102 @@ def default_noise_stddev(x: np.ndarray, fraction: float = 0.15) -> float:
     return fraction * float(x.max() - x.min())
 
 
-def estimate_grad(model: Model, x: np.ndarray, target: int) -> ImportanceEstimate:
-    return ImportanceEstimate(input_gradient(model, x, target, mode=STANDARD),
-                              "grad")
+def estimate_grad(model: Model, x: np.ndarray, targets) -> np.ndarray:
+    return input_gradient(model, x, targets)
 
 
-def estimate_gb(model: Model, x: np.ndarray, target: int) -> ImportanceEstimate:
-    return ImportanceEstimate(input_gradient(model, x, target, mode=GUIDED),
-                              "gb")
+def estimate_gb(model: Model, x: np.ndarray, targets) -> np.ndarray:
+    return input_gradient(model, x, targets, mode=GUIDED)
 
 
-def estimate_ig(model: Model, x: np.ndarray, target: int,
-                cfg: IGConfig) -> ImportanceEstimate:
-    """Riemann approximation of the path integral from the reference to x."""
+def estimate_ig(model: Model, x: np.ndarray, targets,
+                cfg: IGConfig) -> np.ndarray:
+    """Riemann approximation of the path integral from the reference to each
+    row of x; one batched gradient pass per step."""
     x = np.asarray(x, dtype=np.float64)
-    ref = np.zeros_like(x) if cfg.reference is None else np.asarray(
+    ref = np.zeros(x.shape[1:]) if cfg.reference is None else np.asarray(
         cfg.reference, dtype=np.float64)
-    if ref.shape != x.shape:
-        raise ValueError(f"reference shape {ref.shape} != input {x.shape}")
+    if ref.shape != x.shape[1:]:
+        raise ValueError(f"reference shape {ref.shape} != sample shape "
+                         f"{x.shape[1:]}")
     k = cfg.steps
     total = np.zeros_like(x)
     for j in range(1, k + 1):
-        point = ref + (j / k) * (x - ref)
-        total += input_gradient(model, point, target, mode=STANDARD)
-    return ImportanceEstimate((x - ref) * total / k, "ig")
+        total += input_gradient(model, ref + (j / k) * (x - ref), targets)
+    return (x - ref) * total / k
 
 
-BaseEstimatorFn = Callable[[Model, np.ndarray, int], ImportanceEstimate]
-
-
-def ensemble(base: BaseEstimatorFn, mode: str, model: Model, x: np.ndarray,
-             target: int, cfg: EnsembleConfig) -> ImportanceEstimate:
+def ensemble(base: Callable[[Model, np.ndarray, np.ndarray], np.ndarray],
+             mode: str, model: Model, x: np.ndarray, targets,
+             cfg: EnsembleConfig, first_row: int = 0) -> np.ndarray:
     """Aggregate noisy base estimates: mean (SG), mean of squares (SG-SQ), or
     population variance (VAR).
 
-    All three modes consume identical noise draws for a given seed.
+    Row i draws its noise from the stream _mix_seed(cfg.seed, first_row + i),
+    so a row's scores do not depend on the rows batched with it. All three
+    modes consume identical noise draws for a given seed.
     """
     if mode not in (SG, SG_SQ, VAR):
         raise ValueError(f"unknown ensemble mode {mode!r}")
-    rng = np.random.default_rng(np.uint64(cfg.seed))
     x = np.asarray(x, dtype=np.float64)
     if cfg.noise_stddev == 0.0:
         # All draws coincide with x; short-circuit keeps the degenerate
         # identities (SG = base, SG-SQ = base^2, VAR = 0) exact.
-        est = base(model, x, target)
-        scores = {SG: est.scores, SG_SQ: est.scores ** 2,
-                  VAR: np.zeros_like(est.scores)}[mode]
-        return ImportanceEstimate(scores, f"{mode}-{est.estimator_id}")
+        scores = base(model, x, targets)
+        return {SG: scores, SG_SQ: scores ** 2,
+                VAR: np.zeros_like(scores)}[mode]
+    noise = np.empty((cfg.samples, *x.shape))  # (S, n, d)
+    for i in range(len(x)):
+        rng = np.random.default_rng(np.uint64(_mix_seed(cfg.seed,
+                                                        first_row + i)))
+        noise[:, i] = rng.normal(0.0, cfg.noise_stddev,
+                                 size=(cfg.samples, x.shape[1]))
     acc = np.zeros_like(x)
     acc_sq = np.zeros_like(x)
-    base_id = None
-    for _ in range(cfg.samples):
-        noise = rng.normal(0.0, cfg.noise_stddev, size=x.shape)
-        est = base(model, x + noise, target)
-        base_id = est.estimator_id
-        acc += est.scores
-        acc_sq += est.scores ** 2
+    for draw in noise:
+        scores = base(model, x + draw, targets)
+        acc += scores
+        acc_sq += scores ** 2
     mean = acc / cfg.samples
     mean_sq = acc_sq / cfg.samples
     if mode == SG:
-        scores = mean
-    elif mode == SG_SQ:
-        scores = mean_sq
-    else:
-        scores = mean_sq - mean ** 2
-    return ImportanceEstimate(scores, f"{mode}-{base_id}")
+        return mean
+    if mode == SG_SQ:
+        return mean_sq
+    return mean_sq - mean ** 2
 
 
-def square_estimate(e: ImportanceEstimate) -> ImportanceEstimate:
-    return ImportanceEstimate(e.scores ** 2, f"{e.estimator_id}-sq")
-
-
-def control_random(sample_shape, seed: int) -> ImportanceEstimate:
+def control_random(sample_shape, seed: int) -> np.ndarray:
     """Uniform(0,1) scores from the seed alone; its induced top-t selection is
     a uniformly random subset, independent of model and input content."""
     rng = np.random.default_rng(np.uint64(seed))
-    return ImportanceEstimate(rng.uniform(0.0, 1.0, size=sample_shape),
-                              "random")
+    return rng.uniform(0.0, 1.0, size=sample_shape)
 
 
-def control_sobel(image: np.ndarray) -> ImportanceEstimate:
-    """Edge-magnitude scores of the channel-mean grayscale image.
+def control_sobel(images: np.ndarray) -> np.ndarray:
+    """Edge-magnitude scores of the channel-mean grayscale images.
 
-    `image` is (H, W, C); the per-pixel magnitude is broadcast across channels.
-    Replicate padding at the borders.
+    `images` is an (H, W, C) image or an (n, H, W, C) stack; the per-pixel
+    magnitude is broadcast across channels. Replicate padding at the borders.
     """
-    if image.ndim != 3:
-        raise ValueError("control_sobel needs an (H, W, C) image; dataset is "
+    if images.ndim < 3:
+        raise ValueError("control_sobel needs (H, W, C) images; dataset is "
                          "missing image metadata")
-    gray = image.astype(np.float64).mean(axis=2)
-    padded = np.pad(gray, 1, mode="edge")
+    gray = images.astype(np.float64).mean(axis=-1)
+    padded = np.pad(gray, [(0, 0)] * (gray.ndim - 2) + [(1, 1), (1, 1)],
+                    mode="edge")
     # Separable form: central difference then [1, 2, 1] smoothing. Taking
     # the difference first makes constant images exactly zero.
-    dx = padded[:, 2:] - padded[:, :-2]
-    gx = dx[:-2, :] + 2.0 * dx[1:-1, :] + dx[2:, :]
-    dy = padded[2:, :] - padded[:-2, :]
-    gy = dy[:, :-2] + 2.0 * dy[:, 1:-1] + dy[:, 2:]
+    dx = padded[..., 2:] - padded[..., :-2]
+    gx = dx[..., :-2, :] + 2.0 * dx[..., 1:-1, :] + dx[..., 2:, :]
+    dy = padded[..., 2:, :] - padded[..., :-2, :]
+    gy = dy[..., :-2] + 2.0 * dy[..., 1:-1] + dy[..., 2:]
     mag = np.sqrt(gx ** 2 + gy ** 2)
-    scores = np.repeat(mag[:, :, None], image.shape[2], axis=2)
-    return ImportanceEstimate(scores, "sobel")
+    return np.repeat(mag[..., None], images.shape[-1], axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# Estimator registry: string ids -> per-sample scoring functions.
+# Estimator registry: string ids, scored by compute_estimates.
 
 BASE_IDS = ("grad", "gb", "ig")
 ENSEMBLE_MODES = (SG, SG_SQ, VAR)
@@ -169,56 +160,6 @@ class EstimatorSettings:
     image_shape: tuple[int, int, int] | None = None  # (H, W, C), images only
 
 
-def make_estimator(estimator_id: str, settings: EstimatorSettings):
-    """Build a scoring function (model, x, target, sample_index) -> scores.
-
-    `sample_index` derives per-sample RNG streams for the stochastic
-    estimators; deterministic estimators ignore it.
-    """
-    base_fns: dict[str, BaseEstimatorFn] = {
-        "grad": estimate_grad,
-        "gb": estimate_gb,
-        "ig": lambda m, x, t: estimate_ig(m, x, t, settings.ig),
-    }
-
-    if estimator_id in base_fns:
-        fn = base_fns[estimator_id]
-        return lambda model, x, target, i: fn(model, x, target).scores
-
-    if estimator_id.endswith("-sq") and estimator_id[:-3] in base_fns:
-        fn = base_fns[estimator_id[:-3]]
-        return lambda model, x, target, i: square_estimate(
-            fn(model, x, target)).scores
-
-    for mode in ENSEMBLE_MODES:
-        prefix = mode + "-"
-        if estimator_id.startswith(prefix) and estimator_id[len(prefix):] in base_fns:
-            fn = base_fns[estimator_id[len(prefix):]]
-
-            def scored(model, x, target, i, _fn=fn, _mode=mode):
-                cfg = replace(settings.ensemble,
-                              seed=_mix_seed(settings.ensemble.seed, i))
-                return ensemble(_fn, _mode, model, x, target, cfg).scores
-
-            return scored
-
-    if estimator_id == "random":
-        return lambda model, x, target, i: control_random(
-            x.shape, settings.ensemble.seed).scores
-
-    if estimator_id == "sobel":
-        if settings.image_shape is None:
-            raise ValueError("sobel control requires image metadata")
-        shape = settings.image_shape
-
-        def sobel_scores(model, x, target, i):
-            return control_sobel(x.reshape(shape)).scores.ravel()
-
-        return sobel_scores
-
-    raise ValueError(f"unknown estimator id {estimator_id!r}")
-
-
 def _mix_seed(seed: int, sample_index: int) -> int:
     # Private per-sample stream; SplitMix-style odd-constant mixing.
     return (seed * 0x9E3779B97F4A7C15 + sample_index * 0xBF58476D1CE4E5B9
@@ -228,9 +169,36 @@ def _mix_seed(seed: int, sample_index: int) -> int:
 def compute_estimates(estimator_id: str, settings: EstimatorSettings,
                       model: Model, x: np.ndarray,
                       targets: np.ndarray) -> np.ndarray:
-    """Score every sample of a feature matrix; returns (n, d) scores."""
-    fn = make_estimator(estimator_id, settings)
-    out = np.empty_like(x, dtype=np.float64)
-    for i in range(x.shape[0]):
-        out[i] = fn(model, x[i], int(targets[i]), i)
+    """Score every row of a feature matrix with a registry estimator;
+    returns (n, d) scores.
+
+    Rows are scored ROW_BLOCK at a time. Ensemble row i draws its noise from
+    _mix_seed(seed, i), i being its index in x, so the blocks change nothing.
+    """
+    if estimator_id not in all_estimator_ids():
+        raise ValueError(f"unknown estimator id {estimator_id!r}")
+    if estimator_id == "sobel" and settings.image_shape is None:
+        raise ValueError("sobel control requires image metadata")
+    x = np.asarray(x, dtype=np.float64)
+    targets = np.asarray(targets)
+    head, _, tail = estimator_id.partition("-")
+    bases = {"grad": estimate_grad, "gb": estimate_gb,
+             "ig": partial(estimate_ig, cfg=settings.ig)}
+    out = np.empty_like(x)
+    for start in range(0, len(x), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        if estimator_id == "random":
+            # One shared score vector: every sample gets the same ranking.
+            out[rows] = control_random(x.shape[1], settings.ensemble.seed)
+        elif estimator_id == "sobel":
+            images = x[rows].reshape(-1, *settings.image_shape)
+            out[rows] = control_sobel(images).reshape(len(images), -1)
+        elif head in ENSEMBLE_MODES:
+            out[rows] = ensemble(bases[tail], head, model, x[rows],
+                                 targets[rows], settings.ensemble, start)
+        else:
+            scores = bases[head](model, x[rows], targets[rows])
+            out[rows] = scores ** 2 if tail == "sq" else scores
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"non-finite scores from {estimator_id}")
     return out

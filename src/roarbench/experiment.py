@@ -127,10 +127,6 @@ def load_estimates(directory: str, estimator_ids):
 # Resumable grid execution: one CSV fragment per (estimator, threshold, mode)
 # cell, written atomically; completed cells are skipped on rerun.
 
-def _cell_filename(estimator_id: str, threshold: float, mode: str) -> str:
-    return f"{estimator_id}_t{threshold:.4f}_{mode}.csv"
-
-
 def _log(message: str):
     print(message, file=sys.stderr, flush=True)
 
@@ -147,7 +143,7 @@ def run_grid(ctx: ExperimentContext, estimates, output_dir: str):
 
     def run_cell(cell):
         estimator_id, threshold, mode = cell
-        path = os.path.join(cells_dir, _cell_filename(*cell))
+        path = os.path.join(cells_dir, pipeline.cell_name(*cell) + ".csv")
         if os.path.exists(path):
             _log(f"cell estimator={estimator_id} threshold={threshold:g} "
                  f"mode={mode} status=skipped")
@@ -190,8 +186,8 @@ def collect_grid(ctx: ExperimentContext, output_dir: str) -> pipeline.ResultGrid
     for estimator_id in cfg.estimators.ids:
         for threshold in cfg.thresholds:
             for mode in cfg.modes:
-                path = os.path.join(
-                    cells_dir, _cell_filename(estimator_id, threshold, mode))
+                path = os.path.join(cells_dir, pipeline.cell_name(
+                    estimator_id, threshold, mode) + ".csv")
                 if not os.path.exists(path):
                     raise pipeline.ProvenanceError(
                         f"missing cell result {path}; rerun the grid")

@@ -1,6 +1,6 @@
 """Minimal differentiable MLP engine: affine/rectifier layers, SGD training,
-input gradients with switchable guided-backprop masking, and a closed-form
-least-squares model."""
+batched input gradients with switchable guided-backprop masking, and a
+closed-form least-squares model."""
 
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ class Rectifier:
 @dataclass
 class Model:
     layers: list
-    gradient_mode: str = STANDARD
 
     @property
     def input_dim(self) -> int:
@@ -63,9 +62,6 @@ class Model:
             if isinstance(layer, Affine):
                 return layer.weight.shape[1]
         raise ValueError("model has no affine layer")
-
-    def with_mode(self, mode: str) -> "Model":
-        return dataclasses.replace(self, gradient_mode=mode)
 
 
 @dataclass
@@ -95,9 +91,8 @@ class TrainConfig:
     loss: str = "softmax_cross_entropy"  # or "mean_squared_error"
 
 
-def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Evaluate the model on a single sample (d,) or a batch (n, d)."""
-    single = x.ndim == 1
+def _forward_rows(model: Model, x: np.ndarray, pre_acts=None) -> np.ndarray:
+    """(n, d) rows through every layer; rectifier inputs go to `pre_acts`."""
     h = np.atleast_2d(np.asarray(x, dtype=np.float64))
     for i, layer in enumerate(model.layers):
         if isinstance(layer, Affine):
@@ -107,52 +102,46 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
                     f"{layer.weight.shape[0]}")
             h = h @ layer.weight + layer.bias
         else:
+            if pre_acts is not None:
+                pre_acts.append(h)
             h = np.maximum(h, 0.0)
-    return h[0] if single else h
+    return h
 
 
-def input_gradient(model: Model, x: np.ndarray, target: int,
-                   mode: str | None = None) -> np.ndarray:
-    """Gradient of output unit `target` with respect to the input sample.
+def forward(model: Model, x: np.ndarray) -> np.ndarray:
+    """Evaluate the model on a single sample (d,) or a batch (n, d)."""
+    out = _forward_rows(model, x)
+    return out[0] if np.ndim(x) == 1 else out
 
-    In guided mode every rectifier backward pass applies two masks: the usual
-    forward-activation mask and an additional mask zeroing negative incoming
-    gradient entries.
+
+def input_gradient(model: Model, x: np.ndarray, targets,
+                   mode: str = STANDARD) -> np.ndarray:
+    """Gradient of output unit targets[i] with respect to input row i.
+
+    Takes (n, d) rows with (n,) targets, or a single (d,) sample with an int
+    target. In guided mode every rectifier backward pass applies two masks:
+    the usual forward-activation mask and an additional mask zeroing negative
+    incoming gradient entries.
     """
-    if mode is None:
-        mode = model.gradient_mode
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("input_gradient expects a single flat sample")
-
-    # Forward pass, caching rectifier pre-activations.
-    h = x
     pre_acts = []
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, Affine):
-            if h.shape[0] != layer.weight.shape[0]:
-                raise DimensionError(
-                    i, f"input has {h.shape[0]} features, weight expects "
-                    f"{layer.weight.shape[0]}")
-            h = h @ layer.weight + layer.bias
-        else:
-            pre_acts.append(h)
-            h = np.maximum(h, 0.0)
-    if not 0 <= target < h.shape[0]:
-        raise IndexError(f"target unit {target} out of range for output "
-                         f"dimension {h.shape[0]}")
+    out = _forward_rows(model, x, pre_acts)
+    targets = np.atleast_1d(targets)
+    if targets.shape != (out.shape[0],):
+        raise ValueError(f"{targets.shape} targets for {out.shape[0]} rows")
+    if np.any((targets < 0) | (targets >= out.shape[1])):
+        raise IndexError(f"target unit out of range for output dimension "
+                         f"{out.shape[1]}")
 
-    g = np.zeros_like(h)
-    g[target] = 1.0
+    g = np.zeros_like(out)
+    g[np.arange(len(g)), targets] = 1.0
     for layer in reversed(model.layers):
         if isinstance(layer, Affine):
             g = g @ layer.weight.T
         else:
-            pre = pre_acts.pop()
-            g = g * (pre > 0.0)
+            g = g * (pre_acts.pop() > 0.0)
             if mode == GUIDED:
                 g = g * (g > 0.0)
-    return g
+    return g[0] if np.ndim(x) == 1 else g
 
 
 def init_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> Model:

@@ -1,6 +1,6 @@
-"""Remove-and-retrain engine: per-sample rankings, dataset modification at a
-threshold grid, repeated retraining, the no-retrain deletion metric, and the
-accuracy result grid with CSV export."""
+"""Remove-and-retrain engine: per-sample rankings, batched dataset
+modification at a threshold grid, repeated retraining, the no-retrain
+deletion metric, and the accuracy result grid with CSV export."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -33,16 +34,18 @@ def derive_seed(base_seed: int, *parts) -> int:
 
 def rank_features(scores: np.ndarray, granularity: str = FEATURE,
                   image_shape: tuple[int, int, int] | None = None) -> np.ndarray:
-    """Descending ranking of flat scores; ties break by ascending index.
+    """Descending ranking along the last axis of (..., d) flat scores; ties
+    break by ascending index.
 
     Pixel granularity sums scores over channels per pixel first.
     """
-    scores = np.asarray(scores, dtype=np.float64).ravel()
+    scores = np.asarray(scores, dtype=np.float64)
     if granularity == PIXEL:
         if image_shape is None:
             raise ValueError("pixel granularity requires image_shape")
-        scores = scores.reshape(image_shape).sum(axis=2).ravel()
-    return np.argsort(-scores, kind="stable")
+        scores = scores.reshape(*scores.shape[:-1], -1,
+                                image_shape[2]).sum(axis=-1)
+    return np.argsort(-scores, axis=-1, kind="stable")
 
 
 def n_modified(threshold: float, n_positions: int) -> int:
@@ -70,9 +73,11 @@ def replacement_matrix(train_x: np.ndarray,
                        ) -> np.ndarray:
     """(P, C) replacement values from the unmodified train split.
 
-    Images: dataset-wide per-channel mean broadcast over pixels. Flat data:
-    per-feature mean (C = 1).
+    Images: dataset-wide per-channel mean over all train pixels, broadcast
+    over pixels. Flat data: per-feature mean (C = 1).
     """
+    if len(train_x) == 0:
+        raise ValueError("empty train split")
     if image_shape is not None:
         h, w, c = image_shape
         channel_mean = train_x.reshape(-1, h * w, c).mean(axis=(0, 1))
@@ -80,22 +85,33 @@ def replacement_matrix(train_x: np.ndarray,
     return train_x.mean(axis=0)[:, None]
 
 
-def modify_sample(x: np.ndarray, ranking: np.ndarray,
-                  spec: ModificationSpec) -> np.ndarray:
-    """Replace ranked positions with the replacement values.
+def modify_rows(x: np.ndarray, rankings: np.ndarray,
+                spec: ModificationSpec) -> np.ndarray:
+    """Replace ranked positions of every row of x with the replacement values.
 
+    `rankings` is (n, P), one ranking per row, or (1, P), shared by all rows.
     ROAR replaces the top ceil(t*P) positions; KAR replaces everything except
     the top ceil(t*P). Untouched values are bit-identical to the input.
     """
     p, c = spec.replacement.shape
-    if len(ranking) != p:
-        raise ValueError(f"ranking length {len(ranking)} != positions {p}")
-    flat = np.asarray(x, dtype=np.float64)
-    out = flat.reshape(p, c).copy()
-    k = n_modified(spec.threshold, p)
-    selected = ranking[:k] if spec.mode == ROAR else ranking[k:]
-    out[selected, :] = spec.replacement[selected, :]
-    return out.reshape(flat.shape)
+    if rankings.shape[1] != p:
+        raise ValueError(
+            f"ranking length {rankings.shape[1]} != positions {p}")
+    top = np.zeros(rankings.shape, dtype=bool)
+    np.put_along_axis(top, rankings[:, :n_modified(spec.threshold, p)], True,
+                      axis=1)
+    replaced = top if spec.mode == ROAR else ~top
+    rows = np.asarray(x, dtype=np.float64).reshape(len(x), p, c)
+    return np.where(replaced[:, :, None], spec.replacement,
+                    rows).reshape(len(x), p * c)
+
+
+def modify_sample(x: np.ndarray, ranking: np.ndarray,
+                  spec: ModificationSpec) -> np.ndarray:
+    """One-row case of modify_rows."""
+    x = np.asarray(x, dtype=np.float64)
+    return modify_rows(x.reshape(1, -1), np.asarray(ranking).reshape(1, -1),
+                       spec).reshape(x.shape)
 
 
 @dataclass
@@ -120,21 +136,13 @@ class ModifiedDataset:
                             self.test_x, self.test_y)
 
 
-def _modify_split(x: np.ndarray, scores: np.ndarray, spec: ModificationSpec,
-                  granularity: str, image_shape) -> np.ndarray:
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        order = rank_features(scores[i], granularity, image_shape)
-        out[i] = modify_sample(x[i], order, spec)
-    return out
-
-
 def broadcast_scores(scores: np.ndarray, n_samples: int) -> np.ndarray:
-    """Accept a single shared score vector (uniform ranking) or per-sample
-    score rows; always return per-sample rows."""
+    """Accept per-sample score rows, or a single shared score vector
+    (uniform ranking), which becomes one (1, d) row that broadcasts over the
+    samples."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim == 1:
-        return np.tile(scores, (n_samples, 1))
+        return scores[None]
     if scores.shape[0] != n_samples:
         raise ProvenanceError(
             f"have scores for {scores.shape[0]} samples, dataset has "
@@ -149,16 +157,18 @@ def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
                           granularity: str = FEATURE,
                           image_shape=None) -> ModifiedDataset:
     """Modify both train and test splits at one (estimator, t, mode) cell."""
-    train_scores = broadcast_scores(train_scores, dataset.train_x.shape[0])
-    test_scores = broadcast_scores(test_scores, dataset.test_x.shape[0])
-    replacement = replacement_matrix(dataset.train_x, image_shape)
-    spec = ModificationSpec(threshold, mode, replacement)
+    spec = ModificationSpec(threshold, mode,
+                            replacement_matrix(dataset.train_x, image_shape))
+
+    def modify(x, scores):
+        rankings = rank_features(broadcast_scores(scores, len(x)),
+                                 granularity, image_shape)
+        return modify_rows(x, rankings, spec)
+
     return ModifiedDataset(
-        train_x=_modify_split(dataset.train_x, train_scores, spec,
-                              granularity, image_shape),
+        train_x=modify(dataset.train_x, train_scores),
         train_y=dataset.train_y.copy(),
-        test_x=_modify_split(dataset.test_x, test_scores, spec,
-                             granularity, image_shape),
+        test_x=modify(dataset.test_x, test_scores),
         test_y=dataset.test_y.copy(),
         provenance=Provenance(estimator_id, threshold, mode, seed, source_id),
     )
@@ -170,17 +180,22 @@ def generate_modified_datasets(dataset: ArrayDataset,
                                granularity: str = FEATURE,
                                image_shape=None,
                                source_id: str = "dataset"
-                               ) -> list[ModifiedDataset]:
-    """One ModifiedDataset per (estimator, threshold, mode)."""
-    out = []
+                               ) -> Iterator[ModifiedDataset]:
+    """Yield one ModifiedDataset per (estimator, threshold, mode), one at a
+    time, so callers can persist each before the next is built."""
     for estimator_id, (train_scores, test_scores) in estimates.items():
         for threshold in thresholds:
             for mode in modes:
-                out.append(make_modified_dataset(
+                yield make_modified_dataset(
                     dataset, train_scores, test_scores, estimator_id,
                     threshold, mode, source_id=source_id,
-                    granularity=granularity, image_shape=image_shape))
-    return out
+                    granularity=granularity, image_shape=image_shape)
+
+
+def cell_name(estimator_id: str, threshold: float, mode: str) -> str:
+    """File-system name of one grid cell; thresholds keep the 6 decimals
+    records carry, so distinct configured thresholds never share a name."""
+    return f"{estimator_id}_t{threshold:.6f}_{mode}"
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +304,12 @@ def run_deletion_metric(dataset: ArrayDataset, original_model: Model,
     grid = ResultGrid()
     replacement = replacement_matrix(dataset.train_x, image_shape)
     for estimator_id, (_, test_scores) in estimates.items():
-        scores = broadcast_scores(test_scores, dataset.test_x.shape[0])
+        rankings = rank_features(
+            broadcast_scores(test_scores, len(dataset.test_x)), granularity,
+            image_shape)
         for threshold in thresholds:
             spec = ModificationSpec(threshold, ROAR, replacement)
-            test_x = _modify_split(dataset.test_x, scores, spec,
-                                   granularity, image_shape)
+            test_x = modify_rows(dataset.test_x, rankings, spec)
             acc = accuracy(original_model, test_x, dataset.test_y)
             grid.add(Record(estimator_id, threshold, ROAR, 0, acc))
     return grid

@@ -59,7 +59,7 @@ class TestCriterion2RetrainingMatters:
             trainer = nn.mlp_trainer([32], nn.TrainConfig(
                 learning_rate=0.2, steps=600, batch_size=32))
             model, _ = trainer(ds, pipeline.derive_seed(seed, "baseline"))
-            scores = control_random(ds.train_x.shape[1], seed=123).scores
+            scores = control_random(ds.train_x.shape[1], seed=123)
             est = {"random": (scores, scores)}
             roar = pipeline.run_roar(
                 ds, est, [0.9], trainer, runs_per_point=3, base_seed=seed,
@@ -105,8 +105,9 @@ class TestCriterion4IntegratedGradients:
         ref = rng.standard_normal(6)
         worst = 0.0
         for k in (1, 5, 25):
-            e = estimate_ig(model, x, 2, IGConfig(steps=k, reference=ref))
-            worst = max(worst, np.abs(e.scores - (x - ref) * w[:, 2]).max())
+            [e] = estimate_ig(model, x[None], [2],
+                              IGConfig(steps=k, reference=ref))
+            worst = max(worst, np.abs(e - (x - ref) * w[:, 2]).max())
         report("4 path-integral scores analytically exact on linear models",
                worst <= 1e-10, f"worst deviation {worst:.2e}")
 
@@ -116,9 +117,9 @@ class TestCriterion4IntegratedGradients:
             rng = np.random.default_rng(seed)
             model = nn.init_mlp([6, 12, 8, 1], rng)
             x = rng.uniform(0.2, 1.0, 6)
-            e = estimate_ig(model, x, 0, IGConfig(steps=25))
+            [e] = estimate_ig(model, x[None], [0], IGConfig(steps=25))
             gap = nn.forward(model, x)[0] - nn.forward(model, np.zeros(6))[0]
-            worst = max(worst, abs(e.scores.sum() - gap) / abs(gap))
+            worst = max(worst, abs(e.sum() - gap) / abs(gap))
         report("4 completeness within 1% at 25 steps",
                worst <= 0.01, f"worst relative residual {worst:.4f}")
 
@@ -127,24 +128,24 @@ class TestCriterion5EnsembleIdentities:
     def test_variance_decomposition_and_degeneracy(self):
         rng = np.random.default_rng(3)
         model = nn.init_mlp([5, 8, 2], rng)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((1, 5))
 
         cfg = EnsembleConfig(samples=15, noise_stddev=0.3, seed=21)
-        sg = ensemble(estimate_grad, SG, model, x, 0, cfg).scores
-        sg_sq = ensemble(estimate_grad, SG_SQ, model, x, 0, cfg).scores
-        var = ensemble(estimate_grad, VAR, model, x, 0, cfg).scores
+        sg = ensemble(estimate_grad, SG, model, x, [0], cfg)
+        sg_sq = ensemble(estimate_grad, SG_SQ, model, x, [0], cfg)
+        var = ensemble(estimate_grad, VAR, model, x, [0], cfg)
         identity_err = np.abs(var - (sg_sq - sg ** 2)).max()
 
         zero = EnsembleConfig(samples=15, noise_stddev=0.0, seed=21)
-        base = estimate_grad(model, x, 0).scores
+        base = estimate_grad(model, x, [0])
         exact = (
             np.array_equal(
-                ensemble(estimate_grad, SG, model, x, 0, zero).scores, base)
+                ensemble(estimate_grad, SG, model, x, [0], zero), base)
             and np.array_equal(
-                ensemble(estimate_grad, SG_SQ, model, x, 0, zero).scores,
+                ensemble(estimate_grad, SG_SQ, model, x, [0], zero),
                 base ** 2)
             and np.array_equal(
-                ensemble(estimate_grad, VAR, model, x, 0, zero).scores,
+                ensemble(estimate_grad, VAR, model, x, [0], zero),
                 np.zeros_like(base)))
         report("5 ensemble identities",
                identity_err <= 1e-10 and exact,
@@ -241,13 +242,13 @@ class TestCriterion7Determinism:
 
 class TestCriterion8Controls:
     def test_sobel_zero_on_constant_and_random_subsets_uniform(self):
-        sobel_zero = not control_sobel(np.full((9, 9, 1), 0.7)).scores.any()
+        sobel_zero = not control_sobel(np.full((9, 9, 1), 0.7)).any()
 
         n, t, draws = 20, 0.3, 10_000
         k = pipeline.n_modified(t, n)
         counts = np.zeros(n)
         for seed in range(draws):
-            order = pipeline.rank_features(control_random(n, seed).scores)
+            order = pipeline.rank_features(control_random(n, seed))
             counts[order[:k]] += 1
         expected = draws * k / n
         chi2 = ((counts - expected) ** 2 / expected).sum()

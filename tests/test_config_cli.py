@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from roarbench import cli
+from roarbench import cli, experiment, pipeline
 from roarbench.config import ConfigError, parse_config, serialize_config
 
 MINIMAL = """
@@ -65,6 +65,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sorted"):
             parse_config("[experiment]\nthresholds = 0.5,0.1\n" + MINIMAL)
 
+    @pytest.mark.parametrize("thresholds", ["0.5,0.5", "0.5,0.5000001"])
+    def test_thresholds_equal_at_six_decimals_rejected(self, thresholds):
+        with pytest.raises(ConfigError, match="6 decimals"):
+            parse_config(f"[experiment]\nthresholds = {thresholds}\n"
+                         + MINIMAL)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ConfigError, match="unknown estimator"):
             parse_config("[estimators]\nids = shapley\n")
@@ -106,6 +112,28 @@ class TestCli:
 
     def test_missing_config_is_validation_error(self):
         assert run_cli("run", "--config", "/no/such/file.ini") == 1
+
+    def test_thresholds_equal_at_six_decimals_exit_code(self, tmp_path):
+        config = tmp_path / "config.ini"
+        config.write_text(BARS.replace("thresholds = 0,0.5",
+                                       "thresholds = 0.5,0.5000001"))
+        assert run_cli("run", "--config", str(config)) == 1
+
+    def test_close_thresholds_keep_distinct_cells(self, tmp_path):
+        # 0.5 and 0.50001 agree to 4 decimals; each must get its own cell.
+        config = tmp_path / "config.ini"
+        config.write_text(BARS.replace("thresholds = 0,0.5",
+                                       "thresholds = 0.5,0.50001"))
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", str(config), "--output", out) == 0
+        with open(os.path.join(out, "results.csv")) as f:
+            rows = [line.split(",")[:4] for line in f.read().splitlines()[1:]]
+        assert sorted(rows) == sorted(
+            [e, t, "roar", str(r)] for e in ("grad", "random")
+            for t in ("0.500000", "0.500010") for r in (0, 1))
+        assert run_cli("modify", "--config", str(config),
+                       "--output", out) == 0
+        assert len(os.listdir(os.path.join(out, "modified"))) == 2 * 2
 
     def test_run_and_report(self, bars_config, tmp_path):
         out = str(tmp_path / "out")
@@ -189,6 +217,35 @@ class TestCli:
         assert len(cells) == 2 * 2 * 1
         manifest = os.path.join(out, "modified", cells[0], "manifest.txt")
         assert os.path.exists(manifest)
+
+    def test_modify_matches_saved_make_modified_dataset(self, bars_config,
+                                                        tmp_path):
+        out = str(tmp_path / "out")
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", out) == 0
+        ctx = experiment.build_context(parse_config(BARS))
+        model, _ = experiment.train_baseline(ctx)
+        estimates = experiment.compute_all_estimates(ctx, model)
+        cfg = ctx.config
+        for estimator_id in cfg.estimators.ids:
+            for threshold in cfg.thresholds:
+                for mode in cfg.modes:
+                    name = pipeline.cell_name(estimator_id, threshold, mode)
+                    expected = str(tmp_path / "expected" / name)
+                    pipeline.save_modified_dataset(
+                        pipeline.make_modified_dataset(
+                            ctx.dataset, *estimates[estimator_id],
+                            estimator_id, threshold, mode,
+                            source_id=ctx.source_id,
+                            granularity=ctx.granularity,
+                            image_shape=ctx.image_shape), expected)
+                    got = os.path.join(out, "modified", name)
+                    assert sorted(os.listdir(got)) == \
+                        sorted(os.listdir(expected))
+                    for part in os.listdir(expected):
+                        with open(os.path.join(got, part), "rb") as f1, \
+                                open(os.path.join(expected, part), "rb") as f2:
+                            assert f1.read() == f2.read(), (name, part)
 
     def test_estimate_writes_score_files(self, bars_config, tmp_path):
         out = str(tmp_path / "out")

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from roarbench import nn
-from roarbench.estimators import (EnsembleConfig, IGConfig, SG, SG_SQ, VAR,
+from roarbench.estimators import (ENSEMBLE_MODES, ROW_BLOCK, EnsembleConfig,
+                                  EstimatorSettings, IGConfig, SG, SG_SQ, VAR,
+                                  all_estimator_ids, compute_estimates,
                                   control_random, control_sobel, ensemble,
-                                  estimate_gb, estimate_grad, estimate_ig,
-                                  square_estimate)
+                                  estimate_gb, estimate_grad, estimate_ig)
 from roarbench.pipeline import n_modified, rank_features
 from conftest import finite_difference, sample_away_from_kinks
 
@@ -22,19 +25,19 @@ def affine_model(w, b=None):
 class TestGrad:
     def test_single_affine_gives_weight_column(self):
         w = [[1.0, -2.0], [0.5, 4.0]]
-        e = estimate_grad(affine_model(w), np.array([3.0, -1.0]), 1)
-        np.testing.assert_array_equal(e.scores, [-2.0, 4.0])
-        assert e.estimator_id == "grad"
+        [e] = estimate_grad(affine_model(w), np.array([[3.0, -1.0]]), [1])
+        np.testing.assert_array_equal(e, [-2.0, 4.0])
 
     def test_zero_weights_give_zero_scores(self):
-        e = estimate_grad(affine_model(np.zeros((3, 2))), np.ones(3), 0)
-        np.testing.assert_array_equal(e.scores, np.zeros(3))
+        [e] = estimate_grad(affine_model(np.zeros((3, 2))), np.ones((1, 3)),
+                            [0])
+        np.testing.assert_array_equal(e, np.zeros(3))
 
     def test_matches_finite_differences(self, rng):
         model = nn.init_mlp([4, 7, 2], rng)
         x = sample_away_from_kinks(model, rng, 4)
-        e = estimate_grad(model, x, 0)
-        np.testing.assert_allclose(e.scores, finite_difference(model, x, 0),
+        [e] = estimate_grad(model, x[None], [0])
+        np.testing.assert_allclose(e, finite_difference(model, x, 0),
                                    rtol=1e-4, atol=1e-7)
 
 
@@ -42,8 +45,8 @@ class TestGuidedBackprop:
     def test_no_rectifiers_equals_grad(self, rng):
         model = affine_model(rng.standard_normal((4, 3)))
         x = rng.standard_normal(4)
-        np.testing.assert_array_equal(estimate_gb(model, x, 2).scores,
-                                      estimate_grad(model, x, 2).scores)
+        np.testing.assert_array_equal(estimate_gb(model, x[None], [2]),
+                                      estimate_grad(model, x[None], [2]))
 
     def test_hand_traced_negative_path_zeroed(self):
         model = nn.Model([
@@ -51,8 +54,8 @@ class TestGuidedBackprop:
             nn.Rectifier(),
             nn.Affine(weight=np.array([[-1.0], [1.0]]), bias=np.zeros(1)),
         ])
-        e = estimate_gb(model, np.array([2.0, 3.0]), 0)
-        np.testing.assert_array_equal(e.scores, [0.0, 1.0])
+        [e] = estimate_gb(model, np.array([[2.0, 3.0]]), [0])
+        np.testing.assert_array_equal(e, [0.0, 1.0])
 
     def test_all_positive_network_equals_grad(self, rng):
         model = nn.Model([
@@ -63,16 +66,17 @@ class TestGuidedBackprop:
                       bias=np.zeros(2)),
         ])
         x = rng.uniform(0.1, 1.0, 3)
-        np.testing.assert_array_equal(estimate_gb(model, x, 0).scores,
-                                      estimate_grad(model, x, 0).scores)
+        np.testing.assert_array_equal(estimate_gb(model, x[None], [0]),
+                                      estimate_grad(model, x[None], [0]))
 
 
 class TestIntegratedGradients:
     def test_input_at_reference_gives_zeros(self, rng):
         model = nn.init_mlp([4, 6, 2], rng)
         x = rng.standard_normal(4)
-        e = estimate_ig(model, x, 0, IGConfig(steps=10, reference=x.copy()))
-        np.testing.assert_array_equal(e.scores, np.zeros(4))
+        [e] = estimate_ig(model, x[None], [0],
+                          IGConfig(steps=10, reference=x.copy()))
+        np.testing.assert_array_equal(e, np.zeros(4))
 
     @pytest.mark.parametrize("k", [1, 5, 25])
     def test_linear_model_is_analytically_exact(self, rng, k):
@@ -81,8 +85,9 @@ class TestIntegratedGradients:
         model = affine_model(w)
         x = rng.standard_normal(5)
         ref = rng.standard_normal(5)
-        e = estimate_ig(model, x, 1, IGConfig(steps=k, reference=ref))
-        np.testing.assert_allclose(e.scores, (x - ref) * w[:, 1], atol=1e-10)
+        [e] = estimate_ig(model, x[None], [1],
+                          IGConfig(steps=k, reference=ref))
+        np.testing.assert_allclose(e, (x - ref) * w[:, 1], atol=1e-10)
 
     # Seeds chosen so the straight path from the zero reference crosses few
     # rectifier kinks; frozen after checking the completeness residual.
@@ -91,14 +96,14 @@ class TestIntegratedGradients:
         rng = np.random.default_rng(seed)
         model = nn.init_mlp([6, 12, 8, 1], rng)
         x = rng.uniform(0.2, 1.0, 6)
-        e = estimate_ig(model, x, 0, IGConfig(steps=25))
+        [e] = estimate_ig(model, x[None], [0], IGConfig(steps=25))
         gap = nn.forward(model, x)[0] - nn.forward(model, np.zeros(6))[0]
-        assert abs(e.scores.sum() - gap) <= 0.01 * abs(gap)
+        assert abs(e.sum() - gap) <= 0.01 * abs(gap)
 
     def test_reference_shape_mismatch(self, rng):
         model = nn.init_mlp([4, 2], rng)
         with pytest.raises(ValueError, match="reference shape"):
-            estimate_ig(model, np.ones(4), 0,
+            estimate_ig(model, np.ones((1, 4)), [0],
                         IGConfig(steps=5, reference=np.ones(3)))
 
 
@@ -106,83 +111,91 @@ class TestEnsemble:
     @pytest.fixture
     def setup(self, rng):
         model = nn.init_mlp([5, 8, 2], rng)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((1, 5))
         return model, x
 
     def test_zero_noise_degenerates_exactly(self, setup):
         model, x = setup
         cfg = EnsembleConfig(samples=15, noise_stddev=0.0, seed=3)
-        base = estimate_grad(model, x, 0).scores
+        base = estimate_grad(model, x, [0])
         np.testing.assert_array_equal(
-            ensemble(estimate_grad, SG, model, x, 0, cfg).scores, base)
+            ensemble(estimate_grad, SG, model, x, [0], cfg), base)
         np.testing.assert_array_equal(
-            ensemble(estimate_grad, SG_SQ, model, x, 0, cfg).scores,
+            ensemble(estimate_grad, SG_SQ, model, x, [0], cfg),
             base ** 2)
         np.testing.assert_array_equal(
-            ensemble(estimate_grad, VAR, model, x, 0, cfg).scores,
+            ensemble(estimate_grad, VAR, model, x, [0], cfg),
             np.zeros_like(base))
 
     def test_variance_decomposition_identity(self, setup):
         model, x = setup
         cfg = EnsembleConfig(samples=15, noise_stddev=0.3, seed=11)
-        sg = ensemble(estimate_grad, SG, model, x, 0, cfg).scores
-        sg_sq = ensemble(estimate_grad, SG_SQ, model, x, 0, cfg).scores
-        var = ensemble(estimate_grad, VAR, model, x, 0, cfg).scores
+        sg = ensemble(estimate_grad, SG, model, x, [0], cfg)
+        sg_sq = ensemble(estimate_grad, SG_SQ, model, x, [0], cfg)
+        var = ensemble(estimate_grad, VAR, model, x, [0], cfg)
         np.testing.assert_allclose(var, sg_sq - sg ** 2, atol=1e-10)
 
     def test_linear_model_sg_equals_grad_and_var_vanishes(self, rng):
         model = affine_model(rng.standard_normal((4, 2)))
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
         cfg = EnsembleConfig(samples=15, noise_stddev=0.5, seed=7)
-        base = estimate_grad(model, x, 0).scores
+        base = estimate_grad(model, x, [0])
         np.testing.assert_allclose(
-            ensemble(estimate_grad, SG, model, x, 0, cfg).scores, base,
+            ensemble(estimate_grad, SG, model, x, [0], cfg), base,
             atol=1e-12)
         np.testing.assert_allclose(
-            ensemble(estimate_grad, VAR, model, x, 0, cfg).scores,
+            ensemble(estimate_grad, VAR, model, x, [0], cfg)[0],
             np.zeros(4), atol=1e-10)
 
     def test_estimator_id_composition(self, setup):
+        # The registry id "var-gb" is the VAR ensemble over guided backprop.
         model, x = setup
         cfg = EnsembleConfig(samples=2, noise_stddev=0.1, seed=0)
-        assert ensemble(estimate_gb, VAR, model, x, 0, cfg).estimator_id == \
-            "var-gb"
+        np.testing.assert_array_equal(
+            compute_estimates("var-gb", EstimatorSettings(ensemble=cfg),
+                              model, x, np.array([0])),
+            ensemble(estimate_gb, VAR, model, x, [0], cfg))
 
 
 class TestSquare:
+    @staticmethod
+    def squared(scores):
+        # A single affine column makes `scores` the exact input gradient.
+        model = affine_model(np.asarray(scores)[:, None])
+        [e] = compute_estimates("grad-sq", EstimatorSettings(), model,
+                                np.zeros((1, len(scores))), np.array([0]))
+        return e
+
     def test_elementwise_square(self):
-        from roarbench.estimators import ImportanceEstimate
-        e = square_estimate(ImportanceEstimate(np.array([-2.0, 3.0]), "grad"))
-        np.testing.assert_array_equal(e.scores, [4.0, 9.0])
-        assert e.estimator_id == "grad-sq"
+        e = self.squared(np.array([-2.0, 3.0]))
+        np.testing.assert_array_equal(e, [4.0, 9.0])
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_square_ranks_like_absolute_value(self, values):
-        from roarbench.estimators import ImportanceEstimate
         scores = np.array(values)
-        squared = square_estimate(ImportanceEstimate(scores, "grad")).scores
+        squared = self.squared(scores)
         np.testing.assert_array_equal(rank_features(squared),
                                       rank_features(np.abs(scores) ** 2))
 
 
 class TestRandomControl:
     def test_same_seed_reproduces(self):
-        a = control_random(10, seed=99).scores
-        b = control_random(10, seed=99).scores
+        a = control_random(10, seed=99)
+        b = control_random(10, seed=99)
         np.testing.assert_array_equal(a, b)
 
     def test_independent_of_input_content(self):
         # Shape and seed fully determine the scores.
-        assert np.array_equal(control_random((4, 4, 1), 5).scores,
-                              control_random((4, 4, 1), 5).scores)
+        assert np.array_equal(control_random((4, 4, 1), 5),
+                              control_random((4, 4, 1), 5))
 
     def test_top_t_subsets_are_uniform(self):
         n, t, draws = 20, 0.3, 10_000
         k = n_modified(t, n)
         counts = np.zeros(n)
         for seed in range(draws):
-            order = rank_features(control_random(n, seed).scores)
+            order = rank_features(control_random(n, seed))
             counts[order[:k]] += 1
         expected = draws * k / n
         chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -192,14 +205,14 @@ class TestRandomControl:
 class TestSobelControl:
     def test_constant_image_scores_zero(self):
         e = control_sobel(np.full((5, 7, 3), 0.42))
-        np.testing.assert_array_equal(e.scores, np.zeros((5, 7, 3)))
+        np.testing.assert_array_equal(e, np.zeros((5, 7, 3)))
 
     def test_vertical_step_edge_hand_oracle(self):
         # Left half 0, right half 1: gradient magnitude 4 on the two columns
         # straddling the step, 0 elsewhere (replicate padding).
         image = np.zeros((4, 6, 1))
         image[:, 3:, 0] = 1.0
-        scores = control_sobel(image).scores[:, :, 0]
+        scores = control_sobel(image)[:, :, 0]
         expected = np.zeros((4, 6))
         expected[:, 2:4] = 4.0
         np.testing.assert_array_equal(scores, expected)
@@ -207,10 +220,64 @@ class TestSobelControl:
     def test_broadcast_across_channels(self):
         rng = np.random.default_rng(0)
         image = rng.uniform(size=(6, 6, 3))
-        scores = control_sobel(image).scores
+        scores = control_sobel(image)
         np.testing.assert_array_equal(scores[:, :, 0], scores[:, :, 1])
         np.testing.assert_array_equal(scores[:, :, 0], scores[:, :, 2])
 
     def test_requires_image_metadata(self):
         with pytest.raises(ValueError, match="image"):
             control_sobel(np.ones(16))
+
+    def test_stack_matches_per_image(self):
+        images = np.random.default_rng(1).uniform(size=(5, 6, 7, 2))
+        stacked = control_sobel(images)
+        assert stacked.shape == images.shape
+        for image, scores in zip(images, stacked):
+            np.testing.assert_array_equal(scores, control_sobel(image))
+
+
+def one_row(estimator_id, settings, model, x, targets, i):
+    """Row i scored on its own, drawing ensemble noise from its index i."""
+    mode, _, base_id = estimator_id.partition("-")
+    rows = slice(i, i + 1)
+    if mode in ENSEMBLE_MODES:
+        base = {"grad": estimate_grad, "gb": estimate_gb,
+                "ig": partial(estimate_ig, cfg=settings.ig)}[base_id]
+        scores = ensemble(base, mode, model, x[rows], targets[rows],
+                          settings.ensemble, first_row=i)
+    else:
+        scores = compute_estimates(estimator_id, settings, model, x[rows],
+                                   targets[rows])
+    return scores[0]
+
+
+class TestComputeEstimates:
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(2, 8), min_size=0, max_size=2),
+           st.integers(1, 3), st.integers(1, 2))
+    @settings(max_examples=6, deadline=None)
+    def test_row_blocks_match_one_row_calls(self, seed, hidden, out, c):
+        rng = np.random.default_rng(seed)
+        image_shape = (2, 3, c)
+        d = 6 * c
+        model = nn.init_mlp([d, *hidden, out], rng)
+        n = 2 * ROW_BLOCK + 3
+        x = rng.standard_normal((n, d))
+        targets = rng.integers(0, out, n)
+        settings = EstimatorSettings(
+            ig=IGConfig(steps=3),
+            ensemble=EnsembleConfig(samples=2, noise_stddev=0.3,
+                                    seed=int(rng.integers(2 ** 32))),
+            image_shape=image_shape)
+        for estimator_id in all_estimator_ids():
+            batch = compute_estimates(estimator_id, settings, model, x,
+                                      targets)
+            rows = np.stack([one_row(estimator_id, settings, model, x,
+                                     targets, i) for i in range(n)])
+            np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-12,
+                                       err_msg=estimator_id)
+
+    def test_unknown_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown estimator"):
+            compute_estimates("shapley", EstimatorSettings(), None,
+                              np.ones((2, 3)), np.zeros(2, dtype=int))

@@ -47,13 +47,6 @@ class TestForward:
         with pytest.raises(nn.DimensionError, match="layer 0"):
             nn.forward(identity_model(), np.array([1.0, 2.0, 3.0]))
 
-    def test_forward_ignores_gradient_mode(self):
-        model = two_layer_model()
-        x = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(
-            nn.forward(model, x),
-            nn.forward(model.with_mode(nn.GUIDED), x))
-
 
 class TestInputGradient:
     def test_single_affine_equals_weight_row(self):
@@ -103,6 +96,22 @@ class TestInputGradient:
     def test_invalid_target(self):
         with pytest.raises(IndexError):
             nn.input_gradient(identity_model(), np.array([1.0, 2.0]), 5)
+
+    @pytest.mark.parametrize("mode", [nn.STANDARD, nn.GUIDED])
+    def test_batch_matches_single(self, rng, mode):
+        model = nn.init_mlp([5, 9, 7, 3], rng)
+        x = rng.standard_normal((11, 5))
+        targets = rng.integers(0, 3, 11)
+        batch = nn.input_gradient(model, x, targets, mode=mode)
+        assert batch.shape == (11, 5)
+        for row, target, g in zip(x, targets, batch):
+            np.testing.assert_allclose(
+                g, nn.input_gradient(model, row, int(target), mode=mode),
+                rtol=0, atol=1e-12)
+
+    def test_target_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="targets"):
+            nn.input_gradient(identity_model(), np.ones((3, 2)), [0, 1])
 
 
 def separable_blobs(n=200, seed=0):

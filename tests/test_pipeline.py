@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roarbench import nn, pipeline
-from roarbench.pipeline import (KAR, ROAR, ModificationSpec, ProvenanceError,
-                                Record, ResultGrid, derive_seed,
-                                generate_modified_datasets,
+from roarbench.pipeline import (FEATURE, KAR, PIXEL, ROAR, ModificationSpec,
+                                ProvenanceError, Record, ResultGrid,
+                                derive_seed, generate_modified_datasets,
                                 load_modified_dataset, make_modified_dataset,
-                                modify_sample, n_modified, rank_features,
-                                ranking_to_scores, replacement_matrix,
-                                run_deletion_metric, run_roar,
-                                save_modified_dataset)
+                                modify_rows, modify_sample, n_modified,
+                                rank_features, ranking_to_scores,
+                                replacement_matrix, run_deletion_metric,
+                                run_roar, save_modified_dataset)
 
 
 class TestRankFeatures:
@@ -42,6 +42,15 @@ class TestRankFeatures:
         order = rng.permutation(17)
         np.testing.assert_array_equal(
             rank_features(ranking_to_scores(order)), order)
+
+    @pytest.mark.parametrize("granularity", [FEATURE, PIXEL])
+    def test_rows_rank_independently(self, rng, granularity):
+        # Coarse values force ties, which must break per row as in 1-D.
+        scores = rng.integers(0, 4, (9, 12)).astype(float)
+        rows = rank_features(scores, granularity, image_shape=(2, 3, 2))
+        for row, order in zip(scores, rows):
+            np.testing.assert_array_equal(
+                order, rank_features(row, granularity, image_shape=(2, 3, 2)))
 
 
 def spec_for(x, threshold, mode):
@@ -102,6 +111,51 @@ class TestModifySample:
             modify_sample(x, np.arange(4), spec_for(x, 0.5, ROAR))
 
 
+class TestModifyRows:
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.floats(0.0, 1.0, allow_nan=False),
+           st.sampled_from([ROAR, KAR]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_row_oracle(self, seed, t, mode, shared):
+        # Oracle: assign the selected positions of each row one at a time.
+        rng = np.random.default_rng(seed)
+        n, p, c = 7, 6, 2
+        x = rng.standard_normal((n, p * c))
+        rankings = np.argsort(rng.standard_normal((1 if shared else n, p)))
+        spec = ModificationSpec(t, mode, rng.standard_normal((p, c)))
+        k = n_modified(t, p)
+        for i, row in enumerate(modify_rows(x, rankings, spec)):
+            order = rankings[0 if shared else i]
+            selected = order[:k] if mode == ROAR else order[k:]
+            expected = x[i].reshape(p, c).copy()
+            expected[selected] = spec.replacement[selected]
+            np.testing.assert_array_equal(row, expected.ravel())
+
+    @pytest.mark.parametrize("granularity,image_shape",
+                             [(FEATURE, None), (PIXEL, (2, 3, 2))])
+    def test_shared_scores_match_tiled_rows(self, rng, granularity,
+                                            image_shape):
+        ds = tiny_dataset(rng, d=12)
+        shared = rng.standard_normal(12)
+        tiled = np.tile(shared, (20, 1)), np.tile(shared, (8, 1))
+        for t in (0.0, 0.3, 0.5, 1.0):
+            for mode in (ROAR, KAR):
+                a = make_modified_dataset(ds, shared, shared, "e", t, mode,
+                                          granularity=granularity,
+                                          image_shape=image_shape)
+                b = make_modified_dataset(ds, *tiled, "e", t, mode,
+                                          granularity=granularity,
+                                          image_shape=image_shape)
+                np.testing.assert_array_equal(a.train_x, b.train_x)
+                np.testing.assert_array_equal(a.test_x, b.test_x)
+        model = nn.fit_least_squares(ds, ridge=1e-6, fit_bias=True)
+        shared_grid, tiled_grid = (
+            run_deletion_metric(ds, model, {"e": scores}, [0.3, 0.5, 1.0],
+                                granularity, image_shape)
+            for scores in ((shared, shared), tiled))
+        assert shared_grid.records == tiled_grid.records
+
+
 def tiny_dataset(rng, n=20, m=8, d=6):
     return nn.ArrayDataset(rng.standard_normal((n, d)),
                            rng.integers(0, 2, n),
@@ -113,7 +167,7 @@ class TestGenerateModifiedDatasets:
     def test_zero_threshold_equals_source(self, rng):
         ds = tiny_dataset(rng)
         scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
-        out = generate_modified_datasets(ds, {"e": scores}, [0.0])
+        out = list(generate_modified_datasets(ds, {"e": scores}, [0.0]))
         assert len(out) == 1
         np.testing.assert_array_equal(out[0].train_x, ds.train_x)
         np.testing.assert_array_equal(out[0].test_x, ds.test_x)
@@ -121,9 +175,9 @@ class TestGenerateModifiedDatasets:
     def test_grid_counting_and_provenance(self, rng):
         ds = tiny_dataset(rng)
         scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
-        out = generate_modified_datasets(
+        out = list(generate_modified_datasets(
             ds, {"a": scores, "b": scores}, [0.0, 0.3, 0.5, 0.7, 0.9],
-            modes=(ROAR, KAR))
+            modes=(ROAR, KAR)))
         assert len(out) == 20
         tuples = {(m.provenance.estimator_id, m.provenance.threshold,
                    m.provenance.mode) for m in out}
@@ -147,7 +201,8 @@ class TestGenerateModifiedDatasets:
         ds = tiny_dataset(rng)
         short = rng.standard_normal((5, 6))  # fewer rows than samples
         with pytest.raises(ProvenanceError, match="sample"):
-            generate_modified_datasets(ds, {"e": (short, short)}, [0.5])
+            list(generate_modified_datasets(ds, {"e": (short, short)},
+                                            [0.5]))
 
 
 class TestRunRoar:
