@@ -64,8 +64,11 @@ def make_trainer(cfg: ExperimentConfig) -> nn.TrainerFn:
 def train_baseline(ctx: ExperimentContext) -> tuple[nn.Model, float]:
     """Checkpoint on the unmodified data; estimates are computed against it."""
     trainer = make_trainer(ctx.config)
-    seed = pipeline.derive_seed(ctx.config.seed, "baseline")
-    return trainer(ctx.dataset, seed)
+    [result] = trainer(ctx.dataset,
+                       [pipeline.derive_seed(ctx.config.seed, "baseline")])
+    if isinstance(result, nn.TrainingDivergedError):
+        raise result
+    return result
 
 
 def estimator_settings(ctx: ExperimentContext) -> EstimatorSettings:
@@ -153,19 +156,16 @@ def run_grid(ctx: ExperimentContext, estimates, output_dir: str):
             ctx.dataset, train_scores, test_scores, estimator_id, threshold,
             mode, seed=cfg.seed, source_id=ctx.source_id,
             granularity=ctx.granularity, image_shape=ctx.image_shape)
-        dataset = modified.as_dataset()
+        results = trainer(modified.as_dataset(), pipeline.run_seeds(
+            cfg.seed, estimator_id, threshold, mode, cfg.runs_per_point))
         lines = []
-        for run in range(cfg.runs_per_point):
-            seed = pipeline.derive_seed(cfg.seed, estimator_id,
-                                        f"{threshold:.6f}", mode, run)
-            try:
-                _, acc = trainer(dataset, seed)
-            except nn.TrainingDivergedError as err:
-                lines.append(f"{estimator_id},{threshold:.6f},{mode},{run},"
-                             f"failed:{err.step}")
-                continue
+        for run, result in enumerate(results):
+            if isinstance(result, nn.TrainingDivergedError):
+                outcome = f"failed:{result.step}"
+            else:
+                outcome = f"{result[1]:.10f}"
             lines.append(f"{estimator_id},{threshold:.6f},{mode},{run},"
-                         f"{acc:.10f}")
+                         f"{outcome}")
         pipeline._atomic_write_text(path, "\n".join(lines) + "\n")
         _log(f"cell estimator={estimator_id} threshold={threshold:g} "
              f"mode={mode} status=done")
@@ -192,18 +192,27 @@ def collect_grid(ctx: ExperimentContext, output_dir: str) -> pipeline.ResultGrid
                     raise pipeline.ProvenanceError(
                         f"missing cell result {path}; rerun the grid")
                 with open(path) as f:
-                    for line in f:
-                        parts = line.strip().split(",")
-                        if len(parts) != 5:
-                            raise pipeline.ProvenanceError(
-                                f"corrupt cell record in {path}")
-                        est, t, mode_, run, acc = parts
-                        if acc.startswith("failed:"):
-                            grid.failures.append(pipeline.CellFailure(
-                                est, float(t), mode_, int(run), acc))
-                        else:
-                            grid.add(pipeline.Record(
-                                est, float(t), mode_, int(run), float(acc)))
+                    rows = [line.strip().split(",") for line in f]
+                if len(rows) != cfg.runs_per_point:
+                    raise pipeline.ProvenanceError(
+                        f"{path} holds {len(rows)} records, the config asks "
+                        f"for runs_per_point = {cfg.runs_per_point}")
+                cell = [estimator_id, f"{threshold:.6f}", mode]
+                for parts in rows:
+                    if len(parts) != 5:
+                        raise pipeline.ProvenanceError(
+                            f"corrupt cell record in {path}")
+                    if parts[:3] != cell:
+                        raise pipeline.ProvenanceError(
+                            f"{path} holds a record of cell "
+                            f"{','.join(parts[:3])}, not {','.join(cell)}")
+                    est, t, mode_, run, acc = parts
+                    if acc.startswith("failed:"):
+                        grid.failures.append(pipeline.CellFailure(
+                            est, float(t), mode_, int(run), acc))
+                    else:
+                        grid.add(pipeline.Record(
+                            est, float(t), mode_, int(run), float(acc)))
     return grid
 
 

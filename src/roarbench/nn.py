@@ -1,10 +1,9 @@
-"""Minimal differentiable MLP engine: affine/rectifier layers, SGD training,
-batched input gradients with switchable guided-backprop masking, and a
-closed-form least-squares model."""
+"""Minimal differentiable MLP engine: affine/rectifier layers, SGD training
+of several seeded runs as one stacked model, batched input gradients with
+switchable guided-backprop masking, and a closed-form least-squares model."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -87,7 +86,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     steps: int = 500
     batch_size: int = 32
-    seed: int = 0
     loss: str = "softmax_cross_entropy"  # or "mean_squared_error"
 
 
@@ -158,43 +156,27 @@ def init_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> Model:
     return Model(layers)
 
 
-def _loss_and_output_grad(logits, labels, n_classes, loss):
-    n = logits.shape[0]
+def _loss_and_output_grad(logits, labels, loss):
+    """Per-run loss values (R,) and output gradients of (R, b, c) logits.
+
+    Each run's gradient is scaled by its own batch (and, for MSE, class)
+    count, so a run's values do not depend on the stack it trains in.
+    """
+    r, b, c = logits.shape
     if loss == "softmax_cross_entropy":
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        shifted = logits - logits.max(axis=2, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=2, keepdims=True))
         log_probs = shifted - log_z
-        value = -log_probs[np.arange(n), labels].mean()
+        picked = (np.arange(r)[:, None], np.arange(b), labels)
+        value = -log_probs[picked].sum(axis=1) / b
         grad = np.exp(log_probs)
-        grad[np.arange(n), labels] -= 1.0
-        return value, grad / n
+        grad[picked] -= 1.0
+        return value, grad / b
     if loss == "mean_squared_error":
-        onehot = np.eye(n_classes)[labels]
-        diff = logits - onehot
-        return (diff ** 2).mean(), 2.0 * diff / diff.size
+        diff = logits - np.eye(c)[labels]
+        return ((diff ** 2).reshape(r, -1).sum(axis=1) / (b * c),
+                2.0 * diff / (b * c))
     raise ValueError(f"unknown loss {loss!r}")
-
-
-def _backprop(model: Model, x: np.ndarray, out_grad: np.ndarray):
-    """Parameter gradients for a batch; forward activations recomputed."""
-    inputs = []
-    h = x
-    for layer in model.layers:
-        inputs.append(h)
-        if isinstance(layer, Affine):
-            h = h @ layer.weight + layer.bias
-        else:
-            h = np.maximum(h, 0.0)
-    grads = [None] * len(model.layers)
-    g = out_grad
-    for i in reversed(range(len(model.layers))):
-        layer = model.layers[i]
-        if isinstance(layer, Affine):
-            grads[i] = (inputs[i].T @ g, g.sum(axis=0))
-            g = g @ layer.weight.T
-        else:
-            g = g * (inputs[i] > 0.0)
-    return grads
 
 
 def accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
@@ -207,11 +189,22 @@ def accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     return float((pred == y).mean())
 
 
-def train(layer_sizes: Sequence[int], dataset: ArrayDataset,
-          config: TrainConfig) -> tuple[Model, float]:
-    """Minibatch SGD from a seeded random initialization.
+TrainResult = tuple[Model, float] | TrainingDivergedError
 
-    Deterministic: identical (seed, config, dataset) replays bit-identically.
+
+def train(layer_sizes: Sequence[int], dataset: ArrayDataset,
+          config: TrainConfig, seeds: Sequence[int]) -> list[TrainResult]:
+    """Minibatch SGD of one MLP per seed, stacked into one model.
+
+    Weights are stacked as (R, d_in, d_out) and biases as (R, 1, d_out), and
+    each step is one batched forward and backward pass over (R, batch, d)
+    rows. Run r initializes from, then draws all its batch indices from, its
+    own `default_rng(seed_r)` stream. numpy runs one product per stacked
+    slice, so every run replays training its seed alone bit for bit.
+
+    Returns one entry per seed, in order: (model, test accuracy), or the
+    TrainingDivergedError of a run whose loss turned non-finite. Such a run
+    leaves the stack at that step, before its update; the others go on.
     """
     if dataset.train_x.shape[0] == 0:
         raise ValueError("empty training set")
@@ -221,22 +214,54 @@ def train(layer_sizes: Sequence[int], dataset: ArrayDataset,
     if layer_sizes[-1] < n_classes:
         raise ValueError(f"output dim {layer_sizes[-1]} < {n_classes} classes")
 
-    rng = np.random.default_rng(np.uint64(config.seed))
-    model = init_mlp(layer_sizes, rng)
     n = dataset.train_x.shape[0]
+    models, batches = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(np.uint64(seed))
+        models.append(init_mlp(layer_sizes, rng))
+        batches.append(rng.integers(0, n, size=(config.steps,
+                                                config.batch_size)))
+    batches = np.stack(batches, axis=1)  # (steps, R, batch)
+    params = [(np.stack([m.layers[i].weight for m in models]),
+               np.stack([m.layers[i].bias[None] for m in models]))
+              for i in range(0, len(models[0].layers), 2)]
+    results: list = [None] * len(seeds)
+    live = np.arange(len(seeds))
+    lr = config.learning_rate
     for step in range(config.steps):
-        idx = rng.integers(0, n, size=config.batch_size)
-        xb, yb = dataset.train_x[idx], dataset.train_y[idx]
-        logits = forward(model, xb)
-        loss, out_grad = _loss_and_output_grad(logits, yb, layer_sizes[-1],
-                                               config.loss)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(step)
-        for layer, grad in zip(model.layers, _backprop(model, xb, out_grad)):
-            if grad is not None:
-                layer.weight -= config.learning_rate * grad[0]
-                layer.bias -= config.learning_rate * grad[1]
-    return model, accuracy(model, dataset.test_x, dataset.test_y)
+        idx = batches[step]
+        # xs[i] is the input of affine i; its positive entries are the
+        # units the rectifier before it passed.
+        xs = [dataset.train_x[idx]]
+        for w, b in params[:-1]:
+            xs.append(np.maximum(xs[-1] @ w + b, 0.0))
+        w, b = params[-1]
+        loss, g = _loss_and_output_grad(xs[-1] @ w + b, dataset.train_y[idx],
+                                        config.loss)
+        finite = np.isfinite(loss)
+        if not finite.all():
+            for run in live[~finite]:
+                results[run] = TrainingDivergedError(step)
+            live, batches, g = live[finite], batches[:, finite], g[finite]
+            xs = [x[finite] for x in xs]
+            params = [(w[finite], b[finite]) for w, b in params]
+            if not len(live):
+                break
+        for i in reversed(range(len(params))):
+            w, b = params[i]
+            grad_w = xs[i].transpose(0, 2, 1) @ g
+            grad_b = g.sum(axis=1, keepdims=True)
+            if i > 0:
+                g = (g @ w.transpose(0, 2, 1)) * (xs[i] > 0.0)
+            w -= lr * grad_w
+            b -= lr * grad_b
+    for k, run in enumerate(live):
+        model = models[run]
+        for layer, (w, b) in zip(model.layers[::2], params):
+            layer.weight, layer.bias = w[k], b[k, 0]
+        results[run] = (model, accuracy(model, dataset.test_x,
+                                        dataset.test_y))
+    return results
 
 
 def fit_least_squares(dataset: ArrayDataset, ridge: float = 0.0,
@@ -262,26 +287,28 @@ def fit_least_squares(dataset: ArrayDataset, ridge: float = 0.0,
     return Model([Affine(weight=weight.reshape(-1, 1), bias=bias)])
 
 
-TrainerFn = Callable[[ArrayDataset, int], tuple[Model, float]]
+TrainerFn = Callable[[ArrayDataset, Sequence[int]], list[TrainResult]]
 
 
 def mlp_trainer(hidden: Sequence[int], config: TrainConfig) -> TrainerFn:
-    """Trainer closure for the retraining pipeline; seed overrides config."""
+    """Trainer closure for the retraining pipeline: one stacked SGD run per
+    call, one result per seed."""
 
-    def run(dataset: ArrayDataset, seed: int) -> tuple[Model, float]:
+    def run(dataset: ArrayDataset, seeds: Sequence[int]) -> list[TrainResult]:
         sizes = [dataset.n_features, *hidden, dataset.n_classes]
-        cfg = dataclasses.replace(config, seed=seed)
-        return train(sizes, dataset, cfg)
+        return train(sizes, dataset, config, seeds)
 
     return run
 
 
 def least_squares_trainer(ridge: float = 1e-8,
                           fit_bias: bool = True) -> TrainerFn:
-    """Deterministic closed-form trainer; the seed argument is unused."""
+    """Deterministic closed-form trainer. The seeds are unused, so it fits
+    once per call and returns that (model, accuracy) for every seed."""
 
-    def run(dataset: ArrayDataset, seed: int) -> tuple[Model, float]:
+    def run(dataset: ArrayDataset, seeds: Sequence[int]) -> list[TrainResult]:
         model = fit_least_squares(dataset, ridge=ridge, fit_bias=fit_bias)
-        return model, accuracy(model, dataset.test_x, dataset.test_y)
+        result = (model, accuracy(model, dataset.test_x, dataset.test_y))
+        return [result for _ in seeds]
 
     return run

@@ -32,6 +32,13 @@ def derive_seed(base_seed: int, *parts) -> int:
     return int.from_bytes(digest, "little")
 
 
+def run_seeds(base_seed: int, estimator_id: str, threshold: float, mode: str,
+              runs_per_point: int) -> list[int]:
+    """The seeds of one grid cell's retraining runs, run index order."""
+    return [derive_seed(base_seed, estimator_id, f"{threshold:.6f}", mode, run)
+            for run in range(runs_per_point)]
+
+
 def rank_features(scores: np.ndarray, granularity: str = FEATURE,
                   image_shape: tuple[int, int, int] | None = None) -> np.ndarray:
     """Descending ranking along the last axis of (..., d) flat scores; ties
@@ -280,17 +287,15 @@ def run_roar(dataset: ArrayDataset,
                     dataset, train_scores, test_scores, estimator_id,
                     threshold, mode, granularity=granularity,
                     image_shape=image_shape)
-                ds = modified.as_dataset()
-                for run in range(runs_per_point):
-                    seed = derive_seed(base_seed, estimator_id,
-                                       f"{threshold:.6f}", mode, run)
-                    try:
-                        _, acc = trainer(ds, seed)
-                    except TrainingDivergedError as err:
+                results = trainer(modified.as_dataset(), run_seeds(
+                    base_seed, estimator_id, threshold, mode, runs_per_point))
+                for run, result in enumerate(results):
+                    if isinstance(result, TrainingDivergedError):
                         grid.failures.append(CellFailure(
-                            estimator_id, threshold, mode, run, str(err)))
-                        continue
-                    grid.add(Record(estimator_id, threshold, mode, run, acc))
+                            estimator_id, threshold, mode, run, str(result)))
+                    else:
+                        grid.add(Record(estimator_id, threshold, mode, run,
+                                        result[1]))
                 if progress is not None:
                     progress(estimator_id, threshold, mode)
     return grid

@@ -58,7 +58,8 @@ class TestCriterion2RetrainingMatters:
             ds = image.as_dataset()
             trainer = nn.mlp_trainer([32], nn.TrainConfig(
                 learning_rate=0.2, steps=600, batch_size=32))
-            model, _ = trainer(ds, pipeline.derive_seed(seed, "baseline"))
+            [(model, _)] = trainer(ds, [pipeline.derive_seed(seed,
+                                                             "baseline")])
             scores = control_random(ds.train_x.shape[1], seed=123)
             est = {"random": (scores, scores)}
             roar = pipeline.run_roar(

@@ -1,7 +1,7 @@
 """Guards the hooks `perfbench/run.py --trace 1` relies on: every function
 the tracer wraps must still exist where its callers look it up, and
 `compute_estimates` must keep the parameters the tracer reads from each
-call. The benchmark files are only read here."""
+call, as must `nn.train`. The benchmark files are only read here."""
 
 import importlib
 import importlib.util
@@ -45,3 +45,17 @@ def test_compute_estimates_binds_described_parameters():
     described = tracer.DESCRIBE["estimators.compute_estimates"](
         bound.arguments)
     assert described["id"] == "grad" and described["samples"] == 5
+
+
+def test_train_binds_described_parameters():
+    tracer = load_tracer()
+    signature = inspect.signature(nn.train)
+    assert "config" in signature.parameters
+    # Bind a real stacked call the way the tracer does and describe it.
+    rng = np.random.default_rng(0)
+    dataset = nn.ArrayDataset(rng.standard_normal((6, 3)), np.arange(6) % 2,
+                              rng.standard_normal((4, 3)), np.arange(4) % 2)
+    bound = signature.bind([3, 4, 2], dataset,
+                           nn.TrainConfig(steps=7, batch_size=2), [0, 1])
+    bound.apply_defaults()
+    assert tracer.DESCRIBE["nn.train"](bound.arguments) == {"steps": 7}

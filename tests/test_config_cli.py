@@ -268,3 +268,53 @@ class TestCli:
         assert "PASS" in captured and "FAIL" not in captured
         with open(os.path.join(out, "toy_validation.csv")) as f:
             assert f.readline().strip() == "metric,ranking,threshold,accuracy"
+
+
+class TestCollectGrid:
+    """A cell fragment must hold exactly the config's runs, all of its own
+    cell; anything else is refused by name."""
+
+    @staticmethod
+    def write_cells(ctx, out):
+        cfg = ctx.config
+        os.makedirs(os.path.join(out, "cells"))
+        paths = []
+        for e in cfg.estimators.ids:
+            for t in cfg.thresholds:
+                for m in cfg.modes:
+                    path = os.path.join(out, "cells",
+                                        pipeline.cell_name(e, t, m) + ".csv")
+                    with open(path, "w") as f:
+                        f.writelines(f"{e},{t:.6f},{m},{r},0.5000000000\n"
+                                     for r in range(cfg.runs_per_point))
+                    paths.append(path)
+        return paths
+
+    @pytest.fixture
+    def grid_dir(self, tmp_path):
+        ctx = experiment.build_context(parse_config(BARS))
+        out = str(tmp_path / "out")
+        paths = self.write_cells(ctx, out)
+        grid = experiment.collect_grid(ctx, out)
+        assert len(grid.records) == 2 * 2 * 1 * 2
+        return ctx, out, paths[-1]
+
+    def test_run_count_must_match_config(self, grid_dir):
+        ctx, out, path = grid_dir
+        with open(path) as f:
+            first = f.readline()
+        with open(path, "w") as f:
+            f.write(first)
+        with pytest.raises(pipeline.ProvenanceError,
+                           match=f"{os.path.basename(path)}.*1 records"):
+            experiment.collect_grid(ctx, out)
+
+    def test_rows_must_name_the_file_cell(self, grid_dir):
+        ctx, out, path = grid_dir
+        with open(path) as f:
+            text = f.read()
+        with open(path, "w") as f:
+            f.write(text.replace(",0.500000,roar,", ",0.000000,roar,", 1))
+        with pytest.raises(pipeline.ProvenanceError,
+                           match=f"{os.path.basename(path)}.*0.000000"):
+            experiment.collect_grid(ctx, out)

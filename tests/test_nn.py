@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roarbench import nn
 from conftest import finite_difference, sample_away_from_kinks
@@ -126,11 +128,26 @@ def separable_blobs(n=200, seed=0):
                            x[perm][2 * n - half:], y[perm][2 * n - half:])
 
 
+def assert_same_result(stacked, solo):
+    """Equal weights and accuracy, or the same failure step."""
+    if isinstance(solo, nn.TrainingDivergedError):
+        assert isinstance(stacked, nn.TrainingDivergedError)
+        assert stacked.step == solo.step
+        return
+    assert not isinstance(stacked, nn.TrainingDivergedError)
+    assert stacked[1] == solo[1]
+    for la, lb in zip(stacked[0].layers, solo[0].layers, strict=True):
+        assert type(la) is type(lb)
+        if isinstance(la, nn.Affine):
+            np.testing.assert_array_equal(la.weight, lb.weight)
+            np.testing.assert_array_equal(la.bias, lb.bias)
+
+
 class TestTrain:
     def test_separable_blobs_reach_perfect_accuracy(self):
         ds = separable_blobs()
-        _, acc = nn.train([2, 8, 2], ds, nn.TrainConfig(
-            learning_rate=0.1, steps=400, batch_size=32, seed=0))
+        [(_, acc)] = nn.train([2, 8, 2], ds, nn.TrainConfig(
+            learning_rate=0.1, steps=400, batch_size=32), [0])
         assert acc == 1.0
 
     def test_constant_inputs_predict_majority_class(self):
@@ -139,16 +156,15 @@ class TestTrain:
         x_test = np.full((100, 3), 0.5)
         y_test = np.array([0] * 60 + [1] * 40)
         ds = nn.ArrayDataset(x_train, y_train, x_test, y_test)
-        _, acc = nn.train([3, 4, 2], ds, nn.TrainConfig(
-            learning_rate=0.1, steps=400, batch_size=32, seed=1))
+        [(_, acc)] = nn.train([3, 4, 2], ds, nn.TrainConfig(
+            learning_rate=0.1, steps=400, batch_size=32), [1])
         assert acc == 0.6  # test-set majority-class frequency
 
     def test_same_seed_is_bit_identical(self):
         ds = separable_blobs(seed=3)
-        cfg = nn.TrainConfig(learning_rate=0.05, steps=150, batch_size=16,
-                             seed=42)
-        model_a, acc_a = nn.train([2, 6, 2], ds, cfg)
-        model_b, acc_b = nn.train([2, 6, 2], ds, cfg)
+        cfg = nn.TrainConfig(learning_rate=0.05, steps=150, batch_size=16)
+        [(model_a, acc_a)] = nn.train([2, 6, 2], ds, cfg, [42])
+        [(model_b, acc_b)] = nn.train([2, 6, 2], ds, cfg, [42])
         assert acc_a == acc_b
         for la, lb in zip(model_a.layers, model_b.layers):
             if isinstance(la, nn.Affine):
@@ -158,17 +174,73 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_carries_step_index(self):
         ds = separable_blobs(seed=5)
-        with pytest.raises(nn.TrainingDivergedError) as info:
-            nn.train([2, 4, 2], ds, nn.TrainConfig(
-                learning_rate=1e9, steps=200, batch_size=16, seed=0,
-                loss="mean_squared_error"))
-        assert info.value.step >= 0
+        [result] = nn.train([2, 4, 2], ds, nn.TrainConfig(
+            learning_rate=1e9, steps=200, batch_size=16,
+            loss="mean_squared_error"), [0])
+        assert isinstance(result, nn.TrainingDivergedError)
+        assert result.step >= 0
 
     def test_empty_dataset_rejected(self):
         ds = nn.ArrayDataset(np.empty((0, 2)), np.empty(0, dtype=int),
                              np.empty((0, 2)), np.empty(0, dtype=int))
         with pytest.raises(ValueError, match="empty"):
-            nn.train([2, 2], ds, nn.TrainConfig(batch_size=1))
+            nn.train([2, 2], ds, nn.TrainConfig(batch_size=1), [0])
+
+
+class TestStackedTrain:
+    """A stack of R runs must replay the R one-seed trainings exactly."""
+
+    @given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1,
+                          max_size=5),
+           hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+           loss=st.sampled_from(["softmax_cross_entropy",
+                                 "mean_squared_error"]),
+           batch_size=st.integers(1, 9), steps=st.integers(0, 25))
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_stack_equals_one_seed_calls(self, seeds, hidden, loss,
+                                         batch_size, steps):
+        ds = separable_blobs(n=20, seed=7)
+        sizes = [2, *hidden, 3]
+        cfg = nn.TrainConfig(learning_rate=0.3, steps=steps,
+                             batch_size=batch_size, loss=loss)
+        stacked = nn.train(sizes, ds, cfg, seeds)
+        assert len(stacked) == len(seeds)
+        for seed, result in zip(seeds, stacked):
+            [solo] = nn.train(sizes, ds, cfg, [seed])
+            assert_same_result(result, solo)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("loss,learning_rate", [
+        ("mean_squared_error", 0.5), ("softmax_cross_entropy", 50.0)])
+    def test_diverged_runs_leave_the_others_untouched(self, loss,
+                                                      learning_rate):
+        ds = separable_blobs(seed=5)
+        cfg = nn.TrainConfig(learning_rate=learning_rate, steps=200,
+                             batch_size=16, loss=loss)
+        seeds = list(range(8))
+        stacked = nn.train([2, 4, 2], ds, cfg, seeds)
+        diverged = [isinstance(r, nn.TrainingDivergedError) for r in stacked]
+        assert any(diverged) and not all(diverged)
+        for seed, result in zip(seeds, stacked):
+            [solo] = nn.train([2, 4, 2], ds, cfg, [seed])
+            assert_same_result(result, solo)
+
+    @pytest.mark.parametrize("n", [5, 1000, 2 ** 31 + 1])
+    @pytest.mark.parametrize("batch_size", [1, 3, 17])
+    def test_bulk_index_draw_equals_per_step_draws(self, n, batch_size):
+        # The trainer draws all of a run's batch indices in one call after
+        # its initialization; that must be the per-step sequence. At
+        # n = 2**31 + 1 about half of the bounded draws are rejected.
+        steps, seed = 40, 2 ** 63 + 11
+        bulk_rng = np.random.default_rng(np.uint64(seed))
+        nn.init_mlp([3, 5, 2], bulk_rng)
+        bulk = bulk_rng.integers(0, n, size=(steps, batch_size))
+        step_rng = np.random.default_rng(np.uint64(seed))
+        nn.init_mlp([3, 5, 2], step_rng)
+        per_step = [step_rng.integers(0, n, size=batch_size)
+                    for _ in range(steps)]
+        np.testing.assert_array_equal(bulk, np.stack(per_step))
 
 
 class TestLeastSquares:
