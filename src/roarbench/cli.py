@@ -91,8 +91,7 @@ def cmd_modify(args) -> int:
     cfg = ctx.config
     estimates_dir = os.path.join(cfg.output, "estimates")
     if os.path.isdir(estimates_dir):
-        estimates = experiment.load_estimates(estimates_dir,
-                                              cfg.estimators.ids)
+        estimates = experiment.load_estimates(ctx, estimates_dir)
     else:
         estimates = experiment.compute_all_estimates(ctx, model)
     # Each dataset is saved as it is built; none is kept in memory after.
@@ -109,9 +108,8 @@ def cmd_modify(args) -> int:
 
 def cmd_run(args) -> int:
     ctx, model = _prepare(args)
-    estimates = experiment.compute_all_estimates(ctx, model)
     os.makedirs(ctx.config.output, exist_ok=True)
-    experiment.run_grid(ctx, estimates, ctx.config.output)
+    experiment.run_grid(ctx, model, ctx.config.output)
     grid = experiment.collect_grid(ctx, ctx.config.output)
     experiment.write_report(ctx, grid, ctx.config.output)
     return EXIT_OK
@@ -159,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config file")
         p.add_argument("--output", help="output directory (overrides config)")
         p.add_argument("--workers", type=int, default=None,
-                       help="concurrent grid cells (overrides config)")
+                       help="no effect, kept for existing scripts; the grid "
+                       "runs serially")
         p.add_argument("--seed", type=int, default=None,
                        help="base seed (overrides config)")
     return parser

@@ -56,7 +56,7 @@ class ExperimentConfig:
     thresholds: list[float] = field(
         default_factory=lambda: [0.0, 0.1, 0.3, 0.5, 0.7, 0.9])
     modes: list[str] = field(default_factory=lambda: ["roar"])
-    workers: int = 1
+    workers: int = 1  # validated, no effect: the grid runs serially
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     estimators: EstimatorSpec = field(default_factory=EstimatorSpec)
     train: TrainSpec = field(default_factory=TrainSpec)

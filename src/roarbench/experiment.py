@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,19 +92,21 @@ def _targets(model: nn.Model, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
+def estimate_splits(ctx: ExperimentContext, settings: EstimatorSettings,
+                    model: nn.Model, estimator_id: str
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """One estimator's train and test scores."""
+    return tuple(compute_estimates(estimator_id, settings, model, x,
+                                   _targets(model, y))
+                 for x, y in ((ctx.dataset.train_x, ctx.dataset.train_y),
+                              (ctx.dataset.test_x, ctx.dataset.test_y)))
+
+
 def compute_all_estimates(ctx: ExperimentContext, model: nn.Model
                           ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     settings = estimator_settings(ctx)
-    out = {}
-    for estimator_id in ctx.config.estimators.ids:
-        train_scores = compute_estimates(
-            estimator_id, settings, model, ctx.dataset.train_x,
-            _targets(model, ctx.dataset.train_y))
-        test_scores = compute_estimates(
-            estimator_id, settings, model, ctx.dataset.test_x,
-            _targets(model, ctx.dataset.test_y))
-        out[estimator_id] = (train_scores, test_scores)
-    return out
+    return {estimator_id: estimate_splits(ctx, settings, model, estimator_id)
+            for estimator_id in ctx.config.estimators.ids}
 
 
 def save_estimates(estimates, directory: str):
@@ -117,12 +118,30 @@ def save_estimates(estimates, directory: str):
         os.replace(tmp, path)
 
 
-def load_estimates(directory: str, estimator_ids):
+def load_estimates(ctx: ExperimentContext, directory: str):
+    """Cached scores of every configured estimator. Each split's scores must
+    be one row per sample of the context's split, or one shared row."""
+    d = ctx.dataset.n_features
     out = {}
-    for estimator_id in estimator_ids:
+    for estimator_id in ctx.config.estimators.ids:
         path = os.path.join(directory, f"{estimator_id}.npz")
+        if not os.path.exists(path):
+            raise pipeline.ProvenanceError(f"missing estimate file {path}")
         with np.load(path) as data:
-            out[estimator_id] = (data["train"], data["test"])
+            scores = []
+            for split, x in (("train", ctx.dataset.train_x),
+                             ("test", ctx.dataset.test_x)):
+                if split not in data.files:
+                    raise pipeline.ProvenanceError(
+                        f"{path} holds no {split} scores")
+                array = data[split]
+                if array.shape not in ((len(x), d), (d,)):
+                    raise pipeline.ProvenanceError(
+                        f"{path} holds {split} scores of shape "
+                        f"{array.shape}; the config needs ({len(x)}, {d}) "
+                        f"or ({d},)")
+                scores.append(array)
+        out[estimator_id] = tuple(scores)
     return out
 
 
@@ -134,48 +153,51 @@ def _log(message: str):
     print(message, file=sys.stderr, flush=True)
 
 
-def run_grid(ctx: ExperimentContext, estimates, output_dir: str):
-    """Execute the estimate -> modify -> retrain grid with resumability."""
+def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
+    """Execute the estimate -> modify -> retrain grid with resumability.
+
+    The unit of work is one estimator: if any of its cells is pending, it
+    is scored against `model`, and its pending cells retrain as one stack.
+    An estimator whose cells are all done is never scored.
+    """
     cfg = ctx.config
     cells_dir = os.path.join(output_dir, "cells")
     os.makedirs(cells_dir, exist_ok=True)
     trainer = make_trainer(cfg)
-
-    cells = [(e, t, m) for e in cfg.estimators.ids for t in cfg.thresholds
-             for m in cfg.modes]
-
-    def run_cell(cell):
-        estimator_id, threshold, mode = cell
-        path = os.path.join(cells_dir, pipeline.cell_name(*cell) + ".csv")
-        if os.path.exists(path):
+    settings = estimator_settings(ctx)
+    replacement = pipeline.replacement_matrix(ctx.dataset.train_x,
+                                              ctx.image_shape)
+    cells = [(t, m) for t in cfg.thresholds for m in cfg.modes]
+    for estimator_id in cfg.estimators.ids:
+        paths = [os.path.join(cells_dir,
+                              pipeline.cell_name(estimator_id, *cell) + ".csv")
+                 for cell in cells]
+        pending = [cell for cell, path in zip(cells, paths)
+                   if not os.path.exists(path)]
+        results = {}
+        if pending:
+            results = dict(zip(pending, pipeline.retrain_estimator(
+                ctx.dataset, replacement,
+                *estimate_splits(ctx, settings, model, estimator_id),
+                estimator_id, pending, trainer, cfg.seed, cfg.runs_per_point,
+                ctx.granularity, ctx.image_shape)))
+        for (threshold, mode), path in zip(cells, paths):
+            cell_results = results.get((threshold, mode))
+            if cell_results is None:
+                _log(f"cell estimator={estimator_id} threshold={threshold:g} "
+                     f"mode={mode} status=skipped")
+                continue
+            lines = []
+            for run, result in enumerate(cell_results):
+                if isinstance(result, nn.TrainingDivergedError):
+                    outcome = f"failed:{result.step}"
+                else:
+                    outcome = f"{result[1]:.10f}"
+                lines.append(f"{estimator_id},{threshold:.6f},{mode},{run},"
+                             f"{outcome}")
+            pipeline._atomic_write_text(path, "\n".join(lines) + "\n")
             _log(f"cell estimator={estimator_id} threshold={threshold:g} "
-                 f"mode={mode} status=skipped")
-            return
-        train_scores, test_scores = estimates[estimator_id]
-        modified = pipeline.make_modified_dataset(
-            ctx.dataset, train_scores, test_scores, estimator_id, threshold,
-            mode, seed=cfg.seed, source_id=ctx.source_id,
-            granularity=ctx.granularity, image_shape=ctx.image_shape)
-        results = trainer(modified.as_dataset(), pipeline.run_seeds(
-            cfg.seed, estimator_id, threshold, mode, cfg.runs_per_point))
-        lines = []
-        for run, result in enumerate(results):
-            if isinstance(result, nn.TrainingDivergedError):
-                outcome = f"failed:{result.step}"
-            else:
-                outcome = f"{result[1]:.10f}"
-            lines.append(f"{estimator_id},{threshold:.6f},{mode},{run},"
-                         f"{outcome}")
-        pipeline._atomic_write_text(path, "\n".join(lines) + "\n")
-        _log(f"cell estimator={estimator_id} threshold={threshold:g} "
-             f"mode={mode} status=done")
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(run_cell, cells))
-    else:
-        for cell in cells:
-            run_cell(cell)
+                 f"mode={mode} status=done")
 
 
 def collect_grid(ctx: ExperimentContext, output_dir: str) -> pipeline.ResultGrid:

@@ -1,6 +1,7 @@
 """Minimal differentiable MLP engine: affine/rectifier layers, SGD training
-of several seeded runs as one stacked model, batched input gradients with
-switchable guided-backprop masking, and a closed-form least-squares model."""
+of several seeded runs, over one dataset or a stack of them, as one stacked
+model, batched input gradients with switchable guided-backprop masking, and
+a closed-form least-squares model."""
 
 from __future__ import annotations
 
@@ -78,7 +79,11 @@ class ArrayDataset:
 
     @property
     def n_classes(self) -> int:
-        return int(max(self.train_y.max(), self.test_y.max())) + 1
+        return _n_classes(self.train_y, self.test_y)
+
+
+def _n_classes(train_y: np.ndarray, test_y: np.ndarray) -> int:
+    return int(max(train_y.max(), test_y.max())) + 1
 
 
 @dataclass
@@ -189,60 +194,119 @@ def accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     return float((pred == y).mean())
 
 
+@dataclass
+class DatasetStack:
+    """Datasets of one shape that share their labels and differ only in
+    their features. Dataset c's feature splits are built on demand by
+    `train_x(c)` and `test_x(c)`, so a trainer keeps alive only the splits
+    it is working on."""
+
+    size: int
+    n_features: int
+    train_x: Callable[[int], np.ndarray]  # c -> (n, n_features)
+    train_y: np.ndarray  # (n,) int
+    test_x: Callable[[int], np.ndarray]
+    test_y: np.ndarray
+
+    @property
+    def n_classes(self) -> int:
+        return _n_classes(self.train_y, self.test_y)
+
+    @classmethod
+    def of(cls, datasets: Sequence[ArrayDataset]) -> "DatasetStack":
+        """Stack of built datasets; the labels are those of the first."""
+        first = datasets[0]
+        return cls(len(datasets), first.n_features,
+                   lambda c: datasets[c].train_x, first.train_y,
+                   lambda c: datasets[c].test_x, first.test_y)
+
+    def dataset(self, c: int) -> ArrayDataset:
+        return ArrayDataset(self.train_x(c), self.train_y, self.test_x(c),
+                            self.test_y)
+
+
 TrainResult = tuple[Model, float] | TrainingDivergedError
 
 
-def train(layer_sizes: Sequence[int], dataset: ArrayDataset,
-          config: TrainConfig, seeds: Sequence[int]) -> list[TrainResult]:
+def train(layer_sizes: Sequence[int], dataset: ArrayDataset | DatasetStack,
+          config: TrainConfig, seeds: Sequence) -> list:
     """Minibatch SGD of one MLP per seed, stacked into one model.
 
-    Weights are stacked as (R, d_in, d_out) and biases as (R, 1, d_out), and
-    each step is one batched forward and backward pass over (R, batch, d)
-    rows. Run r initializes from, then draws all its batch indices from, its
-    own `default_rng(seed_r)` stream. numpy runs one product per stacked
-    slice, so every run replays training its seed alone bit for bit.
-
-    Returns one entry per seed, in order: (model, test accuracy), or the
-    TrainingDivergedError of a run whose loss turned non-finite. Such a run
-    leaves the stack at that step, before its update; the others go on.
+    Takes one ArrayDataset with a flat seed list and returns one result per
+    seed: (model, test accuracy), or the TrainingDivergedError of a run whose
+    loss turned non-finite. A DatasetStack takes one seed list per dataset
+    and returns one such result list per dataset.
     """
-    if dataset.train_x.shape[0] == 0:
-        raise ValueError("empty training set")
-    if config.batch_size > dataset.train_x.shape[0]:
-        raise ValueError("batch_size exceeds training-set size")
-    n_classes = dataset.n_classes
-    if layer_sizes[-1] < n_classes:
-        raise ValueError(f"output dim {layer_sizes[-1]} < {n_classes} classes")
+    if isinstance(dataset, ArrayDataset):
+        return _train_stack(layer_sizes, DatasetStack.of([dataset]), config,
+                            [seeds])[0]
+    return _train_stack(layer_sizes, dataset, config, seeds)
 
-    n = dataset.train_x.shape[0]
-    models, batches = [], []
-    for seed in seeds:
-        rng = np.random.default_rng(np.uint64(seed))
-        models.append(init_mlp(layer_sizes, rng))
-        batches.append(rng.integers(0, n, size=(config.steps,
-                                                config.batch_size)))
-    batches = np.stack(batches, axis=1)  # (steps, R, batch)
+
+def _train_stack(layer_sizes, stack: DatasetStack, config: TrainConfig,
+                 seeds: Sequence[Sequence[int]]) -> list[list[TrainResult]]:
+    """Every run of every dataset of the stack in one SGD loop.
+
+    The C train splits are written into one (C * n, d) array. Weights are
+    stacked as (R, d_in, d_out) and biases as (R, 1, d_out) over all R runs,
+    and each step is one batched forward and backward pass over (R, batch, d)
+    rows, gathered from that array with one fancy index. Run r initializes
+    from, then draws all its batch indices from, its own `default_rng(seed_r)`
+    stream. numpy runs one product per stacked slice, so every run replays
+    training its seed alone on its dataset bit for bit. A run whose loss
+    turns non-finite leaves the stack at that step, before its update; the
+    others go on. Dataset c's test split is built only to score its runs.
+    """
+    if len(seeds) != stack.size:
+        raise ValueError(f"{len(seeds)} seed lists for {stack.size} datasets")
+    n = len(stack.train_y)
+    if n == 0:
+        raise ValueError("empty training set")
+    if config.batch_size > n:
+        raise ValueError("batch_size exceeds training-set size")
+    if layer_sizes[-1] < stack.n_classes:
+        raise ValueError(f"output dim {layer_sizes[-1]} < {stack.n_classes} "
+                         f"classes")
+
+    models, rows = [], []
+    for c, cell_seeds in enumerate(seeds):
+        for seed in cell_seeds:
+            rng = np.random.default_rng(np.uint64(seed))
+            models.append(init_mlp(layer_sizes, rng))
+            rows.append(c * n + rng.integers(
+                0, n, size=(config.steps, config.batch_size)))
+    if not models:
+        return [[] for _ in seeds]
+    # Row c * n + i of train_x is row i of dataset c.
+    if stack.size == 1:
+        train_x = stack.train_x(0)
+    else:
+        train_x = np.empty((stack.size * n, stack.n_features))
+        for c in range(stack.size):
+            train_x[c * n:(c + 1) * n] = stack.train_x(c)
+    train_y = np.tile(stack.train_y, stack.size)
+    rows = np.stack(rows, axis=1)  # (steps, R, batch)
     params = [(np.stack([m.layers[i].weight for m in models]),
                np.stack([m.layers[i].bias[None] for m in models]))
               for i in range(0, len(models[0].layers), 2)]
-    results: list = [None] * len(seeds)
-    live = np.arange(len(seeds))
+    results: list = [None] * len(models)
+    live = np.arange(len(models))
     lr = config.learning_rate
     for step in range(config.steps):
-        idx = batches[step]
+        idx = rows[step]
         # xs[i] is the input of affine i; its positive entries are the
         # units the rectifier before it passed.
-        xs = [dataset.train_x[idx]]
+        xs = [train_x[idx]]
         for w, b in params[:-1]:
             xs.append(np.maximum(xs[-1] @ w + b, 0.0))
         w, b = params[-1]
-        loss, g = _loss_and_output_grad(xs[-1] @ w + b, dataset.train_y[idx],
+        loss, g = _loss_and_output_grad(xs[-1] @ w + b, train_y[idx],
                                         config.loss)
         finite = np.isfinite(loss)
         if not finite.all():
             for run in live[~finite]:
                 results[run] = TrainingDivergedError(step)
-            live, batches, g = live[finite], batches[:, finite], g[finite]
+            live, rows, g = live[finite], rows[:, finite], g[finite]
             xs = [x[finite] for x in xs]
             params = [(w[finite], b[finite]) for w, b in params]
             if not len(live):
@@ -255,13 +319,22 @@ def train(layer_sizes: Sequence[int], dataset: ArrayDataset,
                 g = (g @ w.transpose(0, 2, 1)) * (xs[i] > 0.0)
             w -= lr * grad_w
             b -= lr * grad_b
+    del train_x  # before any test split is built
     for k, run in enumerate(live):
-        model = models[run]
-        for layer, (w, b) in zip(model.layers[::2], params):
+        for layer, (w, b) in zip(models[run].layers[::2], params):
             layer.weight, layer.bias = w[k], b[k, 0]
-        results[run] = (model, accuracy(model, dataset.test_x,
-                                        dataset.test_y))
-    return results
+    bounds = np.cumsum([0, *map(len, seeds)])
+    out = []
+    for c in range(stack.size):
+        runs = range(bounds[c], bounds[c + 1])
+        trained = [run for run in runs if results[run] is None]
+        if trained:
+            test_x = stack.test_x(c)
+            for run in trained:
+                results[run] = (models[run], accuracy(models[run], test_x,
+                                                      stack.test_y))
+        out.append(results[runs.start:runs.stop])
+    return out
 
 
 def fit_least_squares(dataset: ArrayDataset, ridge: float = 0.0,
@@ -287,14 +360,14 @@ def fit_least_squares(dataset: ArrayDataset, ridge: float = 0.0,
     return Model([Affine(weight=weight.reshape(-1, 1), bias=bias)])
 
 
-TrainerFn = Callable[[ArrayDataset, Sequence[int]], list[TrainResult]]
+TrainerFn = Callable[[ArrayDataset | DatasetStack, Sequence], list]
 
 
 def mlp_trainer(hidden: Sequence[int], config: TrainConfig) -> TrainerFn:
     """Trainer closure for the retraining pipeline: one stacked SGD run per
-    call, one result per seed."""
+    call, with `train`'s dataset, seed and result shapes."""
 
-    def run(dataset: ArrayDataset, seeds: Sequence[int]) -> list[TrainResult]:
+    def run(dataset, seeds):
         sizes = [dataset.n_features, *hidden, dataset.n_classes]
         return train(sizes, dataset, config, seeds)
 
@@ -304,11 +377,18 @@ def mlp_trainer(hidden: Sequence[int], config: TrainConfig) -> TrainerFn:
 def least_squares_trainer(ridge: float = 1e-8,
                           fit_bias: bool = True) -> TrainerFn:
     """Deterministic closed-form trainer. The seeds are unused, so it fits
-    once per call and returns that (model, accuracy) for every seed."""
+    once per dataset and returns that (model, accuracy) for every seed of
+    the dataset. A DatasetStack is fitted one dataset at a time."""
 
-    def run(dataset: ArrayDataset, seeds: Sequence[int]) -> list[TrainResult]:
+    def fit(dataset: ArrayDataset, seeds) -> list[TrainResult]:
         model = fit_least_squares(dataset, ridge=ridge, fit_bias=fit_bias)
         result = (model, accuracy(model, dataset.test_x, dataset.test_y))
         return [result for _ in seeds]
+
+    def run(dataset, seeds):
+        if isinstance(dataset, ArrayDataset):
+            return fit(dataset, seeds)
+        return [fit(dataset.dataset(c), cell_seeds)
+                for c, cell_seeds in enumerate(seeds)]
 
     return run

@@ -12,7 +12,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .nn import ArrayDataset, Model, TrainerFn, TrainingDivergedError, accuracy
+from .nn import (ArrayDataset, DatasetStack, Model, TrainerFn,
+                 TrainingDivergedError, accuracy)
 
 ROAR = "roar"
 KAR = "kar"
@@ -268,36 +269,75 @@ def _atomic_write_text(path: str, text: str):
     os.replace(tmp, path)
 
 
+# Train splits one trainer call stacks at most; at MNIST scale (60,000 x 784
+# float64 rows) each cell is a call of its own.
+STACK_BYTES = 1 << 28
+
+
+def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
+                      train_scores: np.ndarray, test_scores: np.ndarray,
+                      estimator_id: str, cells, trainer: TrainerFn,
+                      base_seed: int, runs_per_point: int,
+                      granularity: str = FEATURE,
+                      image_shape=None) -> list[list]:
+    """Retrain `runs_per_point` fresh models at each (threshold, mode) cell
+    of one estimator, and return each cell's run results, in order.
+
+    Each split is ranked once, and the cells go to the trainer as one
+    DatasetStack (one per STACK_BYTES of train splits); a cell's splits are
+    modified, with `replacement_matrix(dataset.train_x, ...)` values, when
+    the trainer builds them.
+    """
+    train_rank, test_rank = (
+        rank_features(broadcast_scores(scores, len(x)), granularity,
+                      image_shape)
+        for scores, x in ((train_scores, dataset.train_x),
+                          (test_scores, dataset.test_x)))
+    specs = [ModificationSpec(t, mode, replacement) for t, mode in cells]
+    per_call = max(1, STACK_BYTES // max(1, 8 * dataset.train_x.size))
+    results = []
+    for start in range(0, len(specs), per_call):
+        chunk = specs[start:start + per_call]
+        stack = DatasetStack(
+            len(chunk), dataset.n_features,
+            lambda c: modify_rows(dataset.train_x, train_rank, chunk[c]),
+            dataset.train_y,
+            lambda c: modify_rows(dataset.test_x, test_rank, chunk[c]),
+            dataset.test_y)
+        results += trainer(stack, [
+            run_seeds(base_seed, estimator_id, spec.threshold, spec.mode,
+                      runs_per_point) for spec in chunk])
+    return results
+
+
 def run_roar(dataset: ArrayDataset,
              estimates: dict[str, tuple[np.ndarray, np.ndarray]],
              thresholds, trainer: TrainerFn, runs_per_point: int = 5,
              modes=(ROAR,), base_seed: int = 0, granularity: str = FEATURE,
-             image_shape=None, progress=None) -> ResultGrid:
-    """Retrain `runs_per_point` fresh models per grid cell on modified data.
+             image_shape=None) -> ResultGrid:
+    """Retrain `runs_per_point` fresh models per grid cell on modified data,
+    one `retrain_estimator` stack per estimator.
 
     Diverged runs are recorded as failures and the grid run continues.
     """
     if runs_per_point < 1:
         raise ValueError("runs_per_point must be >= 1")
     grid = ResultGrid()
+    replacement = replacement_matrix(dataset.train_x, image_shape)
+    cells = [(t, mode) for t in thresholds for mode in modes]
     for estimator_id, (train_scores, test_scores) in estimates.items():
-        for threshold in thresholds:
-            for mode in modes:
-                modified = make_modified_dataset(
-                    dataset, train_scores, test_scores, estimator_id,
-                    threshold, mode, granularity=granularity,
-                    image_shape=image_shape)
-                results = trainer(modified.as_dataset(), run_seeds(
-                    base_seed, estimator_id, threshold, mode, runs_per_point))
-                for run, result in enumerate(results):
-                    if isinstance(result, TrainingDivergedError):
-                        grid.failures.append(CellFailure(
-                            estimator_id, threshold, mode, run, str(result)))
-                    else:
-                        grid.add(Record(estimator_id, threshold, mode, run,
-                                        result[1]))
-                if progress is not None:
-                    progress(estimator_id, threshold, mode)
+        results = retrain_estimator(
+            dataset, replacement, train_scores, test_scores, estimator_id,
+            cells, trainer, base_seed, runs_per_point, granularity,
+            image_shape)
+        for (threshold, mode), cell_results in zip(cells, results):
+            for run, result in enumerate(cell_results):
+                if isinstance(result, TrainingDivergedError):
+                    grid.failures.append(CellFailure(
+                        estimator_id, threshold, mode, run, str(result)))
+                else:
+                    grid.add(Record(estimator_id, threshold, mode, run,
+                                    result[1]))
     return grid
 
 

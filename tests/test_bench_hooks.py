@@ -1,7 +1,8 @@
 """Guards the hooks `perfbench/run.py --trace 1` relies on: every function
 the tracer wraps must still exist where its callers look it up, and
 `compute_estimates` must keep the parameters the tracer reads from each
-call, as must `nn.train`. The benchmark files are only read here."""
+call, as must `nn.train`, for one dataset and for a dataset stack. The
+benchmark files are only read here."""
 
 import importlib
 import importlib.util
@@ -59,3 +60,21 @@ def test_train_binds_described_parameters():
                            nn.TrainConfig(steps=7, batch_size=2), [0, 1])
     bound.apply_defaults()
     assert tracer.DESCRIBE["nn.train"](bound.arguments) == {"steps": 7}
+
+
+def test_train_binds_described_parameters_of_a_dataset_stack():
+    tracer = load_tracer()
+    signature = inspect.signature(nn.train)
+    rng = np.random.default_rng(1)
+    datasets = [nn.ArrayDataset(rng.standard_normal((6, 3)),
+                                np.arange(6) % 2,
+                                rng.standard_normal((4, 3)),
+                                np.arange(4) % 2) for _ in range(3)]
+    args = ([3, 4, 2], nn.DatasetStack.of(datasets),
+            nn.TrainConfig(steps=5, batch_size=2), [[0, 1], [2], [3, 4]])
+    bound = signature.bind(*args)
+    bound.apply_defaults()
+    assert tracer.DESCRIBE["nn.train"](bound.arguments) == {"steps": 5}
+    # The bound call is a real one: one result list per stacked dataset.
+    results = nn.train(*bound.args, **bound.kwargs)
+    assert [len(r) for r in results] == [2, 1, 2]

@@ -183,6 +183,38 @@ class TestCli:
                     open(os.path.join(interrupted, name), "rb") as f2:
                 assert f1.read() == f2.read()
 
+    def test_resume_scores_only_estimators_with_pending_cells(
+            self, bars_config, tmp_path, monkeypatch):
+        full = str(tmp_path / "full")
+        assert run_cli("run", "--config", bars_config, "--output", full) == 0
+        resumed = str(tmp_path / "resumed")
+        assert run_cli("run", "--config", bars_config,
+                       "--output", resumed) == 0
+        os.remove(os.path.join(resumed, "cells", pipeline.cell_name(
+            "grad", 0.5, "roar") + ".csv"))
+        scored = []
+        compute_estimates = experiment.compute_estimates
+
+        def counting(estimator_id, *args, **kwargs):
+            scored.append(estimator_id)
+            return compute_estimates(estimator_id, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "compute_estimates", counting)
+        assert run_cli("run", "--config", bars_config,
+                       "--output", resumed) == 0
+        # grad's train and test splits; random's cells are all done.
+        assert scored == ["grad", "grad"]
+        assert run_cli("run", "--config", bars_config,
+                       "--output", resumed) == 0
+        assert scored == ["grad", "grad"]
+        names = sorted(os.listdir(os.path.join(full, "cells")))
+        assert names == sorted(os.listdir(os.path.join(resumed, "cells")))
+        for name in [*(os.path.join("cells", n) for n in names),
+                     "results.csv"]:
+            with open(os.path.join(full, name), "rb") as f1, \
+                    open(os.path.join(resumed, name), "rb") as f2:
+                assert f1.read() == f2.read(), name
+
     def test_seed_override_changes_results(self, bars_config, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         run_cli("run", "--config", bars_config, "--output", out1)
@@ -318,3 +350,60 @@ class TestCollectGrid:
         with pytest.raises(pipeline.ProvenanceError,
                            match=f"{os.path.basename(path)}.*0.000000"):
             experiment.collect_grid(ctx, out)
+
+
+class TestLoadEstimates:
+    """`modify` reuses `estimates/` only if every file holds one score row
+    per sample of its split, or one shared row; anything else is refused
+    by file name, and the CLI exits 3."""
+
+    @pytest.fixture
+    def cached(self, bars_config, tmp_path):
+        out = str(tmp_path / "out")
+        assert run_cli("estimate", "--config", bars_config,
+                       "--output", out) == 0
+        ctx = experiment.build_context(parse_config(BARS))
+        return ctx, out, os.path.join(out, "estimates")
+
+    def test_matching_files_load(self, cached):
+        ctx, _, directory = cached
+        estimates = experiment.load_estimates(ctx, directory)
+        d = ctx.dataset.n_features
+        for train, test in estimates.values():
+            assert train.shape == (len(ctx.dataset.train_x), d)
+            assert test.shape == (len(ctx.dataset.test_x), d)
+
+    def test_missing_file_is_refused(self, cached, bars_config):
+        ctx, out, directory = cached
+        os.remove(os.path.join(directory, "random.npz"))
+        with pytest.raises(pipeline.ProvenanceError, match="random.npz"):
+            experiment.load_estimates(ctx, directory)
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", out) == 3
+
+    @pytest.mark.parametrize("split,rows,extra_columns", [
+        ("train", -1, 0), ("test", 0, 1)])
+    def test_wrong_shape_is_refused(self, cached, bars_config, split, rows,
+                                    extra_columns):
+        ctx, out, directory = cached
+        path = os.path.join(directory, "grad.npz")
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        n, d = arrays[split].shape
+        arrays[split] = np.zeros((n + rows, d + extra_columns))
+        np.savez(path, **arrays)
+        with pytest.raises(pipeline.ProvenanceError,
+                           match=f"grad.npz holds {split} scores of shape"):
+            experiment.load_estimates(ctx, directory)
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", out) == 3
+
+    def test_shared_row_is_accepted(self, cached, bars_config):
+        ctx, out, directory = cached
+        d = ctx.dataset.n_features
+        np.savez(os.path.join(directory, "grad.npz"),
+                 train=np.arange(d, dtype=float), test=np.ones(d))
+        train, test = experiment.load_estimates(ctx, directory)["grad"]
+        assert train.shape == test.shape == (d,)
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", out) == 0

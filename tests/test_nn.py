@@ -226,6 +226,63 @@ class TestStackedTrain:
             [solo] = nn.train([2, 4, 2], ds, cfg, [seed])
             assert_same_result(result, solo)
 
+    @staticmethod
+    def mixed(base, seed, scale=1.0):
+        """`base` with its features mixed by a seeded affine map; same
+        labels, so it stacks with `base`."""
+        rng = np.random.default_rng(seed)
+        m, b = rng.standard_normal((2, 2)), rng.standard_normal(2)
+        return nn.ArrayDataset(scale * (base.train_x @ m + b), base.train_y,
+                               scale * (base.test_x @ m + b), base.test_y)
+
+    @given(n_datasets=st.integers(1, 4), data=st.data(),
+           hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+           loss=st.sampled_from(["softmax_cross_entropy",
+                                 "mean_squared_error"]),
+           batch_size=st.integers(1, 9), steps=st.integers(0, 25))
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_dataset_stack_equals_per_dataset_calls(self, n_datasets, data,
+                                                    hidden, loss, batch_size,
+                                                    steps):
+        base = separable_blobs(n=20, seed=7)
+        datasets = [base, *(self.mixed(base, k) for k in range(1,
+                                                               n_datasets))]
+        seeds = [data.draw(st.lists(st.integers(0, 2 ** 64 - 1), max_size=3))
+                 for _ in datasets]
+        sizes = [2, *hidden, 3]
+        cfg = nn.TrainConfig(learning_rate=0.3, steps=steps,
+                             batch_size=batch_size, loss=loss)
+        stacked = nn.train(sizes, nn.DatasetStack.of(datasets), cfg, seeds)
+        assert [len(results) for results in stacked] == list(map(len, seeds))
+        for ds, ds_seeds, results in zip(datasets, seeds, stacked):
+            for result, solo in zip(results, nn.train(sizes, ds, cfg,
+                                                      ds_seeds),
+                                    strict=True):
+                assert_same_result(result, solo)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("loss,learning_rate,scale", [
+        ("mean_squared_error", 0.05, 1e3),
+        ("softmax_cross_entropy", 0.5, 1e4)])
+    def test_diverging_dataset_leaves_the_others_untouched(
+            self, loss, learning_rate, scale):
+        base = separable_blobs(seed=5)
+        datasets = [base, self.mixed(base, 1, scale), self.mixed(base, 2)]
+        seeds = [[0, 1], [2, 3, 4], [5]]
+        cfg = nn.TrainConfig(learning_rate=learning_rate, steps=200,
+                             batch_size=16, loss=loss)
+        stacked = nn.train([2, 4, 2], nn.DatasetStack.of(datasets), cfg,
+                           seeds)
+        diverged = [[isinstance(r, nn.TrainingDivergedError) for r in results]
+                    for results in stacked]
+        assert diverged == [[False] * 2, [True] * 3, [False]]
+        for ds, ds_seeds, results in zip(datasets, seeds, stacked):
+            for result, solo in zip(results, nn.train([2, 4, 2], ds, cfg,
+                                                      ds_seeds),
+                                    strict=True):
+                assert_same_result(result, solo)
+
     @pytest.mark.parametrize("n", [5, 1000, 2 ** 31 + 1])
     @pytest.mark.parametrize("batch_size", [1, 3, 17])
     def test_bulk_index_draw_equals_per_step_draws(self, n, batch_size):

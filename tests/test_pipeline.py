@@ -249,6 +249,36 @@ class TestRunRoar:
                 for r in grid_rev.sorted_records()]
 
 
+class TestRetrainEstimator:
+    """One estimator's cells train as a stack; every run must equal training
+    its cell's modified dataset alone, however the stack is split."""
+
+    @pytest.mark.parametrize("stack_bytes", [pipeline.STACK_BYTES, 1])
+    def test_equals_per_cell_training(self, rng, monkeypatch, stack_bytes):
+        monkeypatch.setattr(pipeline, "STACK_BYTES", stack_bytes)
+        ds = tiny_dataset(rng, n=40, m=20)
+        train_scores, test_scores = (rng.standard_normal((40, 6)),
+                                     rng.standard_normal((20, 6)))
+        trainer = nn.mlp_trainer([4], nn.TrainConfig(
+            learning_rate=0.3, steps=30, batch_size=8))
+        cells = [(t, mode) for t in (0.2, 0.5, 0.8) for mode in (ROAR, KAR)]
+        results = pipeline.retrain_estimator(
+            ds, replacement_matrix(ds.train_x), train_scores, test_scores,
+            "e", cells, trainer, base_seed=3, runs_per_point=2)
+        assert len(results) == len(cells)
+        for (t, mode), cell_results in zip(cells, results):
+            modified = make_modified_dataset(ds, train_scores, test_scores,
+                                             "e", t, mode)
+            solo = trainer(modified.as_dataset(),
+                           pipeline.run_seeds(3, "e", t, mode, 2))
+            for (model, acc), (solo_model, solo_acc) in zip(
+                    cell_results, solo, strict=True):
+                assert acc == solo_acc
+                for la, lb in zip(model.layers[::2], solo_model.layers[::2]):
+                    np.testing.assert_array_equal(la.weight, lb.weight)
+                    np.testing.assert_array_equal(la.bias, lb.bias)
+
+
 class TestDeletionMetric:
     def test_zero_threshold_is_original_accuracy(self, rng):
         ds = tiny_dataset(rng, n=60, m=30)
