@@ -16,7 +16,6 @@ seed = {seed}
 runs_per_point = {runs}
 thresholds = 0,0.1,0.3,0.5,0.7,0.9
 modes = roar,kar
-workers = {workers}
 
 [dataset]
 kind = bars
@@ -42,13 +41,12 @@ def main():
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--n-train", type=int, default=1500)
     parser.add_argument("--n-test", type=int, default=400)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--output", default="bars_results")
     args = parser.parse_args()
 
     config_text = CONFIG_TEMPLATE.format(
         seed=args.seed, runs=args.runs, n_train=args.n_train,
-        n_test=args.n_test, workers=args.workers)
+        n_test=args.n_test)
     with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as f:
         f.write(config_text)
         config_path = f.name

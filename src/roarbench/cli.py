@@ -37,8 +37,6 @@ def _load_config(args) -> "experiment.ExperimentConfig":
         cfg.output = args.output
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
     return cfg
 
 
@@ -70,35 +68,36 @@ def cmd_toy_validate(args) -> int:
     return EXIT_OK
 
 
-def _prepare(args):
-    cfg = _load_config(args)
-    ctx = experiment.build_context(cfg)
+def _context(args) -> "experiment.ExperimentContext":
+    return experiment.build_context(_load_config(args))
+
+
+def _baseline(ctx):
     model, baseline_acc = experiment.train_baseline(ctx)
     print(f"baseline accuracy={baseline_acc:.4f}", file=sys.stderr)
-    return ctx, model
+    return model
 
 
 def cmd_estimate(args) -> int:
-    ctx, model = _prepare(args)
-    estimates = experiment.compute_all_estimates(ctx, model)
+    ctx = _context(args)
+    estimates = experiment.compute_all_estimates(ctx, _baseline(ctx))
     experiment.save_estimates(estimates,
                               os.path.join(ctx.config.output, "estimates"))
     return EXIT_OK
 
 
 def cmd_modify(args) -> int:
-    ctx, model = _prepare(args)
+    ctx = _context(args)
     cfg = ctx.config
     estimates_dir = os.path.join(cfg.output, "estimates")
     if os.path.isdir(estimates_dir):
         estimates = experiment.load_estimates(ctx, estimates_dir)
     else:
-        estimates = experiment.compute_all_estimates(ctx, model)
+        estimates = experiment.compute_all_estimates(ctx, _baseline(ctx))
     # Each dataset is saved as it is built; none is kept in memory after.
     for m in pipeline.generate_modified_datasets(
             ctx.dataset, estimates, cfg.thresholds, modes=cfg.modes,
-            granularity=ctx.granularity, image_shape=ctx.image_shape,
-            source_id=ctx.source_id):
+            image_shape=ctx.image_shape, source_id=ctx.source_id):
         p = m.provenance
         pipeline.save_modified_dataset(m, os.path.join(
             cfg.output, "modified",
@@ -107,28 +106,27 @@ def cmd_modify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    ctx, model = _prepare(args)
+    ctx = _context(args)
     os.makedirs(ctx.config.output, exist_ok=True)
-    experiment.run_grid(ctx, model, ctx.config.output)
+    experiment.run_grid(ctx, _baseline(ctx), ctx.config.output)
     grid = experiment.collect_grid(ctx, ctx.config.output)
     experiment.write_report(ctx, grid, ctx.config.output)
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    cfg = _load_config(args)
-    ctx = experiment.build_context(cfg)
-    grid = experiment.collect_grid(ctx, cfg.output)
-    experiment.write_report(ctx, grid, cfg.output)
+    ctx = _context(args)
+    grid = experiment.collect_grid(ctx, ctx.config.output)
+    experiment.write_report(ctx, grid, ctx.config.output)
     return EXIT_OK
 
 
 def cmd_deletion_metric(args) -> int:
-    ctx, model = _prepare(args)
-    estimates = experiment.compute_all_estimates(ctx, model)
+    ctx = _context(args)
+    model = _baseline(ctx)
     grid = pipeline.run_deletion_metric(
-        ctx.dataset, model, estimates, ctx.config.thresholds,
-        granularity=ctx.granularity, image_shape=ctx.image_shape)
+        ctx.dataset, model, experiment.deletion_estimates(ctx, model),
+        ctx.config.thresholds, ctx.image_shape)
     os.makedirs(ctx.config.output, exist_ok=True)
     grid.to_csv(os.path.join(ctx.config.output, "deletion.csv"))
     grid.aggregated_to_csv(
@@ -156,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment config file")
         p.add_argument("--output", help="output directory (overrides config)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="no effect, kept for existing scripts; the grid "
-                       "runs serially")
         p.add_argument("--seed", type=int, default=None,
                        help="base seed (overrides config)")
     return parser

@@ -56,7 +56,6 @@ class ExperimentConfig:
     thresholds: list[float] = field(
         default_factory=lambda: [0.0, 0.1, 0.3, 0.5, 0.7, 0.9])
     modes: list[str] = field(default_factory=lambda: ["roar"])
-    workers: int = 1  # validated, no effect: the grid runs serially
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     estimators: EstimatorSpec = field(default_factory=EstimatorSpec)
     train: TrainSpec = field(default_factory=TrainSpec)
@@ -137,7 +136,10 @@ def parse_config(text: str) -> ExperimentConfig:
         elif key == "modes":
             cfg.modes = _csv_list(value)
         elif key == "workers":
-            cfg.workers = _convert(value, ln, key, int)
+            # No effect, since the grid runs serially; still accepted and
+            # checked so that configs which set it keep parsing.
+            if _convert(value, ln, key, int) < 1:
+                raise ConfigError(f"line {ln}: workers must be >= 1")
 
     ds = sections.get("dataset", {})
     if "kind" in ds:
@@ -209,8 +211,6 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("mode list is empty")
     if cfg.runs_per_point < 1:
         raise ConfigError("runs_per_point must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     if cfg.train.model not in ("mlp", "least_squares"):
         raise ConfigError(f"unknown train model {cfg.train.model!r}")
     if cfg.dataset.kind == "toy" and "sobel" in cfg.estimators.ids:
@@ -233,7 +233,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines.append(f"runs_per_point = {cfg.runs_per_point}")
     lines.append("thresholds = " + ",".join(f"{t:g}" for t in cfg.thresholds))
     lines.append("modes = " + ",".join(cfg.modes))
-    lines.append(f"workers = {cfg.workers}")
     lines.append("")
     lines.append("[dataset]")
     lines.append(f"kind = {cfg.dataset.kind}")

@@ -21,8 +21,7 @@ from .estimators import (EnsembleConfig, EstimatorSettings, IGConfig,
 class ExperimentContext:
     config: ExperimentConfig
     dataset: nn.ArrayDataset
-    image_shape: tuple[int, int, int] | None
-    granularity: str
+    image_shape: tuple[int, int, int] | None  # None: flat data
 
     @property
     def source_id(self) -> str:
@@ -36,19 +35,16 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
             n_samples=spec.n_train + spec.n_test, dim=spec.dim,
             n_informative=spec.n_informative,
             seed=pipeline.derive_seed(cfg.seed, "dataset")))
-        return ExperimentContext(cfg, toy.split(spec.n_train), None,
-                                 pipeline.FEATURE)
+        return ExperimentContext(cfg, toy.split(spec.n_train), None)
     if spec.kind == "bars":
         image = ds_io.generate_bars(
             spec.n_train, spec.n_test, size=spec.size, noise=spec.noise,
             seed=pipeline.derive_seed(cfg.seed, "dataset"))
-        return ExperimentContext(cfg, image.as_dataset(), image.image_shape,
-                                 pipeline.PIXEL)
+        return ExperimentContext(cfg, image.as_dataset(), image.image_shape)
     if spec.kind == "idx":
         image = ds_io.load_idx_dataset(spec.train_images, spec.train_labels,
                                        spec.test_images, spec.test_labels)
-        return ExperimentContext(cfg, image.as_dataset(), image.image_shape,
-                                 pipeline.PIXEL)
+        return ExperimentContext(cfg, image.as_dataset(), image.image_shape)
     raise ConfigError(f"unknown dataset kind {spec.kind!r}")
 
 
@@ -107,6 +103,16 @@ def compute_all_estimates(ctx: ExperimentContext, model: nn.Model
     settings = estimator_settings(ctx)
     return {estimator_id: estimate_splits(ctx, settings, model, estimator_id)
             for estimator_id in ctx.config.estimators.ids}
+
+
+def deletion_estimates(ctx: ExperimentContext, model: nn.Model):
+    """Yield (estimator_id, test-split scores) per configured estimator,
+    scoring each only when it is asked for: all the deletion metric needs."""
+    settings = estimator_settings(ctx)
+    targets = _targets(model, ctx.dataset.test_y)
+    for estimator_id in ctx.config.estimators.ids:
+        yield estimator_id, compute_estimates(
+            estimator_id, settings, model, ctx.dataset.test_x, targets)
 
 
 def save_estimates(estimates, directory: str):
@@ -180,24 +186,17 @@ def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
                 ctx.dataset, replacement,
                 *estimate_splits(ctx, settings, model, estimator_id),
                 estimator_id, pending, trainer, cfg.seed, cfg.runs_per_point,
-                ctx.granularity, ctx.image_shape)))
+                ctx.image_shape)))
         for (threshold, mode), path in zip(cells, paths):
             cell_results = results.get((threshold, mode))
-            if cell_results is None:
-                _log(f"cell estimator={estimator_id} threshold={threshold:g} "
-                     f"mode={mode} status=skipped")
-                continue
-            lines = []
-            for run, result in enumerate(cell_results):
-                if isinstance(result, nn.TrainingDivergedError):
-                    outcome = f"failed:{result.step}"
-                else:
-                    outcome = f"{result[1]:.10f}"
-                lines.append(f"{estimator_id},{threshold:.6f},{mode},{run},"
-                             f"{outcome}")
-            pipeline._atomic_write_text(path, "\n".join(lines) + "\n")
+            if cell_results is not None:
+                outcomes = pipeline.cell_outcomes(estimator_id, threshold,
+                                                  mode, cell_results)
+                pipeline._atomic_write_text(path, "\n".join(
+                    map(pipeline.record_row, outcomes)) + "\n")
+            status = "skipped" if cell_results is None else "done"
             _log(f"cell estimator={estimator_id} threshold={threshold:g} "
-                 f"mode={mode} status=done")
+                 f"mode={mode} status={status}")
 
 
 def collect_grid(ctx: ExperimentContext, output_dir: str) -> pipeline.ResultGrid:
@@ -230,7 +229,7 @@ def collect_grid(ctx: ExperimentContext, output_dir: str) -> pipeline.ResultGrid
                             f"{','.join(parts[:3])}, not {','.join(cell)}")
                     est, t, mode_, run, acc = parts
                     if acc.startswith("failed:"):
-                        grid.failures.append(pipeline.CellFailure(
+                        grid.add(pipeline.CellFailure(
                             est, float(t), mode_, int(run), acc))
                     else:
                         grid.add(pipeline.Record(

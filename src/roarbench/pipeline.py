@@ -8,7 +8,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -17,9 +17,6 @@ from .nn import (ArrayDataset, DatasetStack, Model, TrainerFn,
 
 ROAR = "roar"
 KAR = "kar"
-
-FEATURE = "feature"
-PIXEL = "pixel"
 
 
 class ProvenanceError(ValueError):
@@ -40,17 +37,15 @@ def run_seeds(base_seed: int, estimator_id: str, threshold: float, mode: str,
             for run in range(runs_per_point)]
 
 
-def rank_features(scores: np.ndarray, granularity: str = FEATURE,
+def rank_features(scores: np.ndarray,
                   image_shape: tuple[int, int, int] | None = None) -> np.ndarray:
     """Descending ranking along the last axis of (..., d) flat scores; ties
     break by ascending index.
 
-    Pixel granularity sums scores over channels per pixel first.
+    Given an image_shape, scores are summed over channels per pixel first.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if granularity == PIXEL:
-        if image_shape is None:
-            raise ValueError("pixel granularity requires image_shape")
+    if image_shape is not None:
         scores = scores.reshape(*scores.shape[:-1], -1,
                                 image_shape[2]).sum(axis=-1)
     return np.argsort(-scores, axis=-1, kind="stable")
@@ -144,34 +139,33 @@ class ModifiedDataset:
                             self.test_x, self.test_y)
 
 
-def broadcast_scores(scores: np.ndarray, n_samples: int) -> np.ndarray:
-    """Accept per-sample score rows, or a single shared score vector
-    (uniform ranking), which becomes one (1, d) row that broadcasts over the
-    samples."""
+def rank_split(scores: np.ndarray, x: np.ndarray,
+               image_shape=None) -> np.ndarray:
+    """Rankings of one split, the one place an estimator's scores are
+    checked and ranked: per-sample score rows give one ranking per row of
+    x, and a single shared score vector (uniform ranking) gives one (1, P)
+    ranking that broadcasts over the rows."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim == 1:
-        return scores[None]
-    if scores.shape[0] != n_samples:
+        scores = scores[None]
+    elif scores.shape[0] != len(x):
         raise ProvenanceError(
             f"have scores for {scores.shape[0]} samples, dataset has "
-            f"{n_samples}; first missing sample is {min(scores.shape[0], n_samples)}")
-    return scores
+            f"{len(x)}; first missing sample is {min(scores.shape[0], len(x))}")
+    return rank_features(scores, image_shape)
 
 
 def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
                           test_scores: np.ndarray, estimator_id: str,
                           threshold: float, mode: str, seed: int = 0,
                           source_id: str = "dataset",
-                          granularity: str = FEATURE,
                           image_shape=None) -> ModifiedDataset:
     """Modify both train and test splits at one (estimator, t, mode) cell."""
     spec = ModificationSpec(threshold, mode,
                             replacement_matrix(dataset.train_x, image_shape))
 
     def modify(x, scores):
-        rankings = rank_features(broadcast_scores(scores, len(x)),
-                                 granularity, image_shape)
-        return modify_rows(x, rankings, spec)
+        return modify_rows(x, rank_split(scores, x, image_shape), spec)
 
     return ModifiedDataset(
         train_x=modify(dataset.train_x, train_scores),
@@ -184,20 +178,25 @@ def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
 
 def generate_modified_datasets(dataset: ArrayDataset,
                                estimates: dict[str, tuple[np.ndarray, np.ndarray]],
-                               thresholds, modes=(ROAR,),
-                               granularity: str = FEATURE,
-                               image_shape=None,
+                               thresholds, modes=(ROAR,), image_shape=None,
                                source_id: str = "dataset"
                                ) -> Iterator[ModifiedDataset]:
     """Yield one ModifiedDataset per (estimator, threshold, mode), one at a
-    time, so callers can persist each before the next is built."""
+    time, so callers can persist each before the next is built. Each split
+    is ranked once per estimator."""
+    replacement = replacement_matrix(dataset.train_x, image_shape)
     for estimator_id, (train_scores, test_scores) in estimates.items():
+        train_rank = rank_split(train_scores, dataset.train_x, image_shape)
+        test_rank = rank_split(test_scores, dataset.test_x, image_shape)
         for threshold in thresholds:
             for mode in modes:
-                yield make_modified_dataset(
-                    dataset, train_scores, test_scores, estimator_id,
-                    threshold, mode, source_id=source_id,
-                    granularity=granularity, image_shape=image_shape)
+                spec = ModificationSpec(threshold, mode, replacement)
+                yield ModifiedDataset(
+                    modify_rows(dataset.train_x, train_rank, spec),
+                    dataset.train_y.copy(),
+                    modify_rows(dataset.test_x, test_rank, spec),
+                    dataset.test_y.copy(),
+                    Provenance(estimator_id, threshold, mode, 0, source_id))
 
 
 def cell_name(estimator_id: str, threshold: float, mode: str) -> str:
@@ -224,7 +223,27 @@ class CellFailure:
     threshold: float
     mode: str
     run_index: int
-    reason: str
+    reason: str  # failed:<step at which the run's loss turned non-finite>
+
+
+def cell_outcomes(estimator_id: str, threshold: float, mode: str,
+                  results: list) -> list[Record | CellFailure]:
+    """One cell's trainer results, run index order: a Record per trained
+    run, a CellFailure per diverged one."""
+    return [CellFailure(estimator_id, threshold, mode, run,
+                        f"failed:{result.step}")
+            if isinstance(result, TrainingDivergedError)
+            else Record(estimator_id, threshold, mode, run, result[1])
+            for run, result in enumerate(results)]
+
+
+def record_row(entry: Record | CellFailure) -> str:
+    """The CSV row of a record, or of a failure, whose accuracy column holds
+    its reason; results.csv and the grid's cell fragments both use it."""
+    outcome = (entry.reason if isinstance(entry, CellFailure)
+               else f"{entry.accuracy:.10f}")
+    return (f"{entry.estimator_id},{entry.threshold:.6f},{entry.mode},"
+            f"{entry.run_index},{outcome}")
 
 
 @dataclass
@@ -232,8 +251,9 @@ class ResultGrid:
     records: list[Record] = field(default_factory=list)
     failures: list[CellFailure] = field(default_factory=list)
 
-    def add(self, record: Record):
-        self.records.append(record)
+    def add(self, entry: Record | CellFailure):
+        (self.failures if isinstance(entry, CellFailure)
+         else self.records).append(entry)
 
     def sorted_records(self) -> list[Record]:
         return sorted(self.records, key=lambda r: (
@@ -250,9 +270,7 @@ class ResultGrid:
 
     def to_csv(self, path: str):
         lines = ["estimator,threshold,mode,run,accuracy"]
-        for r in self.sorted_records():
-            lines.append(f"{r.estimator_id},{r.threshold:.6f},{r.mode},"
-                         f"{r.run_index},{r.accuracy:.10f}")
+        lines += map(record_row, self.sorted_records())
         _atomic_write_text(path, "\n".join(lines) + "\n")
 
     def aggregated_to_csv(self, path: str):
@@ -278,7 +296,6 @@ def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
                       train_scores: np.ndarray, test_scores: np.ndarray,
                       estimator_id: str, cells, trainer: TrainerFn,
                       base_seed: int, runs_per_point: int,
-                      granularity: str = FEATURE,
                       image_shape=None) -> list[list]:
     """Retrain `runs_per_point` fresh models at each (threshold, mode) cell
     of one estimator, and return each cell's run results, in order.
@@ -288,11 +305,8 @@ def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
     modified, with `replacement_matrix(dataset.train_x, ...)` values, when
     the trainer builds them.
     """
-    train_rank, test_rank = (
-        rank_features(broadcast_scores(scores, len(x)), granularity,
-                      image_shape)
-        for scores, x in ((train_scores, dataset.train_x),
-                          (test_scores, dataset.test_x)))
+    train_rank = rank_split(train_scores, dataset.train_x, image_shape)
+    test_rank = rank_split(test_scores, dataset.test_x, image_shape)
     specs = [ModificationSpec(t, mode, replacement) for t, mode in cells]
     per_call = max(1, STACK_BYTES // max(1, 8 * dataset.train_x.size))
     results = []
@@ -313,7 +327,7 @@ def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
 def run_roar(dataset: ArrayDataset,
              estimates: dict[str, tuple[np.ndarray, np.ndarray]],
              thresholds, trainer: TrainerFn, runs_per_point: int = 5,
-             modes=(ROAR,), base_seed: int = 0, granularity: str = FEATURE,
+             modes=(ROAR,), base_seed: int = 0,
              image_shape=None) -> ResultGrid:
     """Retrain `runs_per_point` fresh models per grid cell on modified data,
     one `retrain_estimator` stack per estimator.
@@ -328,30 +342,23 @@ def run_roar(dataset: ArrayDataset,
     for estimator_id, (train_scores, test_scores) in estimates.items():
         results = retrain_estimator(
             dataset, replacement, train_scores, test_scores, estimator_id,
-            cells, trainer, base_seed, runs_per_point, granularity,
-            image_shape)
-        for (threshold, mode), cell_results in zip(cells, results):
-            for run, result in enumerate(cell_results):
-                if isinstance(result, TrainingDivergedError):
-                    grid.failures.append(CellFailure(
-                        estimator_id, threshold, mode, run, str(result)))
-                else:
-                    grid.add(Record(estimator_id, threshold, mode, run,
-                                    result[1]))
+            cells, trainer, base_seed, runs_per_point, image_shape)
+        for cell, cell_results in zip(cells, results):
+            for entry in cell_outcomes(estimator_id, *cell, cell_results):
+                grid.add(entry)
     return grid
 
 
 def run_deletion_metric(dataset: ArrayDataset, original_model: Model,
-                        estimates: dict[str, tuple[np.ndarray, np.ndarray]],
-                        thresholds, granularity: str = FEATURE,
-                        image_shape=None) -> ResultGrid:
-    """Score removal-modified TEST sets with the frozen original model."""
+                        test_estimates: Iterable[tuple[str, np.ndarray]],
+                        thresholds, image_shape=None) -> ResultGrid:
+    """Score removal-modified TEST sets with the frozen original model, from
+    (estimator_id, test-split scores) pairs; a generator of pairs lets the
+    caller score one estimator at a time."""
     grid = ResultGrid()
     replacement = replacement_matrix(dataset.train_x, image_shape)
-    for estimator_id, (_, test_scores) in estimates.items():
-        rankings = rank_features(
-            broadcast_scores(test_scores, len(dataset.test_x)), granularity,
-            image_shape)
+    for estimator_id, test_scores in test_estimates:
+        rankings = rank_split(test_scores, dataset.test_x, image_shape)
         for threshold in thresholds:
             spec = ModificationSpec(threshold, ROAR, replacement)
             test_x = modify_rows(dataset.test_x, rankings, spec)

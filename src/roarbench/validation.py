@@ -60,17 +60,16 @@ def run_toy_validation(n_train: int = 10_000, n_test: int = 2_000,
         toydata.RANDOM: toydata.ground_truth_ranking(
             toy, toydata.RANDOM, seed=pipeline.derive_seed(seed, "ranking")),
     }
-    estimates = {name: (pipeline.ranking_to_scores(order),
-                        pipeline.ranking_to_scores(order))
-                 for name, order in rankings.items()}
+    scores = {name: pipeline.ranking_to_scores(order)
+              for name, order in rankings.items()}
 
     trainer = nn.least_squares_trainer(ridge=ridge)
-    roar_grid = pipeline.run_roar(dataset, estimates, thresholds, trainer,
-                                  runs_per_point=runs_per_point,
-                                  base_seed=seed)
+    roar_grid = pipeline.run_roar(
+        dataset, {name: (s, s) for name, s in scores.items()}, thresholds,
+        trainer, runs_per_point=runs_per_point, base_seed=seed)
     baseline = nn.fit_least_squares(dataset, ridge=ridge, fit_bias=True)
     deletion_grid = pipeline.run_deletion_metric(dataset, baseline,
-                                                 estimates, thresholds)
+                                                 scores.items(), thresholds)
 
     roar = {(e, t): mean for e, t, _, mean, _ in roar_grid.aggregate()}
     deletion = {(e, t): mean for e, t, _, mean, _

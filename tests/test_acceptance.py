@@ -64,10 +64,9 @@ class TestCriterion2RetrainingMatters:
             est = {"random": (scores, scores)}
             roar = pipeline.run_roar(
                 ds, est, [0.9], trainer, runs_per_point=3, base_seed=seed,
-                granularity=pipeline.PIXEL, image_shape=image.image_shape
-            ).aggregate()[0][3]
+                image_shape=image.image_shape).aggregate()[0][3]
             deletion = pipeline.run_deletion_metric(
-                ds, model, est, [0.9], granularity=pipeline.PIXEL,
+                ds, model, [("random", scores)], [0.9],
                 image_shape=image.image_shape).aggregate()[0][3]
             margins.append(roar - deletion)
         worst = min(margins)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from roarbench import cli, experiment, pipeline
+from roarbench import cli, experiment, nn, pipeline
 from roarbench.config import ConfigError, parse_config, serialize_config
 
 MINIMAL = """
@@ -82,6 +82,14 @@ class TestParseConfig:
     def test_round_trip(self):
         cfg = parse_config(BARS)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_workers_key_is_checked_and_dropped(self):
+        cfg = parse_config("[experiment]\nworkers = 4\n" + MINIMAL)
+        assert cfg == parse_config(MINIMAL)
+        assert "workers" not in serialize_config(cfg)
+        for bad in ("0", "two"):
+            with pytest.raises(ConfigError, match="workers"):
+                parse_config(f"[experiment]\nworkers = {bad}\n" + MINIMAL)
 
     def test_kind_specific_keys_enforced(self):
         text = "[dataset]\nkind = toy\nsize = 12\n" + MINIMAL
@@ -225,10 +233,15 @@ class TestCli:
             assert f1.read() != f2.read()
 
     def test_workers_match_serial_output(self, bars_config, tmp_path):
+        # `workers` is still accepted in configs, and changes nothing.
+        workers = tmp_path / "workers.ini"
+        workers.write_text(BARS.replace("modes = roar",
+                                        "modes = roar\nworkers = 4"))
         serial, parallel = str(tmp_path / "s"), str(tmp_path / "p")
-        run_cli("run", "--config", bars_config, "--output", serial)
-        run_cli("run", "--config", bars_config, "--output", parallel,
-                "--workers", "4")
+        assert run_cli("run", "--config", bars_config,
+                       "--output", serial) == 0
+        assert run_cli("run", "--config", str(workers),
+                       "--output", parallel) == 0
         with open(os.path.join(serial, "results.csv"), "rb") as f1, \
                 open(os.path.join(parallel, "results.csv"), "rb") as f2:
             assert f1.read() == f2.read()
@@ -240,6 +253,44 @@ class TestCli:
         with open(os.path.join(out, "deletion.csv")) as f:
             lines = f.read().splitlines()
         assert len(lines) == 1 + 2 * 2  # estimators x thresholds, run 0 only
+
+    def test_deletion_metric_scores_test_split_one_estimator_at_a_time(
+            self, bars_config, tmp_path, monkeypatch):
+        events = []
+        compute_estimates = experiment.compute_estimates
+        rank_features = pipeline.rank_features
+
+        def scoring(estimator_id, settings, model, x, targets):
+            events.append(("score", estimator_id, len(x)))
+            return compute_estimates(estimator_id, settings, model, x,
+                                     targets)
+
+        def ranking(scores, *args):
+            events.append(("rank", len(scores)))
+            return rank_features(scores, *args)
+
+        monkeypatch.setattr(experiment, "compute_estimates", scoring)
+        monkeypatch.setattr(pipeline, "rank_features", ranking)
+        out = str(tmp_path / "out")
+        assert run_cli("deletion-metric", "--config", bars_config,
+                       "--output", out) == 0
+        # n_test = 60: the 120 train rows are never scored, and each
+        # estimator is ranked before the next is scored.
+        assert events == [("score", "grad", 60), ("rank", 60),
+                          ("score", "random", 60), ("rank", 60)]
+        monkeypatch.undo()
+        # Scoring both splits up front gives the same bytes.
+        ctx = experiment.build_context(parse_config(BARS))
+        model, _ = experiment.train_baseline(ctx)
+        estimates = experiment.compute_all_estimates(ctx, model)
+        expected = str(tmp_path / "expected.csv")
+        pipeline.run_deletion_metric(
+            ctx.dataset, model,
+            [(e, test) for e, (_, test) in estimates.items()],
+            ctx.config.thresholds, ctx.image_shape).to_csv(expected)
+        with open(os.path.join(out, "deletion.csv"), "rb") as f1, \
+                open(expected, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_modify_persists_datasets(self, bars_config, tmp_path):
         out = str(tmp_path / "out")
@@ -269,7 +320,6 @@ class TestCli:
                             ctx.dataset, *estimates[estimator_id],
                             estimator_id, threshold, mode,
                             source_id=ctx.source_id,
-                            granularity=ctx.granularity,
                             image_shape=ctx.image_shape), expected)
                     got = os.path.join(out, "modified", name)
                     assert sorted(os.listdir(got)) == \
@@ -278,6 +328,30 @@ class TestCli:
                         with open(os.path.join(got, part), "rb") as f1, \
                                 open(os.path.join(expected, part), "rb") as f2:
                             assert f1.read() == f2.read(), (name, part)
+
+    def test_modify_reusing_estimates_trains_no_baseline(
+            self, bars_config, tmp_path, monkeypatch):
+        fresh, reused = str(tmp_path / "fresh"), str(tmp_path / "reused")
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", fresh) == 0
+        assert run_cli("estimate", "--config", bars_config,
+                       "--output", reused) == 0
+        trained = []
+        train_baseline = experiment.train_baseline
+        monkeypatch.setattr(experiment, "train_baseline",
+                            lambda ctx: trained.append(1) or
+                            train_baseline(ctx))
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", reused) == 0
+        assert trained == []
+        names = sorted(os.listdir(os.path.join(fresh, "modified")))
+        assert names == sorted(os.listdir(os.path.join(reused, "modified")))
+        for name in names:
+            cell = os.path.join("modified", name)
+            for part in os.listdir(os.path.join(fresh, cell)):
+                with open(os.path.join(fresh, cell, part), "rb") as f1, \
+                        open(os.path.join(reused, cell, part), "rb") as f2:
+                    assert f1.read() == f2.read(), (name, part)
 
     def test_estimate_writes_score_files(self, bars_config, tmp_path):
         out = str(tmp_path / "out")
@@ -350,6 +424,49 @@ class TestCollectGrid:
         with pytest.raises(pipeline.ProvenanceError,
                            match=f"{os.path.basename(path)}.*0.000000"):
             experiment.collect_grid(ctx, out)
+
+
+class TestFailures:
+    """A diverged run is the same failure, reason included, whether the
+    library's `run_roar` or the CLI's resumable grid records it."""
+
+    @staticmethod
+    def diverging(make_trainer):
+        def make(cfg):
+            trainer = make_trainer(cfg)
+
+            def train(dataset, seeds):
+                results = trainer(dataset, seeds)
+                if not isinstance(dataset, nn.DatasetStack):
+                    return results  # the baseline trains as usual
+                # Runs with odd seeds diverge, at a seed-dependent step.
+                return [[nn.TrainingDivergedError(seed % 97) if seed % 2
+                         else result for seed, result in zip(s, r)]
+                        for s, r in zip(seeds, results)]
+            return train
+        return make
+
+    def test_run_roar_matches_cli_run(self, bars_config, tmp_path,
+                                      monkeypatch):
+        monkeypatch.setattr(experiment, "make_trainer",
+                            self.diverging(experiment.make_trainer))
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", bars_config, "--output", out) == 0
+        ctx = experiment.build_context(parse_config(BARS))
+        cfg = ctx.config
+        model, _ = experiment.train_baseline(ctx)
+        grid = pipeline.run_roar(
+            ctx.dataset, experiment.compute_all_estimates(ctx, model),
+            cfg.thresholds, experiment.make_trainer(cfg), cfg.runs_per_point,
+            cfg.modes, cfg.seed, ctx.image_shape)
+        assert grid.failures
+        assert all(f.reason.startswith("failed:") for f in grid.failures)
+        assert grid.failures == experiment.collect_grid(ctx, out).failures
+        expected = str(tmp_path / "expected.csv")
+        grid.to_csv(expected)
+        with open(os.path.join(out, "results.csv"), "rb") as f1, \
+                open(expected, "rb") as f2:
+            assert f1.read() == f2.read()
 
 
 class TestLoadEstimates:

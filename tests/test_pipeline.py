@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roarbench import nn, pipeline
-from roarbench.pipeline import (FEATURE, KAR, PIXEL, ROAR, ModificationSpec,
+from roarbench.pipeline import (KAR, ROAR, ModificationSpec,
                                 ProvenanceError, Record, ResultGrid,
                                 derive_seed, generate_modified_datasets,
                                 load_modified_dataset, make_modified_dataset,
@@ -35,7 +35,7 @@ class TestRankFeatures:
     def test_pixel_granularity_sums_channels(self):
         scores = np.array([[[1.0, 5.0], [2.0, 0.0]],
                            [[0.0, 0.5], [9.0, 1.0]]]).ravel()  # (2,2,2)
-        order = rank_features(scores, pipeline.PIXEL, image_shape=(2, 2, 2))
+        order = rank_features(scores, image_shape=(2, 2, 2))
         np.testing.assert_array_equal(order, [3, 0, 1, 2])
 
     def test_ranking_to_scores_round_trip(self, rng):
@@ -43,14 +43,15 @@ class TestRankFeatures:
         np.testing.assert_array_equal(
             rank_features(ranking_to_scores(order)), order)
 
-    @pytest.mark.parametrize("granularity", [FEATURE, PIXEL])
-    def test_rows_rank_independently(self, rng, granularity):
+    @pytest.mark.parametrize("image_shape", [None, (2, 3, 2)],
+                             ids=["feature", "pixel"])
+    def test_rows_rank_independently(self, rng, image_shape):
         # Coarse values force ties, which must break per row as in 1-D.
         scores = rng.integers(0, 4, (9, 12)).astype(float)
-        rows = rank_features(scores, granularity, image_shape=(2, 3, 2))
+        rows = rank_features(scores, image_shape)
         for row, order in zip(scores, rows):
             np.testing.assert_array_equal(
-                order, rank_features(row, granularity, image_shape=(2, 3, 2)))
+                order, rank_features(row, image_shape))
 
 
 def spec_for(x, threshold, mode):
@@ -131,28 +132,25 @@ class TestModifyRows:
             expected[selected] = spec.replacement[selected]
             np.testing.assert_array_equal(row, expected.ravel())
 
-    @pytest.mark.parametrize("granularity,image_shape",
-                             [(FEATURE, None), (PIXEL, (2, 3, 2))])
-    def test_shared_scores_match_tiled_rows(self, rng, granularity,
-                                            image_shape):
+    @pytest.mark.parametrize("image_shape", [None, (2, 3, 2)],
+                             ids=["feature", "pixel"])
+    def test_shared_scores_match_tiled_rows(self, rng, image_shape):
         ds = tiny_dataset(rng, d=12)
         shared = rng.standard_normal(12)
         tiled = np.tile(shared, (20, 1)), np.tile(shared, (8, 1))
         for t in (0.0, 0.3, 0.5, 1.0):
             for mode in (ROAR, KAR):
                 a = make_modified_dataset(ds, shared, shared, "e", t, mode,
-                                          granularity=granularity,
                                           image_shape=image_shape)
                 b = make_modified_dataset(ds, *tiled, "e", t, mode,
-                                          granularity=granularity,
                                           image_shape=image_shape)
                 np.testing.assert_array_equal(a.train_x, b.train_x)
                 np.testing.assert_array_equal(a.test_x, b.test_x)
         model = nn.fit_least_squares(ds, ridge=1e-6, fit_bias=True)
         shared_grid, tiled_grid = (
-            run_deletion_metric(ds, model, {"e": scores}, [0.3, 0.5, 1.0],
-                                granularity, image_shape)
-            for scores in ((shared, shared), tiled))
+            run_deletion_metric(ds, model, [("e", scores)], [0.3, 0.5, 1.0],
+                                image_shape)
+            for scores in (shared, tiled[1]))
         assert shared_grid.records == tiled_grid.records
 
 
@@ -196,6 +194,48 @@ class TestGenerateModifiedDatasets:
                 assert (row == rep).sum() == k
                 np.testing.assert_array_equal(row[row != rep],
                                               src[row != rep])
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+           st.sampled_from([None, (2, 3, 1), (2, 3, 2)]),
+           st.lists(st.booleans(), min_size=6, max_size=6),
+           st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1,
+                    max_size=4, unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_make_modified_dataset_per_cell(
+            self, seed, n_estimators, image_shape, shared, thresholds):
+        # Each split is ranked once per estimator, yet every cell must equal
+        # the one-cell reference. Coarse scores force ties.
+        rng = np.random.default_rng(seed)
+        d = 6 if image_shape is None else int(np.prod(image_shape))
+        ds = tiny_dataset(rng, d=d)
+        estimates = {
+            f"e{k}": tuple(
+                rng.integers(0, 3, d if shared[2 * k + split]
+                             else (len(x), d)).astype(float)
+                for split, x in enumerate((ds.train_x, ds.test_x)))
+            for k in range(n_estimators)}
+        thresholds = sorted(thresholds)
+        calls = []
+        rank_features = pipeline.rank_features
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "rank_features",
+                       lambda *a, **kw: calls.append(1) or rank_features(
+                           *a, **kw))
+            out = list(generate_modified_datasets(
+                ds, estimates, thresholds, modes=(ROAR, KAR),
+                image_shape=image_shape, source_id="src"))
+        assert len(calls) == 2 * n_estimators
+        cells = [(e, t, m) for e in estimates for t in thresholds
+                 for m in (ROAR, KAR)]
+        assert len(out) == len(cells)
+        for got, (e, t, m) in zip(out, cells):
+            want = make_modified_dataset(ds, *estimates[e], e, t, m,
+                                         source_id="src",
+                                         image_shape=image_shape)
+            for name in ("train_x", "train_y", "test_x", "test_y"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+            assert got.provenance == want.provenance
 
     def test_missing_estimates_raise_provenance_error(self, rng):
         ds = tiny_dataset(rng)
@@ -284,7 +324,7 @@ class TestDeletionMetric:
         ds = tiny_dataset(rng, n=60, m=30)
         model = nn.fit_least_squares(ds, ridge=1e-6, fit_bias=True)
         scores = np.arange(6.0)
-        grid = run_deletion_metric(ds, model, {"e": (scores, scores)}, [0.0])
+        grid = run_deletion_metric(ds, model, [("e", scores)], [0.0])
         assert grid.records[0].accuracy == nn.accuracy(model, ds.test_x,
                                                        ds.test_y)
         assert grid.records[0].run_index == 0
