@@ -107,7 +107,7 @@ def cmd_modify(args) -> int:
 
 def cmd_run(args) -> int:
     ctx = _context(args)
-    os.makedirs(ctx.config.output, exist_ok=True)
+    experiment.check_output_config(ctx.config, ctx.config.output, stamp=True)
     experiment.run_grid(ctx, _baseline(ctx), ctx.config.output)
     grid = experiment.collect_grid(ctx, ctx.config.output)
     experiment.write_report(ctx, grid, ctx.config.output)
@@ -116,6 +116,7 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     ctx = _context(args)
+    experiment.check_output_config(ctx.config, ctx.config.output)
     grid = experiment.collect_grid(ctx, ctx.config.output)
     experiment.write_report(ctx, grid, ctx.config.output)
     return EXIT_OK

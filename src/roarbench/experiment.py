@@ -4,6 +4,7 @@ report generation."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import datasets as ds_io
 from . import nn, pipeline, toydata
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, serialize_config
 from .estimators import (EnsembleConfig, EstimatorSettings, IGConfig,
                          compute_estimates, default_noise_stddev)
 
@@ -152,88 +153,83 @@ def load_estimates(ctx: ExperimentContext, directory: str):
 
 
 # ---------------------------------------------------------------------------
-# Resumable grid execution: one CSV fragment per (estimator, threshold, mode)
-# cell, written atomically; completed cells are skipped on rerun.
+# Resumable grid execution: one CSV fragment per estimator, written
+# atomically; estimators whose fragment exists are skipped on rerun.
 
 def _log(message: str):
     print(message, file=sys.stderr, flush=True)
 
 
+def check_output_config(cfg: ExperimentConfig, output_dir: str,
+                        stamp: bool = False):
+    """`<output>/config.ini`, the canonical config without its `output` line,
+    ties an output directory to its config. A missing or different file is
+    refused, not recomputed; `stamp` writes it into a fragment-free one."""
+    text = "".join(line for line in serialize_config(cfg).splitlines(True)
+                   if not line.startswith("output = "))
+    path = os.path.join(output_dir, "config.ini")
+    if not os.path.exists(path):
+        if not stamp or os.path.exists(os.path.join(output_dir, "cells")):
+            raise pipeline.ProvenanceError(
+                f"missing {path}: no record of {output_dir}'s config")
+        os.makedirs(output_dir, exist_ok=True)
+        pipeline._atomic_write_text(path, text)
+    with open(path) as f:
+        if f.read() != text:
+            raise pipeline.ProvenanceError(
+                f"{path} records another config; use a fresh output directory")
+
+
 def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
     """Execute the estimate -> modify -> retrain grid with resumability.
-
-    The unit of work is one estimator: if any of its cells is pending, it
-    is scored against `model`, and its pending cells retrain as one stack.
-    An estimator whose cells are all done is never scored.
-    """
+    The unit of work is one estimator: unless its fragment exists, it is
+    scored against `model`, retrained by `pipeline.run_roar`, and its rows
+    are written to its fragment in grid order."""
     cfg = ctx.config
-    cells_dir = os.path.join(output_dir, "cells")
-    os.makedirs(cells_dir, exist_ok=True)
+    os.makedirs(os.path.join(output_dir, "cells"), exist_ok=True)
     trainer = make_trainer(cfg)
     settings = estimator_settings(ctx)
-    replacement = pipeline.replacement_matrix(ctx.dataset.train_x,
-                                              ctx.image_shape)
-    cells = [(t, m) for t in cfg.thresholds for m in cfg.modes]
     for estimator_id in cfg.estimators.ids:
-        paths = [os.path.join(cells_dir,
-                              pipeline.cell_name(estimator_id, *cell) + ".csv")
-                 for cell in cells]
-        pending = [cell for cell, path in zip(cells, paths)
-                   if not os.path.exists(path)]
-        results = {}
-        if pending:
-            results = dict(zip(pending, pipeline.retrain_estimator(
-                ctx.dataset, replacement,
-                *estimate_splits(ctx, settings, model, estimator_id),
-                estimator_id, pending, trainer, cfg.seed, cfg.runs_per_point,
-                ctx.image_shape)))
-        for (threshold, mode), path in zip(cells, paths):
-            cell_results = results.get((threshold, mode))
-            if cell_results is not None:
-                outcomes = pipeline.cell_outcomes(estimator_id, threshold,
-                                                  mode, cell_results)
-                pipeline._atomic_write_text(path, "\n".join(
-                    map(pipeline.record_row, outcomes)) + "\n")
-            status = "skipped" if cell_results is None else "done"
-            _log(f"cell estimator={estimator_id} threshold={threshold:g} "
-                 f"mode={mode} status={status}")
+        path = os.path.join(output_dir, "cells", f"{estimator_id}.csv")
+        status = "skipped"
+        if not os.path.exists(path):
+            scores = estimate_splits(ctx, settings, model, estimator_id)
+            grid = pipeline.run_roar(
+                ctx.dataset, {estimator_id: scores}, cfg.thresholds, trainer,
+                cfg.runs_per_point, cfg.modes, cfg.seed, ctx.image_shape)
+            pipeline._atomic_write_text(path, "\n".join(
+                map(pipeline.record_row, grid.entries)) + "\n")
+            status = "done"
+        _log(f"estimator={estimator_id} status={status}")
 
 
 def collect_grid(ctx: ExperimentContext, output_dir: str) -> pipeline.ResultGrid:
-    """Rebuild the result grid from per-cell fragments."""
+    """Rebuild the result grid from per-estimator fragments; a fragment that
+    does not hold its estimator's runs in grid order is refused by name."""
     cfg = ctx.config
-    cells_dir = os.path.join(output_dir, "cells")
     grid = pipeline.ResultGrid()
     for estimator_id in cfg.estimators.ids:
-        for threshold in cfg.thresholds:
-            for mode in cfg.modes:
-                path = os.path.join(cells_dir, pipeline.cell_name(
-                    estimator_id, threshold, mode) + ".csv")
-                if not os.path.exists(path):
-                    raise pipeline.ProvenanceError(
-                        f"missing cell result {path}; rerun the grid")
-                with open(path) as f:
-                    rows = [line.strip().split(",") for line in f]
-                if len(rows) != cfg.runs_per_point:
-                    raise pipeline.ProvenanceError(
-                        f"{path} holds {len(rows)} records, the config asks "
-                        f"for runs_per_point = {cfg.runs_per_point}")
-                cell = [estimator_id, f"{threshold:.6f}", mode]
-                for parts in rows:
-                    if len(parts) != 5:
-                        raise pipeline.ProvenanceError(
-                            f"corrupt cell record in {path}")
-                    if parts[:3] != cell:
-                        raise pipeline.ProvenanceError(
-                            f"{path} holds a record of cell "
-                            f"{','.join(parts[:3])}, not {','.join(cell)}")
-                    est, t, mode_, run, acc = parts
-                    if acc.startswith("failed:"):
-                        grid.add(pipeline.CellFailure(
-                            est, float(t), mode_, int(run), acc))
-                    else:
-                        grid.add(pipeline.Record(
-                            est, float(t), mode_, int(run), float(acc)))
+        path = os.path.join(output_dir, "cells", f"{estimator_id}.csv")
+        if not os.path.exists(path):
+            raise pipeline.ProvenanceError(
+                f"missing fragment {path}; rerun the grid")
+        with open(path) as f:
+            rows = f.read().splitlines()
+        expected = [pipeline.row_key(estimator_id, t, mode, run)
+                    for t in cfg.thresholds for mode in cfg.modes
+                    for run in range(cfg.runs_per_point)]
+        for i, (found, want) in enumerate(itertools.zip_longest(
+                [row.rpartition(",")[0] for row in rows], expected,
+                fillvalue="nothing")):
+            if found != want:
+                raise pipeline.ProvenanceError(
+                    f"{path} row {i + 1}: expected {want}, found {found}")
+        try:
+            for row in rows:
+                grid.add(pipeline.parse_row(row))
+        except ValueError as err:
+            raise pipeline.ProvenanceError(
+                f"corrupt record in {path}: {err}") from None
     return grid
 
 
@@ -243,17 +239,12 @@ def write_report(ctx: ExperimentContext, grid: pipeline.ResultGrid,
     retain-and-remove curves on shared axes."""
     grid.to_csv(os.path.join(output_dir, "results.csv"))
     grid.aggregated_to_csv(os.path.join(output_dir, "aggregated.csv"))
-    aggregated = grid.aggregate()
+    aggregated = grid.aggregate()  # sorted by (estimator, t, mode)
     for estimator_id in ctx.config.estimators.ids:
-        rows = {}
-        for est, t, mode, mean, std in aggregated:
-            if est == estimator_id:
-                rows.setdefault(t, {})[mode] = (mean, std)
         lines = ["threshold,mode,mean_accuracy,std_accuracy"]
-        for t in sorted(rows):
-            for mode in sorted(rows[t]):
-                mean, std = rows[t][mode]
-                lines.append(f"{t:.6f},{mode},{mean:.10f},{std:.10f}")
+        lines += [f"{t:.6f},{mode},{mean:.10f},{std:.10f}"
+                  for est, t, mode, mean, std in aggregated
+                  if est == estimator_id]
         pipeline._atomic_write_text(
             os.path.join(output_dir, f"plot_{estimator_id}.csv"),
             "\n".join(lines) + "\n")

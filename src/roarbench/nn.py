@@ -50,13 +50,6 @@ class Model:
     layers: list
 
     @property
-    def input_dim(self) -> int:
-        for layer in self.layers:
-            if isinstance(layer, Affine):
-                return layer.weight.shape[0]
-        raise ValueError("model has no affine layer")
-
-    @property
     def output_dim(self) -> int:
         for layer in reversed(self.layers):
             if isinstance(layer, Affine):

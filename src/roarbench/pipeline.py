@@ -226,34 +226,43 @@ class CellFailure:
     reason: str  # failed:<step at which the run's loss turned non-finite>
 
 
-def cell_outcomes(estimator_id: str, threshold: float, mode: str,
-                  results: list) -> list[Record | CellFailure]:
-    """One cell's trainer results, run index order: a Record per trained
-    run, a CellFailure per diverged one."""
-    return [CellFailure(estimator_id, threshold, mode, run,
-                        f"failed:{result.step}")
-            if isinstance(result, TrainingDivergedError)
-            else Record(estimator_id, threshold, mode, run, result[1])
-            for run, result in enumerate(results)]
+def row_key(estimator_id: str, threshold: float, mode: str,
+            run_index: int) -> str:
+    """The first four fields of a row: the run of the grid it records."""
+    return f"{estimator_id},{threshold:.6f},{mode},{run_index}"
 
 
 def record_row(entry: Record | CellFailure) -> str:
     """The CSV row of a record, or of a failure, whose accuracy column holds
-    its reason; results.csv and the grid's cell fragments both use it."""
+    its reason; results.csv and the grid's fragments both use it."""
     outcome = (entry.reason if isinstance(entry, CellFailure)
                else f"{entry.accuracy:.10f}")
-    return (f"{entry.estimator_id},{entry.threshold:.6f},{entry.mode},"
-            f"{entry.run_index},{outcome}")
+    return (row_key(entry.estimator_id, entry.threshold, entry.mode,
+                    entry.run_index) + f",{outcome}")
+
+
+def parse_row(row: str) -> Record | CellFailure:
+    """Inverse of record_row; ValueError on a malformed row."""
+    estimator_id, threshold, mode, run, outcome = row.split(",")
+    key = (estimator_id, float(threshold), mode, int(run))
+    return (CellFailure(*key, outcome) if outcome.startswith("failed:")
+            else Record(*key, float(outcome)))
 
 
 @dataclass
 class ResultGrid:
-    records: list[Record] = field(default_factory=list)
-    failures: list[CellFailure] = field(default_factory=list)
+    entries: list[Record | CellFailure] = field(default_factory=list)
+
+    @property
+    def records(self) -> list[Record]:
+        return [e for e in self.entries if isinstance(e, Record)]
+
+    @property
+    def failures(self) -> list[CellFailure]:
+        return [e for e in self.entries if isinstance(e, CellFailure)]
 
     def add(self, entry: Record | CellFailure):
-        (self.failures if isinstance(entry, CellFailure)
-         else self.records).append(entry)
+        self.entries.append(entry)
 
     def sorted_records(self) -> list[Record]:
         return sorted(self.records, key=lambda r: (
@@ -330,7 +339,8 @@ def run_roar(dataset: ArrayDataset,
              modes=(ROAR,), base_seed: int = 0,
              image_shape=None) -> ResultGrid:
     """Retrain `runs_per_point` fresh models per grid cell on modified data,
-    one `retrain_estimator` stack per estimator.
+    one `retrain_estimator` stack per estimator; the grid holds the runs in
+    grid order (estimator, threshold, mode, run).
 
     Diverged runs are recorded as failures and the grid run continues.
     """
@@ -343,9 +353,12 @@ def run_roar(dataset: ArrayDataset,
         results = retrain_estimator(
             dataset, replacement, train_scores, test_scores, estimator_id,
             cells, trainer, base_seed, runs_per_point, image_shape)
-        for cell, cell_results in zip(cells, results):
-            for entry in cell_outcomes(estimator_id, *cell, cell_results):
-                grid.add(entry)
+        for (threshold, mode), cell_results in zip(cells, results):
+            for run, result in enumerate(cell_results):
+                key = (estimator_id, threshold, mode, run)
+                grid.add(CellFailure(*key, f"failed:{result.step}")
+                         if isinstance(result, TrainingDivergedError)
+                         else Record(*key, result[1]))
     return grid
 
 

@@ -1,8 +1,9 @@
 """Guards the hooks `perfbench/run.py --trace 1` relies on: every function
 the tracer wraps must still exist where its callers look it up, and
 `compute_estimates` must keep the parameters the tracer reads from each
-call, as must `nn.train`, for one dataset and for a dataset stack. The
-benchmark files are only read here."""
+call, as must `nn.train`, for one dataset and for a dataset stack; and
+`run` must retrain through `pipeline.run_roar`, so that its traced span
+covers retraining. The benchmark files are only read here."""
 
 import importlib
 import importlib.util
@@ -11,7 +12,7 @@ import os
 
 import numpy as np
 
-from roarbench import experiment, nn
+from roarbench import cli, experiment, nn, pipeline
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "tracer.py")
@@ -78,3 +79,33 @@ def test_train_binds_described_parameters_of_a_dataset_stack():
     # The bound call is a real one: one result list per stacked dataset.
     results = nn.train(*bound.args, **bound.kwargs)
     assert [len(r) for r in results] == [2, 1, 2]
+
+
+def test_run_retrains_through_run_roar(tmp_path, monkeypatch):
+    config = tmp_path / "config.ini"
+    config.write_text(
+        "[experiment]\nseed = 3\nruns_per_point = 1\nthresholds = 0,0.5\n"
+        "[dataset]\nkind = bars\nn_train = 40\nn_test = 20\nsize = 6\n"
+        "[estimators]\nids = grad, random, sobel\n"
+        "[train]\nmodel = mlp\nhidden = 4\nsteps = 10\nbatch_size = 8\n")
+    calls = []
+    run_roar = pipeline.run_roar
+
+    def counting(dataset, estimates, *args, **kwargs):
+        calls.append(list(estimates))
+        return run_roar(dataset, estimates, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_roar", counting)
+    out = str(tmp_path / "out")
+
+    def run():
+        assert cli.main(["run", "--config", str(config),
+                         "--output", out]) == 0
+
+    run()
+    assert calls == [["grad"], ["random"], ["sobel"]]
+    os.remove(os.path.join(out, "cells", "random.csv"))
+    run()
+    assert calls[3:] == [["random"]]
+    run()
+    assert calls[4:] == []

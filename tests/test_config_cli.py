@@ -191,15 +191,20 @@ class TestCli:
                     open(os.path.join(interrupted, name), "rb") as f2:
                 assert f1.read() == f2.read()
 
-    def test_resume_scores_only_estimators_with_pending_cells(
-            self, bars_config, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("deleted", [(), ("grad",), ("random",),
+                                         ("grad", "random")],
+                             ids=["none", "grad", "random", "grad+random"])
+    def test_resume_scores_only_deleted_estimators(
+            self, bars_config, tmp_path, monkeypatch, deleted):
         full = str(tmp_path / "full")
         assert run_cli("run", "--config", bars_config, "--output", full) == 0
         resumed = str(tmp_path / "resumed")
         assert run_cli("run", "--config", bars_config,
                        "--output", resumed) == 0
-        os.remove(os.path.join(resumed, "cells", pipeline.cell_name(
-            "grad", 0.5, "roar") + ".csv"))
+        for estimator_id in deleted:
+            os.remove(os.path.join(resumed, "cells", f"{estimator_id}.csv"))
+        os.remove(os.path.join(resumed, "results.csv"))
+        os.remove(os.path.join(resumed, "aggregated.csv"))
         scored = []
         compute_estimates = experiment.compute_estimates
 
@@ -210,15 +215,15 @@ class TestCli:
         monkeypatch.setattr(experiment, "compute_estimates", counting)
         assert run_cli("run", "--config", bars_config,
                        "--output", resumed) == 0
-        # grad's train and test splits; random's cells are all done.
-        assert scored == ["grad", "grad"]
-        assert run_cli("run", "--config", bars_config,
-                       "--output", resumed) == 0
-        assert scored == ["grad", "grad"]
+        # The train and test splits of each deleted estimator, in config
+        # order; an estimator whose fragment exists is never scored.
+        assert scored == [e for e in ("grad", "random") if e in deleted
+                          for _ in range(2)]
         names = sorted(os.listdir(os.path.join(full, "cells")))
+        assert names == ["grad.csv", "random.csv"]
         assert names == sorted(os.listdir(os.path.join(resumed, "cells")))
         for name in [*(os.path.join("cells", n) for n in names),
-                     "results.csv"]:
+                     "results.csv", "aggregated.csv"]:
             with open(os.path.join(full, name), "rb") as f1, \
                     open(os.path.join(resumed, name), "rb") as f2:
                 assert f1.read() == f2.read(), name
@@ -377,30 +382,29 @@ class TestCli:
 
 
 class TestCollectGrid:
-    """A cell fragment must hold exactly the config's runs, all of its own
-    cell; anything else is refused by name."""
+    """An estimator's fragment must hold exactly the config's runs of that
+    estimator, in grid order, each a well-formed row; anything else is
+    refused by name."""
 
     @staticmethod
-    def write_cells(ctx, out):
+    def write_fragments(ctx, out):
         cfg = ctx.config
         os.makedirs(os.path.join(out, "cells"))
         paths = []
         for e in cfg.estimators.ids:
-            for t in cfg.thresholds:
-                for m in cfg.modes:
-                    path = os.path.join(out, "cells",
-                                        pipeline.cell_name(e, t, m) + ".csv")
-                    with open(path, "w") as f:
-                        f.writelines(f"{e},{t:.6f},{m},{r},0.5000000000\n"
-                                     for r in range(cfg.runs_per_point))
-                    paths.append(path)
+            path = os.path.join(out, "cells", f"{e}.csv")
+            with open(path, "w") as f:
+                f.writelines(f"{e},{t:.6f},{m},{r},0.5000000000\n"
+                             for t in cfg.thresholds for m in cfg.modes
+                             for r in range(cfg.runs_per_point))
+            paths.append(path)
         return paths
 
     @pytest.fixture
     def grid_dir(self, tmp_path):
         ctx = experiment.build_context(parse_config(BARS))
         out = str(tmp_path / "out")
-        paths = self.write_cells(ctx, out)
+        paths = self.write_fragments(ctx, out)
         grid = experiment.collect_grid(ctx, out)
         assert len(grid.records) == 2 * 2 * 1 * 2
         return ctx, out, paths[-1]
@@ -412,7 +416,8 @@ class TestCollectGrid:
         with open(path, "w") as f:
             f.write(first)
         with pytest.raises(pipeline.ProvenanceError,
-                           match=f"{os.path.basename(path)}.*1 records"):
+                           match=f"{os.path.basename(path)} row 2: expected "
+                                 f"random,0.000000,roar,1, found nothing"):
             experiment.collect_grid(ctx, out)
 
     def test_rows_must_name_the_file_cell(self, grid_dir):
@@ -422,8 +427,91 @@ class TestCollectGrid:
         with open(path, "w") as f:
             f.write(text.replace(",0.500000,roar,", ",0.000000,roar,", 1))
         with pytest.raises(pipeline.ProvenanceError,
-                           match=f"{os.path.basename(path)}.*0.000000"):
+                           match=f"{os.path.basename(path)} row 3:.*found "
+                                 f"random,0.000000,roar,0"):
             experiment.collect_grid(ctx, out)
+
+    @pytest.mark.parametrize("field,value", [(3, "abc"), (4, "abc"),
+                                             (4, "")],
+                             ids=["run", "accuracy", "empty-accuracy"])
+    def test_malformed_field_names_the_fragment(self, grid_dir, field,
+                                                value):
+        ctx, out, path = grid_dir
+        with open(path) as f:
+            rows = [line.split(",") for line in f.read().splitlines()]
+        rows[1][field] = value
+        with open(path, "w") as f:
+            f.writelines(",".join(row) + "\n" for row in rows)
+        with pytest.raises(pipeline.ProvenanceError,
+                           match=os.path.basename(path)):
+            experiment.collect_grid(ctx, out)
+
+
+class TestOutputConfig:
+    """An output directory is tied to the config that filled it through
+    `<output>/config.ini`; `run` and `report` refuse any other config."""
+
+    @staticmethod
+    def tree(out):
+        files = {}
+        for root, _, names in os.walk(out):
+            for name in names:
+                with open(os.path.join(root, name), "rb") as f:
+                    files[os.path.relpath(os.path.join(root, name), out)] = \
+                        f.read()
+        return files
+
+    def test_changed_config_is_refused_and_writes_nothing(self, tmp_path,
+                                                          capsys):
+        short, long = tmp_path / "short.ini", tmp_path / "long.ini"
+        short.write_text(BARS.replace("steps = 120", "steps = 5"))
+        long.write_text(BARS.replace("steps = 120", "steps = 300"))
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", str(short), "--output", out) == 0
+        with open(os.path.join(out, "config.ini")) as f:
+            recorded = f.read()
+        # The canonical config, without its `output` line.
+        assert recorded == serialize_config(parse_config(
+            short.read_text())).replace("output = results\n", "")
+        assert "steps = 5\n" in recorded
+        before = self.tree(out)
+        capsys.readouterr()
+        for command in ("run", "report"):
+            assert run_cli(command, "--config", str(long),
+                           "--output", out) == 3
+            err = capsys.readouterr().err
+            assert "ProvenanceError" in err and "config.ini" in err
+            assert "status=" not in err and "baseline" not in err
+        assert self.tree(out) == before
+        assert run_cli("report", "--config", str(short), "--output", out) == 0
+        assert self.tree(out) == before
+
+    def test_missing_record_is_refused(self, bars_config, tmp_path):
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", bars_config, "--output", out) == 0
+        os.remove(os.path.join(out, "config.ini"))
+        before = self.tree(out)
+        assert run_cli("report", "--config", bars_config,
+                       "--output", out) == 3
+        # Fragments of an unknown config are not adopted by `run` either.
+        assert run_cli("run", "--config", bars_config, "--output", out) == 3
+        assert self.tree(out) == before
+
+    def test_corrupt_fragment_is_named_by_report(self, bars_config, tmp_path,
+                                                 capsys):
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", bars_config, "--output", out) == 0
+        path = os.path.join(out, "cells", "grad.csv")
+        with open(path) as f:
+            rows = f.read().splitlines()
+        rows[0] = rows[0].rsplit(",", 1)[0] + ",abc"
+        with open(path, "w") as f:
+            f.write("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", "--config", bars_config,
+                       "--output", out) == 3
+        err = capsys.readouterr().err
+        assert "ProvenanceError" in err and path in err
 
 
 class TestFailures:
