@@ -97,7 +97,7 @@ def cmd_modify(args) -> int:
     # Each dataset is saved as it is built; none is kept in memory after.
     for m in pipeline.generate_modified_datasets(
             ctx.dataset, estimates, cfg.thresholds, modes=cfg.modes,
-            image_shape=ctx.image_shape, source_id=ctx.source_id):
+            source_id=ctx.source_id):
         p = m.provenance
         pipeline.save_modified_dataset(m, os.path.join(
             cfg.output, "modified",
@@ -124,11 +124,11 @@ def cmd_report(args) -> int:
 
 def cmd_deletion_metric(args) -> int:
     ctx = _context(args)
+    experiment.check_output_config(ctx.config, ctx.config.output, stamp=True)
     model = _baseline(ctx)
     grid = pipeline.run_deletion_metric(
         ctx.dataset, model, experiment.deletion_estimates(ctx, model),
-        ctx.config.thresholds, ctx.image_shape)
-    os.makedirs(ctx.config.output, exist_ok=True)
+        ctx.config.thresholds)
     grid.to_csv(os.path.join(ctx.config.output, "deletion.csv"))
     grid.aggregated_to_csv(
         os.path.join(ctx.config.output, "deletion_aggregated.csv"))

@@ -225,13 +225,19 @@ def _validate(cfg: ExperimentConfig):
                 raise ConfigError(f"dataset.{key}: no such file {path!r}")
 
 
+def _float_text(x: float) -> str:
+    """Shortest `:g` text when it reparses to x, else the lossless repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form, all defaults echoed; reparses to an equal config."""
     lines = ["[experiment]"]
     lines.append(f"seed = {cfg.seed}")
     lines.append(f"output = {cfg.output}")
     lines.append(f"runs_per_point = {cfg.runs_per_point}")
-    lines.append("thresholds = " + ",".join(f"{t:g}" for t in cfg.thresholds))
+    lines.append("thresholds = " + ",".join(map(_float_text, cfg.thresholds)))
     lines.append("modes = " + ",".join(cfg.modes))
     lines.append("")
     lines.append("[dataset]")
@@ -248,9 +254,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines.append("[train]")
     lines.append(f"model = {cfg.train.model}")
     lines.append("hidden = " + ",".join(str(h) for h in cfg.train.hidden))
-    lines.append(f"learning_rate = {cfg.train.learning_rate:g}")
+    lines.append(f"learning_rate = {_float_text(cfg.train.learning_rate)}")
     lines.append(f"steps = {cfg.train.steps}")
     lines.append(f"batch_size = {cfg.train.batch_size}")
     lines.append(f"loss = {cfg.train.loss}")
-    lines.append(f"ridge = {cfg.train.ridge:g}")
+    lines.append(f"ridge = {_float_text(cfg.train.ridge)}")
     return "\n".join(lines) + "\n"

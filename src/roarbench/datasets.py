@@ -5,7 +5,6 @@ downloads."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,30 +15,6 @@ IDX_UBYTE = 0x08
 
 class IdxFormatError(ValueError):
     pass
-
-
-@dataclass
-class NormalizationRecord:
-    scale: float  # raw = normalized * scale + offset
-    offset: float = 0.0
-
-    def invert(self, normalized: np.ndarray) -> np.ndarray:
-        return normalized * self.scale + self.offset
-
-
-@dataclass
-class ImageDataset:
-    train_x: np.ndarray  # (n, H*W*C) in [0, 1]
-    train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-    image_shape: tuple[int, int, int]  # (H, W, C)
-    n_classes: int
-    normalization: NormalizationRecord
-
-    def as_dataset(self) -> ArrayDataset:
-        return ArrayDataset(self.train_x, self.train_y,
-                            self.test_x, self.test_y)
 
 
 def read_idx(path: str) -> np.ndarray:
@@ -90,30 +65,26 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
 
 def make_image_dataset(train_images: np.ndarray, train_labels: np.ndarray,
                        test_images: np.ndarray, test_labels: np.ndarray
-                       ) -> ImageDataset:
-    """Flatten uint8 image stacks and normalize to [0, 1]."""
-    shape = tuple(train_images.shape[1:])
-    record = NormalizationRecord(scale=255.0)
-    n_classes = int(max(train_labels.max(), test_labels.max())) + 1
-    return ImageDataset(
-        train_x=train_images.reshape(len(train_images), -1) / record.scale,
+                       ) -> ArrayDataset:
+    """Flatten uint8 (n, H, W, C) image stacks and divide by 255, so the
+    features lie in [0, 1]; the dataset carries the (H, W, C) shape."""
+    return ArrayDataset(
+        train_x=train_images.reshape(len(train_images), -1) / 255.0,
         train_y=train_labels.astype(np.int64),
-        test_x=test_images.reshape(len(test_images), -1) / record.scale,
+        test_x=test_images.reshape(len(test_images), -1) / 255.0,
         test_y=test_labels.astype(np.int64),
-        image_shape=shape,
-        n_classes=n_classes,
-        normalization=record,
+        image_shape=tuple(train_images.shape[1:]),
     )
 
 
 def load_idx_dataset(train_images_path, train_labels_path,
-                     test_images_path, test_labels_path) -> ImageDataset:
+                     test_images_path, test_labels_path) -> ArrayDataset:
     return make_image_dataset(*load_idx(train_images_path, train_labels_path),
                               *load_idx(test_images_path, test_labels_path))
 
 
 def generate_bars(n_train: int, n_test: int, size: int = 12,
-                  noise: float = 0.1, seed: int = 0) -> ImageDataset:
+                  noise: float = 0.1, seed: int = 0) -> ArrayDataset:
     """Two-class oriented-bar images: one bright horizontal (class 0) or
     vertical (class 1) bar at a random position, plus clipped Gaussian noise.
     """
@@ -134,12 +105,10 @@ def generate_bars(n_train: int, n_test: int, size: int = 12,
 
     train_images, train_labels = batch(n_train)
     test_images, test_labels = batch(n_test)
-    return ImageDataset(
+    return ArrayDataset(
         train_x=train_images.reshape(n_train, -1),
         train_y=train_labels,
         test_x=test_images.reshape(n_test, -1),
         test_y=test_labels,
         image_shape=(size, size, 1),
-        n_classes=2,
-        normalization=NormalizationRecord(scale=1.0),
     )

@@ -22,7 +22,6 @@ from .estimators import (EnsembleConfig, EstimatorSettings, IGConfig,
 class ExperimentContext:
     config: ExperimentConfig
     dataset: nn.ArrayDataset
-    image_shape: tuple[int, int, int] | None  # None: flat data
 
     @property
     def source_id(self) -> str:
@@ -36,16 +35,15 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
             n_samples=spec.n_train + spec.n_test, dim=spec.dim,
             n_informative=spec.n_informative,
             seed=pipeline.derive_seed(cfg.seed, "dataset")))
-        return ExperimentContext(cfg, toy.split(spec.n_train), None)
+        return ExperimentContext(cfg, toy.split(spec.n_train))
     if spec.kind == "bars":
-        image = ds_io.generate_bars(
+        return ExperimentContext(cfg, ds_io.generate_bars(
             spec.n_train, spec.n_test, size=spec.size, noise=spec.noise,
-            seed=pipeline.derive_seed(cfg.seed, "dataset"))
-        return ExperimentContext(cfg, image.as_dataset(), image.image_shape)
+            seed=pipeline.derive_seed(cfg.seed, "dataset")))
     if spec.kind == "idx":
-        image = ds_io.load_idx_dataset(spec.train_images, spec.train_labels,
-                                       spec.test_images, spec.test_labels)
-        return ExperimentContext(cfg, image.as_dataset(), image.image_shape)
+        return ExperimentContext(cfg, ds_io.load_idx_dataset(
+            spec.train_images, spec.train_labels, spec.test_images,
+            spec.test_labels))
     raise ConfigError(f"unknown dataset kind {spec.kind!r}")
 
 
@@ -78,7 +76,7 @@ def estimator_settings(ctx: ExperimentContext) -> EstimatorSettings:
         ensemble=EnsembleConfig(
             samples=spec.ensemble_samples, noise_stddev=stddev,
             seed=pipeline.derive_seed(ctx.config.seed, "ensemble")),
-        image_shape=ctx.image_shape,
+        image_shape=ctx.dataset.image_shape,
     )
 
 
@@ -196,7 +194,7 @@ def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
             scores = estimate_splits(ctx, settings, model, estimator_id)
             grid = pipeline.run_roar(
                 ctx.dataset, {estimator_id: scores}, cfg.thresholds, trainer,
-                cfg.runs_per_point, cfg.modes, cfg.seed, ctx.image_shape)
+                cfg.runs_per_point, cfg.modes, cfg.seed)
             pipeline._atomic_write_text(path, "\n".join(
                 map(pipeline.record_row, grid.entries)) + "\n")
             status = "done"

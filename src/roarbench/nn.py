@@ -59,12 +59,15 @@ class Model:
 
 @dataclass
 class ArrayDataset:
-    """Flat feature matrices plus integer labels for train and test splits."""
+    """Flat feature matrices plus integer labels for train and test splits.
+    An image dataset carries the (H, W, C) shape its rows flatten; ranking
+    and replacement then work per pixel and per channel."""
 
     train_x: np.ndarray  # (n, d)
     train_y: np.ndarray  # (n,) int
     test_x: np.ndarray
     test_y: np.ndarray
+    image_shape: tuple[int, int, int] | None = None  # None: flat data
 
     @property
     def n_features(self) -> int:

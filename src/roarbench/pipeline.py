@@ -71,18 +71,17 @@ class ModificationSpec:
             raise ValueError("non-finite replacement values")
 
 
-def replacement_matrix(train_x: np.ndarray,
-                       image_shape: tuple[int, int, int] | None = None
-                       ) -> np.ndarray:
+def replacement_matrix(dataset: ArrayDataset) -> np.ndarray:
     """(P, C) replacement values from the unmodified train split.
 
     Images: dataset-wide per-channel mean over all train pixels, broadcast
     over pixels. Flat data: per-feature mean (C = 1).
     """
+    train_x = dataset.train_x
     if len(train_x) == 0:
         raise ValueError("empty train split")
-    if image_shape is not None:
-        h, w, c = image_shape
+    if dataset.image_shape is not None:
+        h, w, c = dataset.image_shape
         channel_mean = train_x.reshape(-1, h * w, c).mean(axis=(0, 1))
         return np.tile(channel_mean, (h * w, 1))
     return train_x.mean(axis=0)[:, None]
@@ -158,14 +157,12 @@ def rank_split(scores: np.ndarray, x: np.ndarray,
 def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
                           test_scores: np.ndarray, estimator_id: str,
                           threshold: float, mode: str, seed: int = 0,
-                          source_id: str = "dataset",
-                          image_shape=None) -> ModifiedDataset:
+                          source_id: str = "dataset") -> ModifiedDataset:
     """Modify both train and test splits at one (estimator, t, mode) cell."""
-    spec = ModificationSpec(threshold, mode,
-                            replacement_matrix(dataset.train_x, image_shape))
+    spec = ModificationSpec(threshold, mode, replacement_matrix(dataset))
 
     def modify(x, scores):
-        return modify_rows(x, rank_split(scores, x, image_shape), spec)
+        return modify_rows(x, rank_split(scores, x, dataset.image_shape), spec)
 
     return ModifiedDataset(
         train_x=modify(dataset.train_x, train_scores),
@@ -178,16 +175,17 @@ def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
 
 def generate_modified_datasets(dataset: ArrayDataset,
                                estimates: dict[str, tuple[np.ndarray, np.ndarray]],
-                               thresholds, modes=(ROAR,), image_shape=None,
+                               thresholds, modes=(ROAR,),
                                source_id: str = "dataset"
                                ) -> Iterator[ModifiedDataset]:
     """Yield one ModifiedDataset per (estimator, threshold, mode), one at a
     time, so callers can persist each before the next is built. Each split
     is ranked once per estimator."""
-    replacement = replacement_matrix(dataset.train_x, image_shape)
+    replacement = replacement_matrix(dataset)
+    shape = dataset.image_shape
     for estimator_id, (train_scores, test_scores) in estimates.items():
-        train_rank = rank_split(train_scores, dataset.train_x, image_shape)
-        test_rank = rank_split(test_scores, dataset.test_x, image_shape)
+        train_rank = rank_split(train_scores, dataset.train_x, shape)
+        test_rank = rank_split(test_scores, dataset.test_x, shape)
         for threshold in thresholds:
             for mode in modes:
                 spec = ModificationSpec(threshold, mode, replacement)
@@ -304,18 +302,17 @@ STACK_BYTES = 1 << 28
 def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
                       train_scores: np.ndarray, test_scores: np.ndarray,
                       estimator_id: str, cells, trainer: TrainerFn,
-                      base_seed: int, runs_per_point: int,
-                      image_shape=None) -> list[list]:
+                      base_seed: int, runs_per_point: int) -> list[list]:
     """Retrain `runs_per_point` fresh models at each (threshold, mode) cell
     of one estimator, and return each cell's run results, in order.
 
     Each split is ranked once, and the cells go to the trainer as one
     DatasetStack (one per STACK_BYTES of train splits); a cell's splits are
-    modified, with `replacement_matrix(dataset.train_x, ...)` values, when
-    the trainer builds them.
+    modified, with `replacement_matrix(dataset)` values, when the trainer
+    builds them.
     """
-    train_rank = rank_split(train_scores, dataset.train_x, image_shape)
-    test_rank = rank_split(test_scores, dataset.test_x, image_shape)
+    train_rank = rank_split(train_scores, dataset.train_x, dataset.image_shape)
+    test_rank = rank_split(test_scores, dataset.test_x, dataset.image_shape)
     specs = [ModificationSpec(t, mode, replacement) for t, mode in cells]
     per_call = max(1, STACK_BYTES // max(1, 8 * dataset.train_x.size))
     results = []
@@ -336,8 +333,7 @@ def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
 def run_roar(dataset: ArrayDataset,
              estimates: dict[str, tuple[np.ndarray, np.ndarray]],
              thresholds, trainer: TrainerFn, runs_per_point: int = 5,
-             modes=(ROAR,), base_seed: int = 0,
-             image_shape=None) -> ResultGrid:
+             modes=(ROAR,), base_seed: int = 0) -> ResultGrid:
     """Retrain `runs_per_point` fresh models per grid cell on modified data,
     one `retrain_estimator` stack per estimator; the grid holds the runs in
     grid order (estimator, threshold, mode, run).
@@ -347,12 +343,12 @@ def run_roar(dataset: ArrayDataset,
     if runs_per_point < 1:
         raise ValueError("runs_per_point must be >= 1")
     grid = ResultGrid()
-    replacement = replacement_matrix(dataset.train_x, image_shape)
+    replacement = replacement_matrix(dataset)
     cells = [(t, mode) for t in thresholds for mode in modes]
     for estimator_id, (train_scores, test_scores) in estimates.items():
         results = retrain_estimator(
             dataset, replacement, train_scores, test_scores, estimator_id,
-            cells, trainer, base_seed, runs_per_point, image_shape)
+            cells, trainer, base_seed, runs_per_point)
         for (threshold, mode), cell_results in zip(cells, results):
             for run, result in enumerate(cell_results):
                 key = (estimator_id, threshold, mode, run)
@@ -364,14 +360,15 @@ def run_roar(dataset: ArrayDataset,
 
 def run_deletion_metric(dataset: ArrayDataset, original_model: Model,
                         test_estimates: Iterable[tuple[str, np.ndarray]],
-                        thresholds, image_shape=None) -> ResultGrid:
+                        thresholds) -> ResultGrid:
     """Score removal-modified TEST sets with the frozen original model, from
     (estimator_id, test-split scores) pairs; a generator of pairs lets the
     caller score one estimator at a time."""
     grid = ResultGrid()
-    replacement = replacement_matrix(dataset.train_x, image_shape)
+    replacement = replacement_matrix(dataset)
     for estimator_id, test_scores in test_estimates:
-        rankings = rank_split(test_scores, dataset.test_x, image_shape)
+        rankings = rank_split(test_scores, dataset.test_x,
+                              dataset.image_shape)
         for threshold in thresholds:
             spec = ModificationSpec(threshold, ROAR, replacement)
             test_x = modify_rows(dataset.test_x, rankings, spec)

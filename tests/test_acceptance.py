@@ -54,8 +54,7 @@ class TestCriterion2RetrainingMatters:
     def test_random_control_retrain_beats_no_retrain_at_t09(self):
         margins = []
         for seed in (0, 1, 2):
-            image = datasets.generate_bars(1500, 400, size=12, seed=seed)
-            ds = image.as_dataset()
+            ds = datasets.generate_bars(1500, 400, size=12, seed=seed)
             trainer = nn.mlp_trainer([32], nn.TrainConfig(
                 learning_rate=0.2, steps=600, batch_size=32))
             [(model, _)] = trainer(ds, [pipeline.derive_seed(seed,
@@ -63,11 +62,10 @@ class TestCriterion2RetrainingMatters:
             scores = control_random(ds.train_x.shape[1], seed=123)
             est = {"random": (scores, scores)}
             roar = pipeline.run_roar(
-                ds, est, [0.9], trainer, runs_per_point=3, base_seed=seed,
-                image_shape=image.image_shape).aggregate()[0][3]
+                ds, est, [0.9], trainer, runs_per_point=3,
+                base_seed=seed).aggregate()[0][3]
             deletion = pipeline.run_deletion_metric(
-                ds, model, [("random", scores)], [0.9],
-                image_shape=image.image_shape).aggregate()[0][3]
+                ds, model, [("random", scores)], [0.9]).aggregate()[0][3]
             margins.append(roar - deletion)
         worst = min(margins)
         report("2 retrained random control beats frozen model at t=0.9",

@@ -1,7 +1,10 @@
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roarbench import cli, experiment, nn, pipeline
 from roarbench.config import ConfigError, parse_config, serialize_config
@@ -82,6 +85,34 @@ class TestParseConfig:
     def test_round_trip(self):
         cfg = parse_config(BARS)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+           st.floats(allow_nan=False), st.floats(allow_nan=False))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_keeps_every_float(self, thresholds, learning_rate,
+                                          ridge):
+        cfg = parse_config(BARS)
+        cfg.thresholds = sorted({f"{t:.6f}": t for t in thresholds}.values())
+        cfg.train.learning_rate = learning_rate
+        cfg.train.ridge = ridge
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_short_floats_keep_their_text(self):
+        # Floats that `:g` already writes exactly keep their old canonical
+        # text, so existing config.ini records still match.
+        text = serialize_config(parse_config(BARS))
+        assert "thresholds = 0,0.5\n" in text
+        assert "learning_rate = 0.2\n" in text
+        assert "ridge = 1e-08\n" in text
+        assert "learning_rate = 0.1234567\n" in serialize_config(
+            parse_config(BARS.replace("0.2", "0.1234567")))
+
+    def test_readme_example_parses(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as f:
+            [block] = re.findall(r"```ini\n(.*?)```", f.read(), re.DOTALL)
+        cfg = parse_config(block)
+        assert cfg.dataset.kind == "bars" and cfg.train.model == "mlp"
 
     def test_workers_key_is_checked_and_dropped(self):
         cfg = parse_config("[experiment]\nworkers = 4\n" + MINIMAL)
@@ -292,7 +323,7 @@ class TestCli:
         pipeline.run_deletion_metric(
             ctx.dataset, model,
             [(e, test) for e, (_, test) in estimates.items()],
-            ctx.config.thresholds, ctx.image_shape).to_csv(expected)
+            ctx.config.thresholds).to_csv(expected)
         with open(os.path.join(out, "deletion.csv"), "rb") as f1, \
                 open(expected, "rb") as f2:
             assert f1.read() == f2.read()
@@ -324,8 +355,7 @@ class TestCli:
                         pipeline.make_modified_dataset(
                             ctx.dataset, *estimates[estimator_id],
                             estimator_id, threshold, mode,
-                            source_id=ctx.source_id,
-                            image_shape=ctx.image_shape), expected)
+                            source_id=ctx.source_id), expected)
                     got = os.path.join(out, "modified", name)
                     assert sorted(os.listdir(got)) == \
                         sorted(os.listdir(expected))
@@ -486,6 +516,38 @@ class TestOutputConfig:
         assert run_cli("report", "--config", str(short), "--output", out) == 0
         assert self.tree(out) == before
 
+    def test_learning_rate_differing_in_7th_digit_is_refused(self,
+                                                             tmp_path):
+        out = str(tmp_path / "out")
+        for status, rate in ((0, "0.1234567"), (3, "0.1234568")):
+            path = tmp_path / f"{rate}.ini"
+            path.write_text(BARS.replace("steps = 120", "steps = 5")
+                            .replace("learning_rate = 0.2",
+                                     f"learning_rate = {rate}"))
+            assert run_cli("run", "--config", str(path),
+                           "--output", out) == status
+
+    def test_deletion_metric_refuses_another_config(self, tmp_path):
+        short, long = tmp_path / "short.ini", tmp_path / "long.ini"
+        short.write_text(BARS.replace("steps = 120", "steps = 10"))
+        long.write_text(BARS.replace("steps = 120", "steps = 50"))
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", str(short), "--output", out) == 0
+        before = self.tree(out)
+        assert run_cli("deletion-metric", "--config", str(long),
+                       "--output", out) == 3
+        assert self.tree(out) == before
+        assert not any(name.startswith("deletion") for name in before)
+
+    def test_run_then_deletion_metric_with_one_config(self, bars_config,
+                                                      tmp_path):
+        out = str(tmp_path / "out")
+        for command in ("run", "deletion-metric"):
+            assert run_cli(command, "--config", bars_config,
+                           "--output", out) == 0
+        assert os.path.exists(os.path.join(out, "deletion.csv"))
+        assert os.path.exists(os.path.join(out, "results.csv"))
+
     def test_missing_record_is_refused(self, bars_config, tmp_path):
         out = str(tmp_path / "out")
         assert run_cli("run", "--config", bars_config, "--output", out) == 0
@@ -546,7 +608,7 @@ class TestFailures:
         grid = pipeline.run_roar(
             ctx.dataset, experiment.compute_all_estimates(ctx, model),
             cfg.thresholds, experiment.make_trainer(cfg), cfg.runs_per_point,
-            cfg.modes, cfg.seed, ctx.image_shape)
+            cfg.modes, cfg.seed)
         assert grid.failures
         assert all(f.reason.startswith("failed:") for f in grid.failures)
         assert grid.failures == experiment.collect_grid(ctx, out).failures

@@ -79,7 +79,7 @@ def image_dataset(rng, n=12, m=6, h=5, w=4, c=3):
 
 def channel_means(ds):
     """Per-channel train mean, as the replacement values of every pixel."""
-    replacement = pipeline.replacement_matrix(ds.train_x, ds.image_shape)
+    replacement = pipeline.replacement_matrix(ds)
     assert (replacement == replacement[0]).all()
     return replacement[0]
 
@@ -117,13 +117,12 @@ class TestNormalization:
         ds = image_dataset(rng)
         assert ds.train_x.min() >= 0.0 and ds.train_x.max() <= 1.0
 
-    def test_record_inverts_normalization(self, rng):
+    def test_scaling_by_255_recovers_raw_bytes(self, rng):
         raw = rng.integers(0, 256, (4, 3, 3, 1), dtype=np.uint8)
         ds = datasets.make_image_dataset(raw, np.zeros(4, np.uint8),
                                          raw, np.zeros(4, np.uint8))
-        recovered = ds.normalization.invert(ds.train_x)
         np.testing.assert_allclose(
-            recovered, raw.reshape(4, -1).astype(float), atol=1e-12)
+            ds.train_x * 255, raw.reshape(4, -1).astype(float), atol=1e-12)
 
 
 class TestBars:
@@ -142,7 +141,102 @@ class TestBars:
     def test_classes_are_learnable(self):
         from roarbench import nn
         image = datasets.generate_bars(400, 100, size=8, seed=2)
-        [(_, acc)] = nn.train([64, 16, 2], image.as_dataset(),
+        [(_, acc)] = nn.train([64, 16, 2], image,
                               nn.TrainConfig(learning_rate=0.2, steps=400,
                                              batch_size=32), [0])
         assert acc > 0.9
+
+
+class TestPipelineReadsTheShape:
+    """Bars and IDX datasets carry their (H, W, C) shape, so every pipeline
+    entry point ranks pixels by their summed channel scores and replaces
+    them with the per-channel train means, with no shape argument."""
+
+    THRESHOLDS = (0.0, 0.3, 0.75)
+
+    @pytest.fixture(params=["bars", "idx"])
+    def dataset(self, request, tmp_path):
+        if request.param == "bars":
+            ds = datasets.generate_bars(12, 6, size=4, seed=1)
+            assert ds.image_shape == (4, 4, 1)
+            return ds
+        rng = np.random.default_rng(5)
+        paths = []
+        for split, n in (("train", 10), ("test", 6)):
+            for part, array in (
+                    ("images", rng.integers(0, 256, (n, 3, 4, 2), np.uint8)),
+                    ("labels", rng.integers(0, 2, n, np.uint8))):
+                paths.append(str(tmp_path / f"{split}-{part}.idx"))
+                datasets.write_idx(paths[-1], array)
+        ds = datasets.load_idx_dataset(*paths)
+        assert ds.image_shape == (3, 4, 2)
+        return ds
+
+    @staticmethod
+    def expected(ds, x, scores, threshold, mode):
+        """Independent per-pixel reference for one modified split."""
+        h, w, c = ds.image_shape
+        means = ds.train_x.reshape(-1, c).mean(axis=0)
+        pixel_scores = scores.reshape(len(x), h * w, c).sum(axis=2)
+        k = pipeline.n_modified(threshold, h * w)
+        pixels = x.reshape(len(x), h * w, c).copy()
+        for i in range(len(x)):
+            order = np.argsort(-pixel_scores[i], kind="stable")
+            pixels[i, order[:k] if mode == pipeline.ROAR else order[k:]] = \
+                means
+        return pixels.reshape(x.shape)
+
+    @staticmethod
+    def scores(ds):
+        rng = np.random.default_rng(9)
+        return (rng.standard_normal(ds.train_x.shape),
+                rng.standard_normal(ds.test_x.shape))
+
+    def cells(self):
+        return [(t, mode) for t in self.THRESHOLDS
+                for mode in (pipeline.ROAR, pipeline.KAR)]
+
+    def test_generate_modified_datasets(self, dataset):
+        train_scores, test_scores = self.scores(dataset)
+        out = list(pipeline.generate_modified_datasets(
+            dataset, {"e": (train_scores, test_scores)}, self.THRESHOLDS,
+            modes=(pipeline.ROAR, pipeline.KAR)))
+        assert len(out) == len(self.cells())
+        for m, (t, mode) in zip(out, self.cells()):
+            np.testing.assert_allclose(m.train_x, self.expected(
+                dataset, dataset.train_x, train_scores, t, mode), rtol=1e-12)
+            np.testing.assert_allclose(m.test_x, self.expected(
+                dataset, dataset.test_x, test_scores, t, mode), rtol=1e-12)
+
+    def test_run_roar(self, dataset):
+        train_scores, test_scores = self.scores(dataset)
+        seen = []
+
+        def trainer(stack, seeds):
+            seen.extend((stack.train_x(c), stack.test_x(c))
+                        for c in range(stack.size))
+            return [[(None, 1.0)] * len(s) for s in seeds]
+
+        grid = pipeline.run_roar(
+            dataset, {"e": (train_scores, test_scores)}, self.THRESHOLDS,
+            trainer, runs_per_point=2, modes=(pipeline.ROAR, pipeline.KAR))
+        assert len(grid.records) == 2 * len(self.cells())
+        assert len(seen) == len(self.cells())
+        for (train_x, test_x), (t, mode) in zip(seen, self.cells()):
+            np.testing.assert_allclose(train_x, self.expected(
+                dataset, dataset.train_x, train_scores, t, mode), rtol=1e-12)
+            np.testing.assert_allclose(test_x, self.expected(
+                dataset, dataset.test_x, test_scores, t, mode), rtol=1e-12)
+
+    def test_run_deletion_metric(self, dataset, monkeypatch):
+        _, test_scores = self.scores(dataset)
+        seen = []
+        monkeypatch.setattr(pipeline, "accuracy",
+                            lambda model, x, y: seen.append(x) or 1.0)
+        pipeline.run_deletion_metric(dataset, None, [("e", test_scores)],
+                                     self.THRESHOLDS)
+        assert len(seen) == len(self.THRESHOLDS)
+        for test_x, t in zip(seen, self.THRESHOLDS):
+            np.testing.assert_allclose(test_x, self.expected(
+                dataset, dataset.test_x, test_scores, t, pipeline.ROAR),
+                rtol=1e-12)

@@ -135,30 +135,27 @@ class TestModifyRows:
     @pytest.mark.parametrize("image_shape", [None, (2, 3, 2)],
                              ids=["feature", "pixel"])
     def test_shared_scores_match_tiled_rows(self, rng, image_shape):
-        ds = tiny_dataset(rng, d=12)
+        ds = tiny_dataset(rng, d=12, image_shape=image_shape)
         shared = rng.standard_normal(12)
         tiled = np.tile(shared, (20, 1)), np.tile(shared, (8, 1))
         for t in (0.0, 0.3, 0.5, 1.0):
             for mode in (ROAR, KAR):
-                a = make_modified_dataset(ds, shared, shared, "e", t, mode,
-                                          image_shape=image_shape)
-                b = make_modified_dataset(ds, *tiled, "e", t, mode,
-                                          image_shape=image_shape)
+                a = make_modified_dataset(ds, shared, shared, "e", t, mode)
+                b = make_modified_dataset(ds, *tiled, "e", t, mode)
                 np.testing.assert_array_equal(a.train_x, b.train_x)
                 np.testing.assert_array_equal(a.test_x, b.test_x)
         model = nn.fit_least_squares(ds, ridge=1e-6, fit_bias=True)
         shared_grid, tiled_grid = (
-            run_deletion_metric(ds, model, [("e", scores)], [0.3, 0.5, 1.0],
-                                image_shape)
+            run_deletion_metric(ds, model, [("e", scores)], [0.3, 0.5, 1.0])
             for scores in (shared, tiled[1]))
         assert shared_grid.records == tiled_grid.records
 
 
-def tiny_dataset(rng, n=20, m=8, d=6):
+def tiny_dataset(rng, n=20, m=8, d=6, image_shape=None):
     return nn.ArrayDataset(rng.standard_normal((n, d)),
                            rng.integers(0, 2, n),
                            rng.standard_normal((m, d)),
-                           rng.integers(0, 2, m))
+                           rng.integers(0, 2, m), image_shape)
 
 
 class TestGenerateModifiedDatasets:
@@ -184,7 +181,7 @@ class TestGenerateModifiedDatasets:
     def test_per_sample_modified_count(self, rng):
         ds = tiny_dataset(rng)
         scores = (rng.standard_normal((20, 6)), rng.standard_normal((8, 6)))
-        rep = replacement_matrix(ds.train_x)[:, 0]
+        rep = replacement_matrix(ds)[:, 0]
         # Continuous draws never collide with the replacement values, so the
         # elementwise match count equals the number of replaced positions.
         for t in (0.0, 0.3, 0.5, 0.9, 1.0):
@@ -207,7 +204,7 @@ class TestGenerateModifiedDatasets:
         # the one-cell reference. Coarse scores force ties.
         rng = np.random.default_rng(seed)
         d = 6 if image_shape is None else int(np.prod(image_shape))
-        ds = tiny_dataset(rng, d=d)
+        ds = tiny_dataset(rng, d=d, image_shape=image_shape)
         estimates = {
             f"e{k}": tuple(
                 rng.integers(0, 3, d if shared[2 * k + split]
@@ -223,15 +220,14 @@ class TestGenerateModifiedDatasets:
                            *a, **kw))
             out = list(generate_modified_datasets(
                 ds, estimates, thresholds, modes=(ROAR, KAR),
-                image_shape=image_shape, source_id="src"))
+                source_id="src"))
         assert len(calls) == 2 * n_estimators
         cells = [(e, t, m) for e in estimates for t in thresholds
                  for m in (ROAR, KAR)]
         assert len(out) == len(cells)
         for got, (e, t, m) in zip(out, cells):
             want = make_modified_dataset(ds, *estimates[e], e, t, m,
-                                         source_id="src",
-                                         image_shape=image_shape)
+                                         source_id="src")
             for name in ("train_x", "train_y", "test_x", "test_y"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(want, name))
@@ -303,7 +299,7 @@ class TestRetrainEstimator:
             learning_rate=0.3, steps=30, batch_size=8))
         cells = [(t, mode) for t in (0.2, 0.5, 0.8) for mode in (ROAR, KAR)]
         results = pipeline.retrain_estimator(
-            ds, replacement_matrix(ds.train_x), train_scores, test_scores,
+            ds, replacement_matrix(ds), train_scores, test_scores,
             "e", cells, trainer, base_seed=3, runs_per_point=2)
         assert len(results) == len(cells)
         for (t, mode), cell_results in zip(cells, results):
