@@ -13,6 +13,9 @@ import numpy as np
 STANDARD = "standard"
 GUIDED = "guided"
 
+# The dtype SGD trains the stacked model in; models come back in float64.
+TRAIN_DTYPE = np.float32
+
 
 class DimensionError(ValueError):
     """Shape mismatch between a layer and its input."""
@@ -157,24 +160,38 @@ def init_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> Model:
     return Model(layers)
 
 
-def _loss_and_output_grad(logits, labels, loss):
-    """Per-run loss values (R,) and output gradients of (R, b, c) logits.
+def _reduce_classes(ufunc, a):
+    """`ufunc` reduced over the last (class) axis of `a`, one class slice at
+    a time: for a few classes numpy's axis reductions cost more than these
+    few elementwise calls."""
+    out = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
+
+
+def _loss_and_output_grad(logits, onehot, loss):
+    """Per-run loss values (R,) and output gradients of (R, b, c) logits,
+    against (R, b, c) one-hot labels of the logits' dtype.
 
     Each run's gradient is scaled by its own batch (and, for MSE, class)
-    count, so a run's values do not depend on the stack it trains in.
+    count, so a run's values do not depend on the stack it trains in. The
+    label's log-probability is picked by the one-hot multiply, so a run with
+    any non-finite logit gets a non-finite loss under either loss.
     """
     r, b, c = logits.shape
     if loss == "softmax_cross_entropy":
-        shifted = logits - logits.max(axis=2, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-        log_probs = shifted - log_z
-        picked = (np.arange(r)[:, None], np.arange(b), labels)
-        value = -log_probs[picked].sum(axis=1) / b
-        grad = np.exp(log_probs)
-        grad[picked] -= 1.0
-        return value, grad / b
+        shifted = logits - _reduce_classes(np.maximum, logits)[:, :, None]
+        grad = np.exp(shifted)
+        z = _reduce_classes(np.add, grad)
+        shifted *= onehot
+        value = (np.log(z) - _reduce_classes(np.add, shifted)).sum(axis=1) / b
+        grad /= z[:, :, None]
+        grad -= onehot
+        grad /= b
+        return value, grad
     if loss == "mean_squared_error":
-        diff = logits - np.eye(c)[labels]
+        diff = logits - onehot
         return ((diff ** 2).reshape(r, -1).sum(axis=1) / (b * c),
                 2.0 * diff / (b * c))
     raise ValueError(f"unknown loss {loss!r}")
@@ -243,15 +260,18 @@ def _train_stack(layer_sizes, stack: DatasetStack, config: TrainConfig,
                  seeds: Sequence[Sequence[int]]) -> list[list[TrainResult]]:
     """Every run of every dataset of the stack in one SGD loop.
 
-    The C train splits are written into one (C * n, d) array. Weights are
+    The C train splits are copied into one (C * n, d) TRAIN_DTYPE array,
+    next to a (C * n, classes) one-hot table of their labels. Weights are
     stacked as (R, d_in, d_out) and biases as (R, 1, d_out) over all R runs,
-    and each step is one batched forward and backward pass over (R, batch, d)
-    rows, gathered from that array with one fancy index. Run r initializes
-    from, then draws all its batch indices from, its own `default_rng(seed_r)`
-    stream. numpy runs one product per stacked slice, so every run replays
-    training its seed alone on its dataset bit for bit. A run whose loss
-    turns non-finite leaves the stack at that step, before its update; the
-    others go on. Dataset c's test split is built only to score its runs.
+    in TRAIN_DTYPE, and each step is one batched forward and backward pass
+    over (R, batch, d) rows, gathered from that array with one fancy index.
+    Run r initializes from, then draws all its batch indices from, its own
+    `default_rng(seed_r)` stream. numpy runs one product per stacked slice,
+    so every run replays training its seed alone on its dataset bit for bit.
+    A run whose loss turns non-finite leaves the stack at that step, before
+    its update; the others go on. Each trained run's layers come back as
+    float64 arrays of their own, so scoring and ranking stay in float64.
+    Dataset c's test split is built only to score its runs.
     """
     if len(seeds) != stack.size:
         raise ValueError(f"{len(seeds)} seed lists for {stack.size} datasets")
@@ -273,21 +293,22 @@ def _train_stack(layer_sizes, stack: DatasetStack, config: TrainConfig,
                 0, n, size=(config.steps, config.batch_size)))
     if not models:
         return [[] for _ in seeds]
-    # Row c * n + i of train_x is row i of dataset c.
-    if stack.size == 1:
-        train_x = stack.train_x(0)
-    else:
-        train_x = np.empty((stack.size * n, stack.n_features))
-        for c in range(stack.size):
-            train_x[c * n:(c + 1) * n] = stack.train_x(c)
-    train_y = np.tile(stack.train_y, stack.size)
+    # Row c * n + i of train_x and onehot is row i of dataset c.
+    train_x = np.empty((stack.size * n, stack.n_features), TRAIN_DTYPE)
+    for c in range(stack.size):
+        train_x[c * n:(c + 1) * n] = stack.train_x(c)
+    onehot = np.tile(np.eye(layer_sizes[-1], dtype=TRAIN_DTYPE)[stack.train_y],
+                     (stack.size, 1))
     rows = np.stack(rows, axis=1)  # (steps, R, batch)
-    params = [(np.stack([m.layers[i].weight for m in models]),
-               np.stack([m.layers[i].bias[None] for m in models]))
+    params = [(np.stack([m.layers[i].weight for m in models],
+                        dtype=TRAIN_DTYPE),
+               np.stack([m.layers[i].bias[None] for m in models],
+                        dtype=TRAIN_DTYPE))
               for i in range(0, len(models[0].layers), 2)]
     results: list = [None] * len(models)
     live = np.arange(len(models))
-    lr = config.learning_rate
+    lr = TRAIN_DTYPE(config.learning_rate)
+    ones = np.ones((1, config.batch_size), TRAIN_DTYPE)
     for step in range(config.steps):
         idx = rows[step]
         # xs[i] is the input of affine i; its positive entries are the
@@ -296,7 +317,7 @@ def _train_stack(layer_sizes, stack: DatasetStack, config: TrainConfig,
         for w, b in params[:-1]:
             xs.append(np.maximum(xs[-1] @ w + b, 0.0))
         w, b = params[-1]
-        loss, g = _loss_and_output_grad(xs[-1] @ w + b, train_y[idx],
+        loss, g = _loss_and_output_grad(xs[-1] @ w + b, onehot[idx],
                                         config.loss)
         finite = np.isfinite(loss)
         if not finite.all():
@@ -310,15 +331,16 @@ def _train_stack(layer_sizes, stack: DatasetStack, config: TrainConfig,
         for i in reversed(range(len(params))):
             w, b = params[i]
             grad_w = xs[i].transpose(0, 2, 1) @ g
-            grad_b = g.sum(axis=1, keepdims=True)
+            grad_b = ones @ g
             if i > 0:
                 g = (g @ w.transpose(0, 2, 1)) * (xs[i] > 0.0)
             w -= lr * grad_w
             b -= lr * grad_b
-    del train_x  # before any test split is built
+    del train_x, onehot  # before any test split is built
     for k, run in enumerate(live):
         for layer, (w, b) in zip(models[run].layers[::2], params):
-            layer.weight, layer.bias = w[k], b[k, 0]
+            layer.weight = w[k].astype(np.float64)
+            layer.bias = b[k, 0].astype(np.float64)
     bounds = np.cumsum([0, *map(len, seeds)])
     out = []
     for c in range(stack.size):

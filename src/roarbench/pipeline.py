@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .nn import (ArrayDataset, DatasetStack, Model, TrainerFn,
+from .nn import (TRAIN_DTYPE, ArrayDataset, DatasetStack, Model, TrainerFn,
                  TrainingDivergedError, accuracy)
 
 ROAR = "roar"
@@ -132,10 +132,11 @@ class ModifiedDataset:
     test_x: np.ndarray
     test_y: np.ndarray
     provenance: Provenance
+    image_shape: tuple[int, int, int] | None  # that of the source dataset
 
     def as_dataset(self) -> ArrayDataset:
         return ArrayDataset(self.train_x, self.train_y,
-                            self.test_x, self.test_y)
+                            self.test_x, self.test_y, self.image_shape)
 
 
 def rank_split(scores: np.ndarray, x: np.ndarray,
@@ -170,6 +171,7 @@ def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
         test_x=modify(dataset.test_x, test_scores),
         test_y=dataset.test_y.copy(),
         provenance=Provenance(estimator_id, threshold, mode, seed, source_id),
+        image_shape=dataset.image_shape,
     )
 
 
@@ -194,7 +196,8 @@ def generate_modified_datasets(dataset: ArrayDataset,
                     dataset.train_y.copy(),
                     modify_rows(dataset.test_x, test_rank, spec),
                     dataset.test_y.copy(),
-                    Provenance(estimator_id, threshold, mode, 0, source_id))
+                    Provenance(estimator_id, threshold, mode, 0, source_id),
+                    shape)
 
 
 def cell_name(estimator_id: str, threshold: float, mode: str) -> str:
@@ -294,8 +297,9 @@ def _atomic_write_text(path: str, text: str):
     os.replace(tmp, path)
 
 
-# Train splits one trainer call stacks at most; at MNIST scale (60,000 x 784
-# float64 rows) each cell is a call of its own.
+# Bytes of train splits, in the training dtype, one trainer call stacks at
+# most; at MNIST scale (60,000 x 784 float32 rows) each cell is a call of its
+# own.
 STACK_BYTES = 1 << 28
 
 
@@ -314,7 +318,8 @@ def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
     train_rank = rank_split(train_scores, dataset.train_x, dataset.image_shape)
     test_rank = rank_split(test_scores, dataset.test_x, dataset.image_shape)
     specs = [ModificationSpec(t, mode, replacement) for t, mode in cells]
-    per_call = max(1, STACK_BYTES // max(1, 8 * dataset.train_x.size))
+    split_bytes = np.dtype(TRAIN_DTYPE).itemsize * dataset.train_x.size
+    per_call = max(1, STACK_BYTES // max(1, split_bytes))
     results = []
     for start in range(0, len(specs), per_call):
         chunk = specs[start:start + per_call]
@@ -402,6 +407,9 @@ def save_modified_dataset(modified: ModifiedDataset, directory: str):
     lines.append(f"source_id={p.source_id}")
     lines.append(f"train_shape={modified.train_x.shape[0]}x{modified.train_x.shape[1]}")
     lines.append(f"test_shape={modified.test_x.shape[0]}x{modified.test_x.shape[1]}")
+    shape = modified.image_shape
+    lines.append("image_shape=" + ("none" if shape is None
+                                   else "x".join(map(str, shape))))
     for name, data in parts.items():
         tmp = os.path.join(directory, name + ".tmp")
         with open(tmp, "wb") as f:
@@ -421,6 +429,8 @@ def load_modified_dataset(directory: str) -> ModifiedDataset:
         for line in f:
             key, _, value = line.strip().partition("=")
             meta[key] = value
+    if "image_shape" not in meta:
+        raise ProvenanceError(f"manifest in {directory} has no image_shape")
     n_train, d = map(int, meta["train_shape"].split("x"))
     n_test, _ = map(int, meta["test_shape"].split("x"))
 
@@ -431,16 +441,20 @@ def load_modified_dataset(directory: str) -> ModifiedDataset:
         expected = meta.get(f"sha256_{name}")
         if expected != _sha256(data):
             raise ProvenanceError(f"checksum mismatch for {path}")
-        return np.frombuffer(data, dtype=dtype).reshape(shape).astype(np.float64)
+        return np.frombuffer(data, dtype=dtype).reshape(shape)
 
     return ModifiedDataset(
-        train_x=read_part("train_features.f32", "<f4", (n_train, d)),
+        train_x=read_part("train_features.f32", "<f4",
+                          (n_train, d)).astype(np.float64),
         train_y=read_part("train_labels.i64", "<i8", (n_train,)).astype(np.int64),
-        test_x=read_part("test_features.f32", "<f4", (n_test, d)),
+        test_x=read_part("test_features.f32", "<f4",
+                         (n_test, d)).astype(np.float64),
         test_y=read_part("test_labels.i64", "<i8", (n_test,)).astype(np.int64),
         provenance=Provenance(meta["estimator_id"], float(meta["threshold"]),
                               meta["mode"], int(meta["seed"]),
                               meta["source_id"]),
+        image_shape=(None if meta["image_shape"] == "none" else
+                     tuple(map(int, meta["image_shape"].split("x")))),
     )
 
 

@@ -128,6 +128,12 @@ def separable_blobs(n=200, seed=0):
                            x[perm][2 * n - half:], y[perm][2 * n - half:])
 
 
+def relabelled(ds, n_classes):
+    """`ds` with its labels cycling through all n_classes classes."""
+    return nn.ArrayDataset(ds.train_x, np.arange(len(ds.train_y)) % n_classes,
+                           ds.test_x, np.arange(len(ds.test_y)) % n_classes)
+
+
 def assert_same_result(stacked, solo):
     """Equal weights and accuracy, or the same failure step."""
     if isinstance(solo, nn.TrainingDivergedError):
@@ -186,6 +192,72 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             nn.train([2, 2], ds, nn.TrainConfig(batch_size=1), [0])
 
+    def test_returned_layers_are_float64_arrays_of_their_own(self):
+        base = separable_blobs(n=30, seed=2)
+        stack = nn.DatasetStack.of([base, base])
+        cfg = nn.TrainConfig(learning_rate=0.1, steps=20, batch_size=8)
+        results = nn.train([2, 5, 4, 2], stack, cfg, [[0, 1], [2]])
+        arrays = []
+        for model, _ in (r for cell in results for r in cell):
+            for layer in model.layers[::2]:
+                for a in (layer.weight, layer.bias):
+                    assert a.dtype == np.float64
+                    assert a.flags.c_contiguous and a.flags.owndata
+                    arrays.append(a)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+
+
+def reference_loss(logits, labels, loss):
+    """The float64 loss and output gradient, class axis reduced whole."""
+    r, b, c = logits.shape
+    if loss == "softmax_cross_entropy":
+        shifted = logits - logits.max(axis=2, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=2,
+                                                         keepdims=True))
+        picked = (np.arange(r)[:, None], np.arange(b), labels)
+        grad = np.exp(log_probs)
+        grad[picked] -= 1.0
+        return -log_probs[picked].sum(axis=1) / b, grad / b
+    diff = logits - np.eye(c)[labels]
+    return (diff ** 2).reshape(r, -1).sum(axis=1) / (b * c), \
+        2.0 * diff / (b * c)
+
+
+class TestLoss:
+    LOSSES = ["softmax_cross_entropy", "mean_squared_error"]
+
+    @staticmethod
+    def batch(rng, c, r=4, b=7):
+        logits = 3.0 * rng.standard_normal((r, b, c))
+        labels = rng.integers(0, c, (r, b))
+        onehot = np.eye(c, dtype=np.float32)[labels]
+        return logits, labels, onehot
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("c", [1, 2, 3, 10])
+    def test_float32_matches_float64_reference(self, rng, c, loss):
+        logits, labels, onehot = self.batch(rng, c)
+        value, grad = nn._loss_and_output_grad(logits.astype(np.float32),
+                                               onehot, loss)
+        assert value.dtype == grad.dtype == np.float32
+        ref_value, ref_grad = reference_loss(logits, labels, loss)
+        np.testing.assert_allclose(value, ref_value, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("c", [1, 2, 3, 10])
+    def test_non_finite_logit_spoils_only_its_run(self, rng, c, loss, bad):
+        logits, _, onehot = self.batch(rng, c)
+        logits = logits.astype(np.float32)
+        clean, _ = nn._loss_and_output_grad(logits, onehot, loss)
+        logits[1, 3, c - 1] = bad
+        value, _ = nn._loss_and_output_grad(logits, onehot, loss)
+        assert np.isfinite(value).tolist() == [True, False, True, True]
+        np.testing.assert_array_equal(value[[0, 2, 3]], clean[[0, 2, 3]])
+
 
 class TestStackedTrain:
     """A stack of R runs must replay the R one-seed trainings exactly."""
@@ -195,13 +267,14 @@ class TestStackedTrain:
            hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
            loss=st.sampled_from(["softmax_cross_entropy",
                                  "mean_squared_error"]),
-           batch_size=st.integers(1, 9), steps=st.integers(0, 25))
+           batch_size=st.integers(1, 9), steps=st.integers(0, 25),
+           n_classes=st.integers(2, 10))
     @settings(max_examples=40, deadline=None)
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_stack_equals_one_seed_calls(self, seeds, hidden, loss,
-                                         batch_size, steps):
-        ds = separable_blobs(n=20, seed=7)
-        sizes = [2, *hidden, 3]
+                                         batch_size, steps, n_classes):
+        ds = relabelled(separable_blobs(n=20, seed=7), n_classes)
+        sizes = [2, *hidden, n_classes]
         cfg = nn.TrainConfig(learning_rate=0.3, steps=steps,
                              batch_size=batch_size, loss=loss)
         stacked = nn.train(sizes, ds, cfg, seeds)
@@ -239,18 +312,19 @@ class TestStackedTrain:
            hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
            loss=st.sampled_from(["softmax_cross_entropy",
                                  "mean_squared_error"]),
-           batch_size=st.integers(1, 9), steps=st.integers(0, 25))
+           batch_size=st.integers(1, 9), steps=st.integers(0, 25),
+           n_classes=st.integers(2, 10))
     @settings(max_examples=40, deadline=None)
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_dataset_stack_equals_per_dataset_calls(self, n_datasets, data,
                                                     hidden, loss, batch_size,
-                                                    steps):
-        base = separable_blobs(n=20, seed=7)
+                                                    steps, n_classes):
+        base = relabelled(separable_blobs(n=20, seed=7), n_classes)
         datasets = [base, *(self.mixed(base, k) for k in range(1,
                                                                n_datasets))]
         seeds = [data.draw(st.lists(st.integers(0, 2 ** 64 - 1), max_size=3))
                  for _ in datasets]
-        sizes = [2, *hidden, 3]
+        sizes = [2, *hidden, n_classes]
         cfg = nn.TrainConfig(learning_rate=0.3, steps=steps,
                              batch_size=batch_size, loss=loss)
         stacked = nn.train(sizes, nn.DatasetStack.of(datasets), cfg, seeds)

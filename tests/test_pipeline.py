@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roarbench import nn, pipeline
+from roarbench import datasets, nn, pipeline
 from roarbench.pipeline import (KAR, ROAR, ModificationSpec,
                                 ProvenanceError, Record, ResultGrid,
                                 derive_seed, generate_modified_datasets,
@@ -285,11 +285,16 @@ class TestRunRoar:
                 for r in grid_rev.sorted_records()]
 
 
+# Two cells' train splits of a 40 x 6 dataset in the float32 training dtype.
+TWO_CELLS = 2 * 4 * 40 * 6
+
+
 class TestRetrainEstimator:
     """One estimator's cells train as a stack; every run must equal training
     its cell's modified dataset alone, however the stack is split."""
 
-    @pytest.mark.parametrize("stack_bytes", [pipeline.STACK_BYTES, 1])
+    @pytest.mark.parametrize("stack_bytes", [pipeline.STACK_BYTES, 1,
+                                             TWO_CELLS])
     def test_equals_per_cell_training(self, rng, monkeypatch, stack_bytes):
         monkeypatch.setattr(pipeline, "STACK_BYTES", stack_bytes)
         ds = tiny_dataset(rng, n=40, m=20)
@@ -297,11 +302,19 @@ class TestRetrainEstimator:
                                      rng.standard_normal((20, 6)))
         trainer = nn.mlp_trainer([4], nn.TrainConfig(
             learning_rate=0.3, steps=30, batch_size=8))
+        stack_sizes = []
+
+        def counting_trainer(stack, seeds):
+            stack_sizes.append(stack.size)
+            return trainer(stack, seeds)
+
         cells = [(t, mode) for t in (0.2, 0.5, 0.8) for mode in (ROAR, KAR)]
         results = pipeline.retrain_estimator(
             ds, replacement_matrix(ds), train_scores, test_scores,
-            "e", cells, trainer, base_seed=3, runs_per_point=2)
+            "e", cells, counting_trainer, base_seed=3, runs_per_point=2)
         assert len(results) == len(cells)
+        assert stack_sizes == {pipeline.STACK_BYTES: [6], 1: [1] * 6,
+                               TWO_CELLS: [2] * 3}[stack_bytes]
         for (t, mode), cell_results in zip(cells, results):
             modified = make_modified_dataset(ds, train_scores, test_scores,
                                              "e", t, mode)
@@ -361,6 +374,43 @@ class TestPersistence:
                                    atol=1e-6)
         np.testing.assert_array_equal(loaded.train_y, modified.train_y)
         assert loaded.provenance == modified.provenance
+
+    def test_image_shape_survives_round_trip(self, tmp_path):
+        ds = datasets.generate_bars(40, 10, size=4, seed=1)
+        # float32-exact features, so the float32 files hold them exactly.
+        ds.train_x = ds.train_x.astype(np.float32).astype(np.float64)
+        scores = np.arange(ds.n_features, dtype=np.float64)
+        [modified] = generate_modified_datasets(ds, {"e": (scores, scores)},
+                                                [0.0])
+        save_modified_dataset(modified, str(tmp_path / "cell"))
+        loaded = load_modified_dataset(str(tmp_path / "cell"))
+        assert loaded.image_shape == ds.image_shape == (4, 4, 1)
+        assert loaded.as_dataset().image_shape == ds.image_shape
+        np.testing.assert_array_equal(
+            replacement_matrix(loaded.as_dataset()), replacement_matrix(ds))
+        assert loaded.train_y.dtype == loaded.test_y.dtype == np.int64
+
+    def test_flat_image_shape_round_trips_as_none(self, rng, tmp_path):
+        ds = tiny_dataset(rng)
+        scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
+        [modified] = generate_modified_datasets(ds, {"e": scores}, [0.5])
+        save_modified_dataset(modified, str(tmp_path / "cell"))
+        manifest = (tmp_path / "cell" / "manifest.txt").read_text()
+        assert "image_shape=none\n" in manifest
+        assert load_modified_dataset(str(tmp_path / "cell")).image_shape \
+            is None
+
+    def test_manifest_without_image_shape_is_refused(self, rng, tmp_path):
+        ds = tiny_dataset(rng)
+        scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
+        [modified] = generate_modified_datasets(ds, {"e": scores}, [0.5])
+        save_modified_dataset(modified, str(tmp_path / "cell"))
+        manifest = tmp_path / "cell" / "manifest.txt"
+        manifest.write_text("".join(
+            line for line in manifest.read_text().splitlines(keepends=True)
+            if not line.startswith("image_shape=")))
+        with pytest.raises(ProvenanceError, match="image_shape"):
+            load_modified_dataset(str(tmp_path / "cell"))
 
     def test_checksum_mismatch_detected(self, rng, tmp_path):
         ds = tiny_dataset(rng)
