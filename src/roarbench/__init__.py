@@ -7,8 +7,8 @@ from .estimators import (EnsembleConfig, IGConfig, compute_estimates,
                          control_random, control_sobel, ensemble,
                          estimate_gb, estimate_grad, estimate_ig)
 from .pipeline import (ModificationSpec, ModifiedDataset, ResultGrid,
-                       generate_modified_datasets, modify_sample,
-                       rank_features, run_deletion_metric, run_roar)
+                       generate_modified_datasets, rank_features,
+                       run_deletion_metric, run_roar)
 from .toydata import ToyConfig, ToyDataset, generate_toy, ground_truth_ranking
 
 __all__ = [
@@ -17,7 +17,7 @@ __all__ = [
     "compute_estimates", "control_random", "control_sobel", "ensemble",
     "estimate_gb", "estimate_grad", "estimate_ig",
     "ModificationSpec", "ModifiedDataset", "ResultGrid",
-    "generate_modified_datasets", "modify_sample", "rank_features",
-    "run_deletion_metric", "run_roar", "ToyConfig", "ToyDataset",
-    "generate_toy", "ground_truth_ranking",
+    "generate_modified_datasets", "rank_features", "run_deletion_metric",
+    "run_roar", "ToyConfig", "ToyDataset", "generate_toy",
+    "ground_truth_ranking",
 ]

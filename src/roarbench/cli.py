@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import experiment, pipeline
-from .config import ConfigError, parse_config, serialize_config
+from .config import ConfigError, _validate, parse_config, serialize_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -37,6 +37,7 @@ def _load_config(args) -> "experiment.ExperimentConfig":
         cfg.output = args.output
     if args.seed is not None:
         cfg.seed = args.seed
+        _validate(cfg)
     return cfg
 
 
@@ -80,6 +81,7 @@ def _baseline(ctx):
 
 def cmd_estimate(args) -> int:
     ctx = _context(args)
+    experiment.check_output_config(ctx.config, ctx.config.output, stamp=True)
     estimates = experiment.compute_all_estimates(ctx, _baseline(ctx))
     experiment.save_estimates(estimates,
                               os.path.join(ctx.config.output, "estimates"))
@@ -89,6 +91,7 @@ def cmd_estimate(args) -> int:
 def cmd_modify(args) -> int:
     ctx = _context(args)
     cfg = ctx.config
+    experiment.check_output_config(cfg, cfg.output, stamp=True)
     estimates_dir = os.path.join(cfg.output, "estimates")
     if os.path.isdir(estimates_dir):
         estimates = experiment.load_estimates(ctx, estimates_dir)

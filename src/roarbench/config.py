@@ -4,10 +4,13 @@ parse/serialize stability."""
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .estimators import all_estimator_ids
+from .nn import LOSSES
 
 
 class ConfigError(ValueError):
@@ -68,13 +71,39 @@ _DATASET_KEYS = {
             "test_labels"},
 }
 
-_SECTION_KEYS = {
-    "experiment": {"seed", "output", "runs_per_point", "thresholds", "modes",
-                   "workers"},
-    "dataset": set().union(*_DATASET_KEYS.values()),
-    "estimators": {"ids", "ig_steps", "ensemble_samples", "noise_stddev"},
-    "train": {"model", "hidden", "learning_rate", "steps", "batch_size",
-              "loss", "ridge"},
+# Each section is one dataclass; [experiment] holds ExperimentConfig's
+# fields other than the three sections nested in it.
+_SECTIONS = {"experiment": ExperimentConfig, "dataset": DatasetSpec,
+             "estimators": EstimatorSpec, "train": TrainSpec}
+# Field types, resolved once: int, float, str, or a list of one of these.
+_TYPES = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
+
+
+def _section_keys(name: str, kind: str | None = None) -> list[str]:
+    """A section's keys in canonical order: field order, except that
+    [dataset] of a given kind is `kind`, then that kind's keys sorted."""
+    if name == "dataset" and kind is not None:
+        return ["kind", *sorted(_DATASET_KEYS[kind] - {"kind"})]
+    return [f.name for f in fields(_SECTIONS[name]) if f.name not in _SECTIONS]
+
+
+def _section(cfg: ExperimentConfig, name: str):
+    return cfg if name == "experiment" else getattr(cfg, name)
+
+
+_SECTION_KEYS = {name: set(_section_keys(name)) for name in _SECTIONS}
+_SECTION_KEYS["experiment"].add("workers")
+
+# The half-open range [low, high) of each numeric key, whatever the dataset
+# kind or model; a `noise_stddev` of "auto" is not checked.
+_RANGES = {
+    "seed": (0, 2 ** 64), "runs_per_point": (1, math.inf),
+    "n_train": (1, math.inf), "n_test": (1, math.inf), "dim": (1, math.inf),
+    "n_informative": (0, math.inf), "size": (1, math.inf),
+    "noise": (0, math.inf), "ig_steps": (1, math.inf),
+    "ensemble_samples": (1, math.inf), "noise_stddev": (0, math.inf),
+    "steps": (0, math.inf), "batch_size": (1, math.inf),
+    "ridge": (0, math.inf),
 }
 
 
@@ -107,6 +136,11 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 
 def _convert(value: str, lineno: int, key: str, kind):
+    """`value` as `kind`: int, float, str, or a list of one, comma-separated."""
+    if get_origin(kind) is list:
+        [item] = get_args(kind)
+        return [_convert(v.strip(), lineno, key, item)
+                for v in value.split(",") if v.strip()]
     try:
         return kind(value)
     except ValueError:
@@ -114,73 +148,29 @@ def _convert(value: str, lineno: int, key: str, kind):
                           f"{value!r}") from None
 
 
-def _csv_list(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
-
-
 def parse_config(text: str) -> ExperimentConfig:
     sections = _parse_sections(text)
     cfg = ExperimentConfig()
-
-    exp = sections.get("experiment", {})
-    for key, (value, ln) in exp.items():
-        if key == "seed":
-            cfg.seed = _convert(value, ln, key, int)
-        elif key == "output":
-            cfg.output = value
-        elif key == "runs_per_point":
-            cfg.runs_per_point = _convert(value, ln, key, int)
-        elif key == "thresholds":
-            cfg.thresholds = [_convert(v, ln, key, float)
-                              for v in _csv_list(value)]
-        elif key == "modes":
-            cfg.modes = _csv_list(value)
-        elif key == "workers":
-            # No effect, since the grid runs serially; still accepted and
-            # checked so that configs which set it keep parsing.
-            if _convert(value, ln, key, int) < 1:
-                raise ConfigError(f"line {ln}: workers must be >= 1")
-
+    if "workers" in sections.get("experiment", {}):
+        # No effect, since the grid runs serially; still accepted and
+        # checked so that configs which set it keep parsing.
+        value, ln = sections["experiment"].pop("workers")
+        if _convert(value, ln, "workers", int) < 1:
+            raise ConfigError(f"line {ln}: workers must be >= 1")
     ds = sections.get("dataset", {})
-    if "kind" in ds:
-        cfg.dataset.kind = ds["kind"][0]
-    if cfg.dataset.kind not in _DATASET_KEYS:
-        raise ConfigError(f"unknown dataset kind {cfg.dataset.kind!r}")
-    allowed = _DATASET_KEYS[cfg.dataset.kind]
-    for key, (value, ln) in ds.items():
-        if key not in allowed:
+    kind = ds["kind"][0] if "kind" in ds else cfg.dataset.kind
+    if kind not in _DATASET_KEYS:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    for key, (_, ln) in ds.items():
+        if key not in _DATASET_KEYS[kind]:
             raise ConfigError(f"line {ln}: key '{key}' does not apply to "
-                              f"dataset kind '{cfg.dataset.kind}'")
-        if key == "kind":
-            continue
-        current = getattr(cfg.dataset, key)
-        setattr(cfg.dataset, key,
-                _convert(value, ln, key, type(current)) if not isinstance(
-                    current, str) else value)
-
-    est = sections.get("estimators", {})
-    for key, (value, ln) in est.items():
-        if key == "ids":
-            cfg.estimators.ids = _csv_list(value)
-        elif key == "noise_stddev":
-            if value != "auto":
-                _convert(value, ln, key, float)
-            cfg.estimators.noise_stddev = value
-        else:
-            setattr(cfg.estimators, key, _convert(value, ln, key, int))
-
-    tr = sections.get("train", {})
-    for key, (value, ln) in tr.items():
-        if key == "hidden":
-            cfg.train.hidden = [_convert(v, ln, key, int)
-                                for v in _csv_list(value)]
-        elif key in ("model", "loss"):
-            setattr(cfg.train, key, value)
-        elif key in ("steps", "batch_size"):
-            setattr(cfg.train, key, _convert(value, ln, key, int))
-        else:
-            setattr(cfg.train, key, _convert(value, ln, key, float))
-
+                              f"dataset kind '{kind}'")
+    for name, items in sections.items():
+        for key, (value, ln) in items.items():
+            if key == "noise_stddev" and value != "auto":
+                _convert(value, ln, key, float)  # "auto" or a float
+            setattr(_section(cfg, name), key,
+                    _convert(value, ln, key, _TYPES[name][key]))
     _validate(cfg)
     return cfg
 
@@ -209,10 +199,28 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"unknown mode {mode!r}")
     if not cfg.modes:
         raise ConfigError("mode list is empty")
-    if cfg.runs_per_point < 1:
-        raise ConfigError("runs_per_point must be >= 1")
+    values = {key: getattr(_section(cfg, name), key)
+              for name in _SECTIONS for key in _section_keys(name)}
+    for key, (low, high) in _RANGES.items():
+        value = values[key]
+        if value != "auto" and not low <= (
+                float(value) if isinstance(value, str) else value) < high:
+            raise ConfigError(f"{key} = {value} outside [{low}, {high})")
+    if not 0 < cfg.train.learning_rate < math.inf:
+        raise ConfigError(f"learning_rate = {cfg.train.learning_rate} "
+                          f"outside (0, inf)")
+    if any(h < 1 for h in cfg.train.hidden):
+        raise ConfigError("hidden layer sizes must be >= 1")
+    if cfg.dataset.n_informative > cfg.dataset.dim:
+        raise ConfigError("n_informative must be <= dim")
+    if (cfg.train.model == "mlp" and cfg.dataset.kind != "idx"
+            and cfg.train.batch_size > cfg.dataset.n_train):
+        raise ConfigError(f"batch_size {cfg.train.batch_size} exceeds "
+                          f"n_train {cfg.dataset.n_train}")
     if cfg.train.model not in ("mlp", "least_squares"):
         raise ConfigError(f"unknown train model {cfg.train.model!r}")
+    if cfg.train.loss not in LOSSES:
+        raise ConfigError(f"unknown loss {cfg.train.loss!r}")
     if cfg.dataset.kind == "toy" and "sobel" in cfg.estimators.ids:
         raise ConfigError("sobel control requires an image dataset")
     if cfg.dataset.kind == "idx":
@@ -231,32 +239,18 @@ def _float_text(x: float) -> str:
     return text if float(text) == x else repr(x)
 
 
+def _text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(_text, value))
+    return _float_text(value) if isinstance(value, float) else str(value)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form, all defaults echoed; reparses to an equal config."""
-    lines = ["[experiment]"]
-    lines.append(f"seed = {cfg.seed}")
-    lines.append(f"output = {cfg.output}")
-    lines.append(f"runs_per_point = {cfg.runs_per_point}")
-    lines.append("thresholds = " + ",".join(map(_float_text, cfg.thresholds)))
-    lines.append("modes = " + ",".join(cfg.modes))
-    lines.append("")
-    lines.append("[dataset]")
-    lines.append(f"kind = {cfg.dataset.kind}")
-    for key in sorted(_DATASET_KEYS[cfg.dataset.kind] - {"kind"}):
-        lines.append(f"{key} = {getattr(cfg.dataset, key)}")
-    lines.append("")
-    lines.append("[estimators]")
-    lines.append("ids = " + ",".join(cfg.estimators.ids))
-    lines.append(f"ig_steps = {cfg.estimators.ig_steps}")
-    lines.append(f"ensemble_samples = {cfg.estimators.ensemble_samples}")
-    lines.append(f"noise_stddev = {cfg.estimators.noise_stddev}")
-    lines.append("")
-    lines.append("[train]")
-    lines.append(f"model = {cfg.train.model}")
-    lines.append("hidden = " + ",".join(str(h) for h in cfg.train.hidden))
-    lines.append(f"learning_rate = {_float_text(cfg.train.learning_rate)}")
-    lines.append(f"steps = {cfg.train.steps}")
-    lines.append(f"batch_size = {cfg.train.batch_size}")
-    lines.append(f"loss = {cfg.train.loss}")
-    lines.append(f"ridge = {_float_text(cfg.train.ridge)}")
-    return "\n".join(lines) + "\n"
+    lines = []
+    for name in _SECTIONS:
+        section = _section(cfg, name)
+        lines += [f"[{name}]", *(
+            f"{key} = {_text(getattr(section, key))}"
+            for key in _section_keys(name, cfg.dataset.kind)), ""]
+    return "\n".join(lines[:-1]) + "\n"

@@ -162,12 +162,14 @@ def check_output_config(cfg: ExperimentConfig, output_dir: str,
                         stamp: bool = False):
     """`<output>/config.ini`, the canonical config without its `output` line,
     ties an output directory to its config. A missing or different file is
-    refused, not recomputed; `stamp` writes it into a fragment-free one."""
+    refused, not recomputed; `stamp` writes it into a directory that holds
+    no `cells/`, `estimates/` or `modified/`."""
     text = "".join(line for line in serialize_config(cfg).splitlines(True)
                    if not line.startswith("output = "))
     path = os.path.join(output_dir, "config.ini")
     if not os.path.exists(path):
-        if not stamp or os.path.exists(os.path.join(output_dir, "cells")):
+        if not stamp or any(os.path.exists(os.path.join(output_dir, name))
+                            for name in ("cells", "estimates", "modified")):
             raise pipeline.ProvenanceError(
                 f"missing {path}: no record of {output_dir}'s config")
         os.makedirs(output_dir, exist_ok=True)

@@ -85,12 +85,15 @@ def _n_classes(train_y: np.ndarray, test_y: np.ndarray) -> int:
     return int(max(train_y.max(), test_y.max())) + 1
 
 
+LOSSES = ("softmax_cross_entropy", "mean_squared_error")
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.05
     steps: int = 500
     batch_size: int = 32
-    loss: str = "softmax_cross_entropy"  # or "mean_squared_error"
+    loss: str = "softmax_cross_entropy"  # one of LOSSES
 
 
 def _forward_rows(model: Model, x: np.ndarray, pre_acts=None) -> np.ndarray:

@@ -108,14 +108,6 @@ def modify_rows(x: np.ndarray, rankings: np.ndarray,
                     rows).reshape(len(x), p * c)
 
 
-def modify_sample(x: np.ndarray, ranking: np.ndarray,
-                  spec: ModificationSpec) -> np.ndarray:
-    """One-row case of modify_rows."""
-    x = np.asarray(x, dtype=np.float64)
-    return modify_rows(x.reshape(1, -1), np.asarray(ranking).reshape(1, -1),
-                       spec).reshape(x.shape)
-
-
 @dataclass
 class Provenance:
     estimator_id: str

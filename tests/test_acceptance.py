@@ -163,20 +163,22 @@ class TestCriterion6ModificationInvariants:
         for t in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             spec = pipeline.ModificationSpec(t, pipeline.ROAR, replacement)
             order = rng.permutation(p)
-            out = pipeline.modify_sample(x, order, spec)
+            out = pipeline.modify_rows(x[None], order[None], spec)[0]
             count = int((out == 0.125).sum())
             if count != pipeline.n_modified(t, p):
                 ok = False
                 details.append(f"count mismatch at t={t}")
 
         spec0 = pipeline.ModificationSpec(0.0, pipeline.ROAR, replacement)
-        if not np.array_equal(pipeline.modify_sample(x, np.arange(p), spec0),
-                              x):
+        if not np.array_equal(
+                pipeline.modify_rows(x[None], np.arange(p)[None], spec0)[0],
+                x):
             ok = False
             details.append("t=0 not identity")
         spec1 = pipeline.ModificationSpec(1.0, pipeline.ROAR, replacement)
-        if not np.array_equal(pipeline.modify_sample(x, np.arange(p), spec1),
-                              np.full(p, 0.125)):
+        if not np.array_equal(
+                pipeline.modify_rows(x[None], np.arange(p)[None], spec1)[0],
+                np.full(p, 0.125)):
             ok = False
             details.append("t=1 not all-replacement")
 
@@ -185,12 +187,12 @@ class TestCriterion6ModificationInvariants:
         for numerator in range(p + 1):
             t = numerator / p
             order = rng.permutation(p)
-            removed = pipeline.modify_sample(
-                x, order, pipeline.ModificationSpec(t, pipeline.ROAR,
-                                                    replacement))
-            kept = pipeline.modify_sample(
-                x, order, pipeline.ModificationSpec(t, pipeline.KAR,
-                                                    replacement))
+            removed = pipeline.modify_rows(
+                x[None], order[None],
+                pipeline.ModificationSpec(t, pipeline.ROAR, replacement))[0]
+            kept = pipeline.modify_rows(
+                x[None], order[None],
+                pipeline.ModificationSpec(t, pipeline.KAR, replacement))[0]
             touched_r = set(np.nonzero(removed != x)[0])
             touched_k = set(np.nonzero(kept != x)[0])
             if touched_r | touched_k != set(range(p)) or touched_r & touched_k:

@@ -1,5 +1,8 @@
+import importlib.util
 import os
 import re
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roarbench import cli, experiment, nn, pipeline
-from roarbench.config import ConfigError, parse_config, serialize_config
+from roarbench.config import (_DATASET_KEYS, ConfigError, DatasetSpec,
+                              EstimatorSpec, ExperimentConfig, TrainSpec,
+                              _float_text, parse_config, serialize_config)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MINIMAL = """
 [estimators]
@@ -87,7 +94,8 @@ class TestParseConfig:
         assert parse_config(serialize_config(cfg)) == cfg
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
-           st.floats(allow_nan=False), st.floats(allow_nan=False))
+           st.floats(0.0, exclude_min=True, allow_infinity=False),
+           st.floats(0.0, allow_infinity=False))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_keeps_every_float(self, thresholds, learning_rate,
                                           ridge):
@@ -126,6 +134,179 @@ class TestParseConfig:
         text = "[dataset]\nkind = toy\nsize = 12\n" + MINIMAL
         with pytest.raises(ConfigError, match="does not apply"):
             parse_config(text)
+
+
+# The canonical text of BARS, pinned byte for byte: the config schema is
+# read from the dataclasses, and must not move a key or reword a value.
+BARS_CANONICAL = """\
+[experiment]
+seed = 11
+output = results
+runs_per_point = 2
+thresholds = 0,0.5
+modes = roar
+
+[dataset]
+kind = bars
+n_test = 60
+n_train = 120
+noise = 0.1
+size = 6
+
+[estimators]
+ids = grad,random
+ig_steps = 25
+ensemble_samples = 15
+noise_stddev = auto
+
+[train]
+model = mlp
+hidden = 8
+learning_rate = 0.2
+steps = 120
+batch_size = 16
+loss = softmax_cross_entropy
+ridge = 1e-08
+"""
+
+TOY = "[dataset]\nkind = toy\ndim = 4\n" + MINIMAL
+
+
+def load_module(*parts):
+    """A repository file as a module, imported by path; it stays registered
+    so that its dataclasses resolve their module."""
+    name = "_config_source_" + "_".join(parts).replace(".", "_")
+    spec = importlib.util.spec_from_file_location(name,
+                                                  os.path.join(ROOT, *parts))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_round_trips(text):
+    cfg = parse_config(text)
+    canonical = serialize_config(cfg)
+    assert parse_config(canonical) == cfg
+    assert serialize_config(parse_config(canonical)) == canonical
+
+
+class TestSchema:
+    def test_bars_canonical_text_is_pinned(self):
+        assert serialize_config(parse_config(BARS)) == BARS_CANONICAL
+
+    @given(st.sampled_from(sorted(_DATASET_KEYS)),
+           st.floats(0.0, 1e9), st.floats(0.0, 1e9, exclude_min=True),
+           st.floats(0.0, 1e9))
+    @settings(max_examples=100, deadline=None)
+    def test_serialize_writes_every_field_of_each_section(
+            self, kind, noise, learning_rate, ridge):
+        cfg = ExperimentConfig()
+        cfg.dataset.kind = kind
+        cfg.dataset.noise = noise
+        cfg.train.learning_rate = learning_rate
+        cfg.train.ridge = ridge
+        sections = {}
+        for block in serialize_config(cfg).split("\n\n"):
+            header, *lines = block.splitlines()
+            sections[header] = [tuple(line.split(" = ")) for line in lines]
+        dataset = [f.name for f in fields(DatasetSpec)
+                   if f.name in _DATASET_KEYS[kind] and f.name != "kind"]
+        expected = {
+            "[experiment]": (cfg, [f.name for f in fields(ExperimentConfig)
+                                   if f.name not in ("dataset", "estimators",
+                                                     "train")]),
+            "[dataset]": (cfg.dataset, ["kind", *sorted(dataset)]),
+            "[estimators]": (cfg.estimators,
+                             [f.name for f in fields(EstimatorSpec)]),
+            "[train]": (cfg.train, [f.name for f in fields(TrainSpec)]),
+        }
+        assert list(sections) == list(expected)
+        for header, (section, keys) in expected.items():
+            assert [key for key, _ in sections[header]] == keys
+            for key, text in sections[header]:
+                value = getattr(section, key)
+                if isinstance(value, float):
+                    assert text == _float_text(value), (header, key)
+
+    def test_integral_noise_is_written_like_every_float(self):
+        text = serialize_config(parse_config(
+            BARS.replace("size = 6", "size = 6\nnoise = 0")))
+        assert "\nnoise = 0\n" in text
+
+    @pytest.mark.parametrize("size", ["full", "tiny"])
+    @pytest.mark.parametrize("workload", ["bars-grid", "bars-estimate",
+                                          "toy-validate"])
+    def test_benchmark_workload_configs_round_trip(self, workload, size):
+        workloads = load_module("perfbench", "workloads.py")
+        spec = workloads.WORKLOADS[workload]
+        assert_round_trips(spec.config_text(spec.params(size), 1))
+
+    def test_bars_benchmark_template_round_trips(self):
+        script = load_module("scripts", "bars_benchmark.py")
+        assert_round_trips(script.CONFIG_TEMPLATE.format(
+            seed=0, runs=5, n_train=1500, n_test=400))
+
+
+class TestRanges:
+    """Every value the program cannot run with is refused at parse time,
+    with a ConfigError that names the key."""
+
+    @staticmethod
+    def with_values(base, **values):
+        """`base`'s canonical text, which names every key, with `values`."""
+        text = serialize_config(parse_config(base))
+        for key, value in values.items():
+            text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", text,
+                                  flags=re.MULTILINE)
+            assert found == 1, key
+        return text
+
+    CASES = [
+        (BARS, {"ig_steps": 0}), (BARS, {"ensemble_samples": 0}),
+        (BARS, {"noise_stddev": -0.5}), (BARS, {"noise_stddev": "nan"}),
+        (BARS, {"n_train": 0}), (BARS, {"n_test": 0}), (BARS, {"size": 0}),
+        (BARS, {"noise": -0.5}), (TOY, {"dim": 0}),
+        (TOY, {"n_informative": 6}), (TOY, {"n_informative": -1}),
+        (BARS, {"batch_size": 0}), (BARS, {"batch_size": 64, "n_train": 40}),
+        (TOY, {"batch_size": 32, "n_train": 20}), (BARS, {"loss": "bogus"}),
+        (BARS, {"hidden": 0}), (BARS, {"hidden": "8,0"}),
+        (BARS, {"steps": -1}), (BARS, {"learning_rate": "nan"}),
+        (BARS, {"learning_rate": 0}), (BARS, {"learning_rate": "inf"}),
+        (BARS, {"ridge": -1}), (BARS, {"ridge": "nan"}),
+        (BARS, {"seed": -1}), (BARS, {"seed": 2 ** 64}),
+    ]
+
+    @pytest.mark.parametrize(
+        "base,values", CASES,
+        ids=[("toy:" if base is TOY else "") + ",".join(
+            f"{k}={v}" for k, v in values.items()) for base, values in CASES])
+    def test_out_of_range_value_names_its_key(self, base, values):
+        # The first key of each case is the one refused.
+        with pytest.raises(ConfigError, match=next(iter(values))):
+            parse_config(self.with_values(base, **values))
+
+    def test_bounds_are_accepted(self):
+        parse_config(self.with_values(
+            BARS, seed=2 ** 64 - 1, steps=0, batch_size=120, noise=0,
+            noise_stddev=0, ridge=0, loss="mean_squared_error"))
+        parse_config(self.with_values(TOY, n_informative=4))
+        parse_config(self.with_values(TOY, n_informative=0))
+        # Only SGD draws batches, so least squares takes any n_train.
+        parse_config(self.with_values(TOY, n_train=20, model="least_squares"))
+
+    @pytest.mark.parametrize("command", ["validate-config", "toy-validate",
+                                         "run"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_override_is_range_checked(self, tmp_path, capsys, command,
+                                            seed):
+        config = tmp_path / "config.ini"
+        config.write_text(TOY if command == "toy-validate" else BARS)
+        out = str(tmp_path / "out")
+        assert run_cli(command, "--config", str(config), "--output", out,
+                       "--seed", seed) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def run_cli(*argv):
@@ -538,6 +719,35 @@ class TestOutputConfig:
                        "--output", out) == 3
         assert self.tree(out) == before
         assert not any(name.startswith("deletion") for name in before)
+
+    def test_modify_refuses_estimates_of_another_config(self, tmp_path):
+        short, long = tmp_path / "short.ini", tmp_path / "long.ini"
+        short.write_text(BARS.replace("steps = 120", "steps = 20"))
+        long.write_text(BARS.replace("steps = 120", "steps = 50"))
+        out = str(tmp_path / "out")
+        assert run_cli("estimate", "--config", str(short),
+                       "--output", out) == 0
+        assert "steps = 20\n" in (tmp_path / "out" / "config.ini").read_text()
+        before = self.tree(out)
+        assert run_cli("modify", "--config", str(long), "--output", out) == 3
+        assert run_cli("estimate", "--config", str(long),
+                       "--output", out) == 3
+        assert self.tree(out) == before
+        assert not os.path.exists(os.path.join(out, "modified"))
+
+    @pytest.mark.parametrize("first,then", [("estimate", "modify"),
+                                            ("modify", "run"),
+                                            ("run", "estimate")])
+    def test_unrecorded_outputs_are_refused(self, bars_config, tmp_path,
+                                            first, then):
+        # Outputs of any command, once their config.ini is gone, belong to
+        # no known config: no command adopts them.
+        out = str(tmp_path / "out")
+        assert run_cli(first, "--config", bars_config, "--output", out) == 0
+        os.remove(os.path.join(out, "config.ini"))
+        before = self.tree(out)
+        assert run_cli(then, "--config", bars_config, "--output", out) == 3
+        assert self.tree(out) == before
 
     def test_run_then_deletion_metric_with_one_config(self, bars_config,
                                                       tmp_path):

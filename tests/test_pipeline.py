@@ -8,10 +8,10 @@ from roarbench.pipeline import (KAR, ROAR, ModificationSpec,
                                 ProvenanceError, Record, ResultGrid,
                                 derive_seed, generate_modified_datasets,
                                 load_modified_dataset, make_modified_dataset,
-                                modify_rows, modify_sample, n_modified,
-                                rank_features, ranking_to_scores,
-                                replacement_matrix, run_deletion_metric,
-                                run_roar, save_modified_dataset)
+                                modify_rows, n_modified, rank_features,
+                                ranking_to_scores, replacement_matrix,
+                                run_deletion_metric, run_roar,
+                                save_modified_dataset)
 
 
 class TestRankFeatures:
@@ -62,12 +62,14 @@ def spec_for(x, threshold, mode):
 class TestModifySample:
     def test_threshold_zero_is_identity(self, rng):
         x = rng.standard_normal(10)
-        out = modify_sample(x, np.arange(10), spec_for(x, 0.0, ROAR))
+        out = modify_rows(x[None], np.arange(10)[None],
+                          spec_for(x, 0.0, ROAR))[0]
         np.testing.assert_array_equal(out, x)
 
     def test_threshold_one_is_all_replacement(self, rng):
         x = rng.standard_normal(10)
-        out = modify_sample(x, np.arange(10), spec_for(x, 1.0, ROAR))
+        out = modify_rows(x[None], np.arange(10)[None],
+                          spec_for(x, 1.0, ROAR))[0]
         np.testing.assert_array_equal(out, np.full(10, 0.25))
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 15))
@@ -81,9 +83,11 @@ class TestModifySample:
         x = rng.standard_normal(p)
         order = rng.permutation(p)
         removed = set(np.nonzero(
-            modify_sample(x, order, spec_for(x, t, ROAR)) != x)[0])
+            modify_rows(x[None], order[None], spec_for(x, t, ROAR))[0]
+            != x)[0])
         kept_mode = set(np.nonzero(
-            modify_sample(x, order, spec_for(x, t, KAR)) != x)[0])
+            modify_rows(x[None], order[None], spec_for(x, t, KAR))[0]
+            != x)[0])
         # Replacement collisions with original values are measure-zero for
         # continuous draws; the touched sets partition the positions.
         assert removed == set(order[:numerator])
@@ -98,8 +102,9 @@ class TestModifySample:
         x = rng.standard_normal(12)
         order = rng.permutation(12)
         spec = spec_for(x, t, mode)
-        once = modify_sample(x, order, spec)
-        np.testing.assert_array_equal(modify_sample(once, order, spec), once)
+        once = modify_rows(x[None], order[None], spec)[0]
+        np.testing.assert_array_equal(
+            modify_rows(once[None], order[None], spec)[0], once)
 
     def test_modified_count_is_ceil(self):
         for p in (10, 16, 28 * 28):
@@ -109,7 +114,7 @@ class TestModifySample:
     def test_length_mismatch(self):
         x = np.zeros(5)
         with pytest.raises(ValueError, match="ranking length"):
-            modify_sample(x, np.arange(4), spec_for(x, 0.5, ROAR))
+            modify_rows(x[None], np.arange(4)[None], spec_for(x, 0.5, ROAR))
 
 
 class TestModifyRows:
