@@ -66,25 +66,22 @@ def estimate_ig(model: Model, x: np.ndarray, targets,
     return (x - ref) * total / k
 
 
-def ensemble(base: Callable[[Model, np.ndarray, np.ndarray], np.ndarray],
-             mode: str, model: Model, x: np.ndarray, targets,
-             cfg: EnsembleConfig, first_row: int = 0) -> np.ndarray:
-    """Aggregate noisy base estimates: mean (SG), mean of squares (SG-SQ), or
-    population variance (VAR).
+def ensemble_moments(base: Callable[[Model, np.ndarray, np.ndarray],
+                                     np.ndarray],
+                     model: Model, x: np.ndarray, targets,
+                     cfg: EnsembleConfig, first_row: int = 0
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and mean of squares of the base estimates of noisy copies of x,
+    from which SG, SG-SQ and VAR are reductions.
 
     Row i draws its noise from the stream _mix_seed(cfg.seed, first_row + i),
-    so a row's scores do not depend on the rows batched with it. All three
-    modes consume identical noise draws for a given seed.
+    so a row's scores do not depend on the rows batched with it.
     """
-    if mode not in (SG, SG_SQ, VAR):
-        raise ValueError(f"unknown ensemble mode {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     if cfg.noise_stddev == 0.0:
-        # All draws coincide with x; short-circuit keeps the degenerate
-        # identities (SG = base, SG-SQ = base^2, VAR = 0) exact.
+        # Every draw is x itself: one pass gives the moments exactly.
         scores = base(model, x, targets)
-        return {SG: scores, SG_SQ: scores ** 2,
-                VAR: np.zeros_like(scores)}[mode]
+        return scores, scores ** 2
     noise = np.empty((cfg.samples, *x.shape))  # (S, n, d)
     for i in range(len(x)):
         rng = np.random.default_rng(np.uint64(_mix_seed(cfg.seed,
@@ -97,13 +94,27 @@ def ensemble(base: Callable[[Model, np.ndarray, np.ndarray], np.ndarray],
         scores = base(model, x + draw, targets)
         acc += scores
         acc_sq += scores ** 2
-    mean = acc / cfg.samples
-    mean_sq = acc_sq / cfg.samples
+    return acc / cfg.samples, acc_sq / cfg.samples
+
+
+def _reduce(mode: str, mean: np.ndarray, mean_sq: np.ndarray) -> np.ndarray:
     if mode == SG:
         return mean
     if mode == SG_SQ:
         return mean_sq
-    return mean_sq - mean ** 2
+    return mean_sq - mean ** 2  # VAR
+
+
+def ensemble(base: Callable[[Model, np.ndarray, np.ndarray], np.ndarray],
+             mode: str, model: Model, x: np.ndarray, targets,
+             cfg: EnsembleConfig, first_row: int = 0) -> np.ndarray:
+    """Aggregate noisy base estimates: mean (SG), mean of squares (SG-SQ), or
+    population variance (VAR). All three modes consume identical noise draws
+    for a given seed."""
+    if mode not in ENSEMBLE_MODES:
+        raise ValueError(f"unknown ensemble mode {mode!r}")
+    return _reduce(mode, *ensemble_moments(base, model, x, targets, cfg,
+                                           first_row))
 
 
 def control_random(sample_shape, seed: int) -> np.ndarray:
@@ -166,14 +177,27 @@ def _mix_seed(seed: int, sample_index: int) -> int:
             + 0x94D049BB133111EB) % (1 << 64)
 
 
+def pass_family(estimator_id: str) -> str:
+    """Name of the passes an estimator reduces: `<b>` and `<b>-sq` share the
+    base passes `<b>`, and `sg-<b>`, `sg_sq-<b>` and `var-<b>` share the
+    noisy passes `noisy-<b>`; a control is a family of its own."""
+    head, _, tail = estimator_id.partition("-")
+    return f"noisy-{tail}" if head in ENSEMBLE_MODES else head
+
+
 def compute_estimates(estimator_id: str, settings: EstimatorSettings,
-                      model: Model, x: np.ndarray,
-                      targets: np.ndarray) -> np.ndarray:
+                      model: Model, x: np.ndarray, targets: np.ndarray,
+                      passes: dict | None = None) -> np.ndarray:
     """Score every row of a feature matrix with a registry estimator;
     returns (n, d) scores.
 
     Rows are scored ROW_BLOCK at a time. Ensemble row i draws its noise from
     _mix_seed(seed, i), i being its index in x, so the blocks change nothing.
+
+    `passes`, owned by the caller for one (model, x), keeps each row block's
+    base pass or noisy-pass moments under the estimator's `pass_family`, so
+    the other ids of the family reduce them instead of running them again.
+    The scores are the same bits with or without it.
     """
     if estimator_id not in all_estimator_ids():
         raise ValueError(f"unknown estimator id {estimator_id!r}")
@@ -184,20 +208,35 @@ def compute_estimates(estimator_id: str, settings: EstimatorSettings,
     head, _, tail = estimator_id.partition("-")
     bases = {"grad": estimate_grad, "gb": estimate_gb,
              "ig": partial(estimate_ig, cfg=settings.ig)}
+
+    def run_pass(rows: slice):
+        if head in ENSEMBLE_MODES:
+            return ensemble_moments(bases[tail], model, x[rows],
+                                    targets[rows], settings.ensemble,
+                                    rows.start)
+        return bases[head](model, x[rows], targets[rows])
+
     out = np.empty_like(x)
     for start in range(0, len(x), ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
         if estimator_id == "random":
             # One shared score vector: every sample gets the same ranking.
             out[rows] = control_random(x.shape[1], settings.ensemble.seed)
-        elif estimator_id == "sobel":
+            continue
+        if estimator_id == "sobel":
             images = x[rows].reshape(-1, *settings.image_shape)
             out[rows] = control_sobel(images).reshape(len(images), -1)
-        elif head in ENSEMBLE_MODES:
-            out[rows] = ensemble(bases[tail], head, model, x[rows],
-                                 targets[rows], settings.ensemble, start)
+            continue
+        if passes is None:
+            scores = run_pass(rows)
         else:
-            scores = bases[head](model, x[rows], targets[rows])
+            key = (pass_family(estimator_id), start)
+            if key not in passes:
+                passes[key] = run_pass(rows)
+            scores = passes[key]
+        if head in ENSEMBLE_MODES:
+            out[rows] = _reduce(head, *scores)
+        else:
             out[rows] = scores ** 2 if tail == "sq" else scores
     if not np.all(np.isfinite(out)):
         raise ValueError(f"non-finite scores from {estimator_id}")

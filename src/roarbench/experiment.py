@@ -15,7 +15,8 @@ from . import datasets as ds_io
 from . import nn, pipeline, toydata
 from .config import ConfigError, ExperimentConfig, serialize_config
 from .estimators import (EnsembleConfig, EstimatorSettings, IGConfig,
-                         compute_estimates, default_noise_stddev)
+                         compute_estimates, default_noise_stddev,
+                         pass_family)
 
 
 @dataclass
@@ -97,21 +98,40 @@ def estimate_splits(ctx: ExperimentContext, settings: EstimatorSettings,
                               (ctx.dataset.test_x, ctx.dataset.test_y)))
 
 
+def score_split(settings: EstimatorSettings, model: nn.Model, x: np.ndarray,
+                y: np.ndarray, estimator_ids):
+    """Yield (estimator_id, scores) for one split, family by family: the ids
+    that reduce the same passes (`estimators.pass_family`), grouped in order
+    of first appearance, share one `passes` dict, dropped when the family is
+    done; an id alone in its family keeps none."""
+    targets = _targets(model, y)
+    families: dict[str, list[str]] = {}
+    for estimator_id in estimator_ids:
+        families.setdefault(pass_family(estimator_id), []).append(
+            estimator_id)
+    for family in families.values():
+        passes = {} if len(family) > 1 else None
+        for estimator_id in family:
+            yield estimator_id, compute_estimates(
+                estimator_id, settings, model, x, targets, passes=passes)
+
+
 def compute_all_estimates(ctx: ExperimentContext, model: nn.Model
                           ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     settings = estimator_settings(ctx)
-    return {estimator_id: estimate_splits(ctx, settings, model, estimator_id)
-            for estimator_id in ctx.config.estimators.ids}
+    ids = ctx.config.estimators.ids
+    ds = ctx.dataset
+    train = dict(score_split(settings, model, ds.train_x, ds.train_y, ids))
+    test = dict(score_split(settings, model, ds.test_x, ds.test_y, ids))
+    return {estimator_id: (train[estimator_id], test[estimator_id])
+            for estimator_id in ids}
 
 
 def deletion_estimates(ctx: ExperimentContext, model: nn.Model):
     """Yield (estimator_id, test-split scores) per configured estimator,
     scoring each only when it is asked for: all the deletion metric needs."""
-    settings = estimator_settings(ctx)
-    targets = _targets(model, ctx.dataset.test_y)
-    for estimator_id in ctx.config.estimators.ids:
-        yield estimator_id, compute_estimates(
-            estimator_id, settings, model, ctx.dataset.test_x, targets)
+    return score_split(estimator_settings(ctx), model, ctx.dataset.test_x,
+                       ctx.dataset.test_y, ctx.config.estimators.ids)
 
 
 def save_estimates(estimates, directory: str):

@@ -375,44 +375,67 @@ def run_deletion_metric(dataset: ArrayDataset, original_model: Model,
 
 
 # ---------------------------------------------------------------------------
-# Modified-dataset persistence: flat little-endian float32 features, int64
-# labels, and a plain-text manifest with provenance, shapes, and checksums.
+# Modified-dataset persistence: one data file, `data.bin`, holding the train
+# features (little-endian float32), train labels (int64), test features and
+# test labels, in that order, and a plain-text manifest with provenance,
+# shapes and the data file's checksum, from which the offsets follow.
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+DATA_FILE = "data.bin"
+
+
+def _split_layout(n_train: int, n_test: int, d_train: int, d_test: int):
+    """(dtype, shape) of each array of the data file, in file order."""
+    return [("<f4", (n_train, d_train)), ("<i8", (n_train,)),
+            ("<f4", (n_test, d_test)), ("<i8", (n_test,))]
 
 
 def save_modified_dataset(modified: ModifiedDataset, directory: str):
+    """Write the data file, then the manifest, each through a temporary
+    file and a rename, so a manifest names only complete data."""
     os.makedirs(directory, exist_ok=True)
-    parts = {
-        "train_features.f32": modified.train_x.astype("<f4").tobytes(),
-        "train_labels.i64": modified.train_y.astype("<i8").tobytes(),
-        "test_features.f32": modified.test_x.astype("<f4").tobytes(),
-        "test_labels.i64": modified.test_y.astype("<i8").tobytes(),
-    }
-    lines = []
-    p = modified.provenance
-    lines.append(f"estimator_id={p.estimator_id}")
-    lines.append(f"threshold={p.threshold:.6f}")
-    lines.append(f"mode={p.mode}")
-    lines.append(f"seed={p.seed}")
-    lines.append(f"source_id={p.source_id}")
-    lines.append(f"train_shape={modified.train_x.shape[0]}x{modified.train_x.shape[1]}")
-    lines.append(f"test_shape={modified.test_x.shape[0]}x{modified.test_x.shape[1]}")
-    shape = modified.image_shape
-    lines.append("image_shape=" + ("none" if shape is None
-                                   else "x".join(map(str, shape))))
-    for name, data in parts.items():
-        tmp = os.path.join(directory, name + ".tmp")
-        with open(tmp, "wb") as f:
+    arrays = [modified.train_x, modified.train_y, modified.test_x,
+              modified.test_y]
+    layout = _split_layout(len(modified.train_x), len(modified.test_x),
+                           modified.train_x.shape[1], modified.test_x.shape[1])
+    digest = hashlib.sha256()
+    path = os.path.join(directory, DATA_FILE)
+    with open(path + ".tmp", "wb") as f:
+        for array, (dtype, _) in zip(arrays, layout):
+            data = np.ascontiguousarray(array, dtype=dtype)
+            digest.update(data)
             f.write(data)
-        os.replace(tmp, os.path.join(directory, name))
-        lines.append(f"sha256_{name}={_sha256(data)}")
+    os.replace(path + ".tmp", path)
+    p = modified.provenance
+    shape = modified.image_shape
+    lines = [f"estimator_id={p.estimator_id}",
+             f"threshold={p.threshold:.6f}",
+             f"mode={p.mode}",
+             f"seed={p.seed}",
+             f"source_id={p.source_id}",
+             "train_shape={}x{}".format(*modified.train_x.shape),
+             "test_shape={}x{}".format(*modified.test_x.shape),
+             "image_shape=" + ("none" if shape is None
+                               else "x".join(map(str, shape))),
+             f"sha256_{DATA_FILE}={digest.hexdigest()}"]
     _atomic_write_text(os.path.join(directory, "manifest.txt"),
                        "\n".join(lines) + "\n")
 
 
+def _manifest_shape(meta: dict, key: str, directory: str) -> tuple[int, int]:
+    try:
+        n, d = map(int, meta[key].split("x"))
+        if min(n, d) >= 0:
+            return n, d
+    except (KeyError, ValueError):
+        pass
+    raise ProvenanceError(
+        f"manifest in {directory}: {key} is {meta.get(key, 'missing')!r}, "
+        f"not <rows>x<features>")
+
+
 def load_modified_dataset(directory: str) -> ModifiedDataset:
+    """Read a saved dataset back; a manifest or data file that does not
+    match what the manifest records is refused by name."""
     manifest_path = os.path.join(directory, "manifest.txt")
     if not os.path.exists(manifest_path):
         raise ProvenanceError(f"missing manifest in {directory}")
@@ -421,27 +444,33 @@ def load_modified_dataset(directory: str) -> ModifiedDataset:
         for line in f:
             key, _, value = line.strip().partition("=")
             meta[key] = value
-    if "image_shape" not in meta:
-        raise ProvenanceError(f"manifest in {directory} has no image_shape")
-    n_train, d = map(int, meta["train_shape"].split("x"))
-    n_test, _ = map(int, meta["test_shape"].split("x"))
-
-    def read_part(name, dtype, shape):
-        path = os.path.join(directory, name)
-        with open(path, "rb") as f:
-            data = f.read()
-        expected = meta.get(f"sha256_{name}")
-        if expected != _sha256(data):
-            raise ProvenanceError(f"checksum mismatch for {path}")
-        return np.frombuffer(data, dtype=dtype).reshape(shape)
-
+    # A directory of the four-file layout has no data-file checksum.
+    for key in ("image_shape", f"sha256_{DATA_FILE}"):
+        if key not in meta:
+            raise ProvenanceError(f"manifest in {directory} has no {key}")
+    n_train, d_train = _manifest_shape(meta, "train_shape", directory)
+    n_test, d_test = _manifest_shape(meta, "test_shape", directory)
+    layout = _split_layout(n_train, n_test, d_train, d_test)
+    path = os.path.join(directory, DATA_FILE)
+    with open(path, "rb") as f:
+        data = f.read()
+    sizes = [np.dtype(dtype).itemsize * math.prod(shape)
+             for dtype, shape in layout]
+    if len(data) != sum(sizes):
+        raise ProvenanceError(
+            f"{path} holds {len(data)} bytes; the manifest's train_shape and "
+            f"test_shape need {sum(sizes)}")
+    if meta[f"sha256_{DATA_FILE}"] != hashlib.sha256(data).hexdigest():
+        raise ProvenanceError(f"checksum mismatch for {path}")
+    offsets = np.cumsum([0, *sizes[:-1]])
+    train_x, train_y, test_x, test_y = (
+        np.frombuffer(data, dtype, math.prod(shape), offset).reshape(shape)
+        for (dtype, shape), offset in zip(layout, offsets.tolist()))
     return ModifiedDataset(
-        train_x=read_part("train_features.f32", "<f4",
-                          (n_train, d)).astype(np.float64),
-        train_y=read_part("train_labels.i64", "<i8", (n_train,)).astype(np.int64),
-        test_x=read_part("test_features.f32", "<f4",
-                         (n_test, d)).astype(np.float64),
-        test_y=read_part("test_labels.i64", "<i8", (n_test,)).astype(np.int64),
+        train_x=train_x.astype(np.float64),
+        train_y=train_y.astype(np.int64),
+        test_x=test_x.astype(np.float64),
+        test_y=test_y.astype(np.int64),
         provenance=Provenance(meta["estimator_id"], float(meta["threshold"]),
                               meta["mode"], int(meta["seed"]),
                               meta["source_id"]),

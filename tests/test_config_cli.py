@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roarbench import cli, experiment, nn, pipeline
+from roarbench import cli, estimators, experiment, nn, pipeline
 from roarbench.config import (_DATASET_KEYS, ConfigError, DatasetSpec,
                               EstimatorSpec, ExperimentConfig, TrainSpec,
                               _float_text, parse_config, serialize_config)
@@ -45,6 +45,30 @@ batch_size = 16
 learning_rate = 0.2
 """
 
+
+BARS_ESTIMATE = f"""
+[experiment]
+seed = 1
+runs_per_point = 1
+thresholds = 0,0.1,0.3,0.5,0.7,0.9
+modes = roar,kar
+
+[dataset]
+kind = bars
+n_train = 96
+n_test = 32
+size = 12
+
+[estimators]
+ids = {', '.join(estimators.all_estimator_ids())}
+
+[train]
+model = mlp
+hidden = 32
+steps = 200
+batch_size = 32
+learning_rate = 0.2
+"""
 
 class TestParseConfig:
     def test_defaults_applied(self):
@@ -477,10 +501,10 @@ class TestCli:
         compute_estimates = experiment.compute_estimates
         rank_features = pipeline.rank_features
 
-        def scoring(estimator_id, settings, model, x, targets):
+        def scoring(estimator_id, settings, model, x, targets, passes=None):
             events.append(("score", estimator_id, len(x)))
             return compute_estimates(estimator_id, settings, model, x,
-                                     targets)
+                                     targets, passes)
 
         def ranking(scores, *args):
             events.append(("rank", len(scores)))
@@ -575,6 +599,38 @@ class TestCli:
                        "--output", out) == 0
         files = sorted(os.listdir(os.path.join(out, "estimates")))
         assert files == ["grad.npz", "random.npz"]
+
+    def test_estimate_runs_each_family_pass_once(self, tmp_path,
+                                                 monkeypatch):
+        # The benchmark's bars-estimate config: all 17 registry ids at
+        # registry defaults, over three 64-row blocks (96 train, 32 test).
+        config = tmp_path / "estimate.ini"
+        config.write_text(BARS_ESTIMATE)
+        calls = []
+        input_gradient = estimators.input_gradient
+        monkeypatch.setattr(
+            estimators, "input_gradient",
+            lambda *args, **kwargs: calls.append(1) or input_gradient(
+                *args, **kwargs))
+        out = str(tmp_path / "out")
+        assert run_cli("estimate", "--config", str(config),
+                       "--output", out) == 0
+        # Per block: grad, gb and 25 ig steps once, shared by `<b>-sq`,
+        # and 15 noisy copies of each, shared by sg, sg_sq and var.
+        assert len(calls) == 3 * (27 + 15 * 27) == 1296
+        ctx = experiment.build_context(parse_config(BARS_ESTIMATE))
+        saved = experiment.load_estimates(
+            ctx, os.path.join(out, "estimates"))
+        model, _ = experiment.train_baseline(ctx)
+        settings = experiment.estimator_settings(ctx)
+        calls.clear()
+        # Scoring each id on its own, as `run` does, runs every pass again.
+        for estimator_id in ctx.config.estimators.ids:
+            for got, fresh in zip(saved[estimator_id],
+                                  experiment.estimate_splits(
+                                      ctx, settings, model, estimator_id)):
+                assert got.tobytes() == fresh.tobytes(), estimator_id
+        assert len(calls) == 3807
 
     def test_toy_validate_passes_and_writes_csv(self, tmp_path, capsys):
         config = tmp_path / "toy.ini"

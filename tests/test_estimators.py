@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from roarbench import nn
+from roarbench import experiment, nn
 from roarbench.estimators import (ENSEMBLE_MODES, ROW_BLOCK, EnsembleConfig,
                                   EstimatorSettings, IGConfig, SG, SG_SQ, VAR,
                                   all_estimator_ids, compute_estimates,
@@ -276,6 +276,30 @@ class TestComputeEstimates:
                                      targets, i) for i in range(n)])
             np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-12,
                                        err_msg=estimator_id)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.permutations(all_estimator_ids()), st.integers(1, 17),
+           st.sampled_from([1, ROW_BLOCK, 2 * ROW_BLOCK + 3]),
+           st.sampled_from([0.0, 0.3]), st.integers(1, 2))
+    @settings(max_examples=12, deadline=None)
+    def test_family_loop_matches_fresh_calls(self, seed, order, k, n, noise,
+                                             depth):
+        rng = np.random.default_rng(seed)
+        ids = order[:k]
+        d = 12
+        model = nn.init_mlp([d, *[5] * depth, 3], rng)
+        x = rng.standard_normal((n, d))
+        y = rng.integers(0, 3, n)
+        settings = EstimatorSettings(
+            ig=IGConfig(steps=3),
+            ensemble=EnsembleConfig(samples=2, noise_stddev=noise,
+                                    seed=int(rng.integers(2 ** 32))),
+            image_shape=(2, 2, 3))
+        shared = list(experiment.score_split(settings, model, x, y, ids))
+        assert sorted(e for e, _ in shared) == sorted(ids)
+        for estimator_id, scores in shared:
+            fresh = compute_estimates(estimator_id, settings, model, x, y)
+            assert scores.tobytes() == fresh.tobytes(), estimator_id
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown estimator"):

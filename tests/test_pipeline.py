@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -417,17 +420,89 @@ class TestPersistence:
         with pytest.raises(ProvenanceError, match="image_shape"):
             load_modified_dataset(str(tmp_path / "cell"))
 
-    def test_checksum_mismatch_detected(self, rng, tmp_path):
+    def saved(self, rng, tmp_path):
         ds = tiny_dataset(rng)
         scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
         [modified] = generate_modified_datasets(ds, {"e": scores}, [0.5])
         save_modified_dataset(modified, str(tmp_path / "cell"))
-        path = tmp_path / "cell" / "train_features.f32"
+        return modified, tmp_path / "cell"
+
+    def test_one_data_file_in_manifest_order(self, rng, tmp_path):
+        modified, cell = self.saved(rng, tmp_path)
+        assert sorted(p.name for p in cell.iterdir()) == \
+            ["data.bin", "manifest.txt"]
+        assert (cell / "data.bin").read_bytes() == b"".join([
+            modified.train_x.astype("<f4").tobytes(),
+            modified.train_y.astype("<i8").tobytes(),
+            modified.test_x.astype("<f4").tobytes(),
+            modified.test_y.astype("<i8").tobytes()])
+        loaded = load_modified_dataset(str(cell))
+        for name in ("train_x", "train_y", "test_x", "test_y"):
+            expected = getattr(modified, name)
+            np.testing.assert_array_equal(
+                getattr(loaded, name),
+                expected.astype(np.float32) if name.endswith("x")
+                else expected)
+
+    def test_checksum_mismatch_detected(self, rng, tmp_path):
+        _, cell = self.saved(rng, tmp_path)
+        path = cell / "data.bin"
         data = bytearray(path.read_bytes())
         data[0] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(ProvenanceError, match="checksum"):
-            load_modified_dataset(str(tmp_path / "cell"))
+            load_modified_dataset(str(cell))
+
+    def test_four_file_layout_is_refused_by_name(self, rng, tmp_path):
+        _, cell = self.saved(rng, tmp_path)
+        data = (cell / "data.bin").read_bytes()
+        (cell / "data.bin").unlink()
+        manifest = cell / "manifest.txt"
+        lines = [line for line in manifest.read_text().splitlines()
+                 if not line.startswith("sha256_")]
+        offset = 0
+        for name, size in (("train_features.f32", 4 * 20 * 6),
+                           ("train_labels.i64", 8 * 20),
+                           ("test_features.f32", 4 * 8 * 6),
+                           ("test_labels.i64", 8 * 8)):
+            part = data[offset:offset + size]
+            offset += size
+            (cell / name).write_bytes(part)
+            lines.append(f"sha256_{name}={hashlib.sha256(part).hexdigest()}")
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProvenanceError, match="has no sha256_data.bin"):
+            load_modified_dataset(str(cell))
+
+    @pytest.mark.parametrize("key,value", [
+        ("train_shape", None), ("test_shape", None), ("train_shape", "20"),
+        ("train_shape", "twentyx6"), ("test_shape", "8x6x1"),
+        ("test_shape", "-8x6")])
+    def test_malformed_shape_is_refused_by_name(self, rng, tmp_path, key,
+                                                value):
+        _, cell = self.saved(rng, tmp_path)
+        manifest = cell / "manifest.txt"
+        lines = [line for line in manifest.read_text().splitlines()
+                 if not line.startswith(key + "=")]
+        if value is not None:
+            lines.append(f"{key}={value}")
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ProvenanceError,
+                           match=f"manifest in {re.escape(str(cell))}: "
+                                 f"{key} is"):
+            load_modified_dataset(str(cell))
+
+    @pytest.mark.parametrize("change", ["truncated", "shape"])
+    def test_data_length_must_match_shapes(self, rng, tmp_path, change):
+        _, cell = self.saved(rng, tmp_path)
+        if change == "truncated":
+            path = cell / "data.bin"
+            path.write_bytes(path.read_bytes()[:-8])
+        else:  # a shape that disagrees with the data
+            manifest = cell / "manifest.txt"
+            manifest.write_text(manifest.read_text().replace(
+                "train_shape=20x6", "train_shape=10x6"))
+        with pytest.raises(ProvenanceError, match="data.bin holds .* bytes"):
+            load_modified_dataset(str(cell))
 
 
 class TestSeeds:
