@@ -74,7 +74,14 @@ def _context(args) -> "experiment.ExperimentContext":
 
 
 def _baseline(ctx):
-    model, baseline_acc = experiment.train_baseline(ctx)
+    """The baseline of `<output>/baseline.npz`, trained and saved there by
+    the first command of an output directory that needs it."""
+    path = os.path.join(ctx.config.output, "baseline.npz")
+    if os.path.exists(path):
+        model, baseline_acc = experiment.load_baseline(ctx, path)
+    else:
+        model, baseline_acc = experiment.train_baseline(ctx)
+        experiment.save_baseline(ctx, model, baseline_acc, path)
     print(f"baseline accuracy={baseline_acc:.4f}", file=sys.stderr)
     return model
 
@@ -91,7 +98,10 @@ def cmd_estimate(args) -> int:
 def cmd_modify(args) -> int:
     ctx = _context(args)
     cfg = ctx.config
-    experiment.check_output_config(cfg, cfg.output, stamp=True)
+    modified_dir = os.path.join(cfg.output, "modified")
+    if not experiment.check_output_config(cfg, cfg.output, stamp=True) \
+            and os.path.isdir(modified_dir):
+        pipeline.refuse_old_parts(modified_dir)
     estimates_dir = os.path.join(cfg.output, "estimates")
     if os.path.isdir(estimates_dir):
         estimates = experiment.load_estimates(ctx, estimates_dir)
@@ -100,10 +110,10 @@ def cmd_modify(args) -> int:
     # Each dataset is saved as it is built; none is kept in memory after.
     for m in pipeline.generate_modified_datasets(
             ctx.dataset, estimates, cfg.thresholds, modes=cfg.modes,
-            source_id=ctx.source_id):
+            source_id=ctx.source_id, seed=cfg.seed):
         p = m.provenance
         pipeline.save_modified_dataset(m, os.path.join(
-            cfg.output, "modified",
+            modified_dir,
             pipeline.cell_name(p.estimator_id, p.threshold, p.mode)))
     return EXIT_OK
 

@@ -4,6 +4,7 @@ report generation."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import sys
@@ -88,16 +89,6 @@ def _targets(model: nn.Model, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def estimate_splits(ctx: ExperimentContext, settings: EstimatorSettings,
-                    model: nn.Model, estimator_id: str
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """One estimator's train and test scores."""
-    return tuple(compute_estimates(estimator_id, settings, model, x,
-                                   _targets(model, y))
-                 for x, y in ((ctx.dataset.train_x, ctx.dataset.train_y),
-                              (ctx.dataset.test_x, ctx.dataset.test_y)))
-
-
 def score_split(settings: EstimatorSettings, model: nn.Model, x: np.ndarray,
                 y: np.ndarray, estimator_ids):
     """Yield (estimator_id, scores) for one split, family by family: the ids
@@ -132,6 +123,44 @@ def deletion_estimates(ctx: ExperimentContext, model: nn.Model):
     scoring each only when it is asked for: all the deletion metric needs."""
     return score_split(estimator_settings(ctx), model, ctx.dataset.test_x,
                        ctx.dataset.test_y, ctx.config.estimators.ids)
+
+
+def save_baseline(ctx: ExperimentContext, model: nn.Model, baseline_acc: float,
+                  path: str):
+    """`path`: the baseline's affine layers (`weight_<i>`, `bias_<i>`), its
+    accuracy, and the sha256 of the canonical config text it was trained
+    under."""
+    affines = model.layers[::2]
+    arrays = {f"{name}_{i}": getattr(layer, name)
+              for i, layer in enumerate(affines) for name in ("weight", "bias")}
+    tmp = path + ".tmp.npz"  # suffix keeps savez from renaming it
+    np.savez(tmp, accuracy=np.float64(baseline_acc),
+             config_sha256=np.str_(config_sha256(ctx.config)), **arrays)
+    os.replace(tmp, path)
+
+
+def load_baseline(ctx: ExperimentContext, path: str
+                  ) -> tuple[nn.Model, float]:
+    """The baseline `save_baseline` wrote, with a rectifier between each two
+    affine layers; a file of another config, or one missing an array, is
+    refused by name."""
+    with np.load(path) as data:
+        if ("config_sha256" not in data.files
+                or str(data["config_sha256"]) != config_sha256(ctx.config)):
+            raise pipeline.ProvenanceError(
+                f"{path} holds a baseline of another config; use a fresh "
+                f"output directory")
+        n = sum(name.startswith("weight_") for name in data.files)
+        try:
+            affines = [nn.Affine(data[f"weight_{i}"], data[f"bias_{i}"])
+                       for i in range(max(1, n))]
+            baseline_acc = float(data["accuracy"])
+        except KeyError as err:
+            raise pipeline.ProvenanceError(
+                f"{path} is incomplete: {err}") from None
+    layers = [layer for affine in affines
+              for layer in (nn.Rectifier(), affine)][1:]
+    return nn.Model(layers), baseline_acc
 
 
 def save_estimates(estimates, directory: str):
@@ -178,45 +207,66 @@ def _log(message: str):
     print(message, file=sys.stderr, flush=True)
 
 
-def check_output_config(cfg: ExperimentConfig, output_dir: str,
-                        stamp: bool = False):
-    """`<output>/config.ini`, the canonical config without its `output` line,
-    ties an output directory to its config. A missing or different file is
-    refused, not recomputed; `stamp` writes it into a directory that holds
-    no `cells/`, `estimates/` or `modified/`."""
-    text = "".join(line for line in serialize_config(cfg).splitlines(True)
+def config_text(cfg: ExperimentConfig) -> str:
+    """The canonical config without its `output` line: what ties outputs to
+    the config that produced them."""
+    return "".join(line for line in serialize_config(cfg).splitlines(True)
                    if not line.startswith("output = "))
+
+
+def config_sha256(cfg: ExperimentConfig) -> str:
+    return hashlib.sha256(config_text(cfg).encode()).hexdigest()
+
+
+def check_output_config(cfg: ExperimentConfig, output_dir: str,
+                        stamp: bool = False) -> bool:
+    """`<output>/config.ini`, the `config_text`, ties an output directory to
+    its config. A missing or different file is refused, not recomputed;
+    `stamp` writes it into a directory that holds no `cells/`, `estimates/`,
+    `modified/` or `baseline.npz`. True if it did: the directory holds no
+    outputs yet."""
+    text = config_text(cfg)
     path = os.path.join(output_dir, "config.ini")
     if not os.path.exists(path):
         if not stamp or any(os.path.exists(os.path.join(output_dir, name))
-                            for name in ("cells", "estimates", "modified")):
+                            for name in ("cells", "estimates", "modified",
+                                         "baseline.npz")):
             raise pipeline.ProvenanceError(
                 f"missing {path}: no record of {output_dir}'s config")
         os.makedirs(output_dir, exist_ok=True)
         pipeline._atomic_write_text(path, text)
+        return True
     with open(path) as f:
         if f.read() != text:
             raise pipeline.ProvenanceError(
                 f"{path} records another config; use a fresh output directory")
+    return False
 
 
 def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
     """Execute the estimate -> modify -> retrain grid with resumability.
     The unit of work is one estimator: unless its fragment exists, it is
     scored against `model`, retrained by `pipeline.run_roar`, and its rows
-    are written to its fragment in grid order."""
+    are written to its fragment in grid order. The `run_roar` calls share
+    one dict, so each rank-free cell trains once per grid."""
     cfg = ctx.config
+    ds = ctx.dataset
     os.makedirs(os.path.join(output_dir, "cells"), exist_ok=True)
     trainer = make_trainer(cfg)
     settings = estimator_settings(ctx)
+    shared = {}
     for estimator_id in cfg.estimators.ids:
         path = os.path.join(output_dir, "cells", f"{estimator_id}.csv")
         status = "skipped"
         if not os.path.exists(path):
-            scores = estimate_splits(ctx, settings, model, estimator_id)
+            scores = tuple(
+                split_scores for x, y in ((ds.train_x, ds.train_y),
+                                          (ds.test_x, ds.test_y))
+                for _, split_scores in score_split(settings, model, x, y,
+                                                   [estimator_id]))
             grid = pipeline.run_roar(
-                ctx.dataset, {estimator_id: scores}, cfg.thresholds, trainer,
-                cfg.runs_per_point, cfg.modes, cfg.seed)
+                ds, {estimator_id: scores}, cfg.thresholds, trainer,
+                cfg.runs_per_point, cfg.modes, cfg.seed, shared)
             pipeline._atomic_write_text(path, "\n".join(
                 map(pipeline.record_row, grid.entries)) + "\n")
             status = "done"

@@ -30,11 +30,11 @@ def derive_seed(base_seed: int, *parts) -> int:
     return int.from_bytes(digest, "little")
 
 
-def run_seeds(base_seed: int, estimator_id: str, threshold: float, mode: str,
+def run_seeds(base_seed: int, key: tuple[str, ...],
               runs_per_point: int) -> list[int]:
-    """The seeds of one grid cell's retraining runs, run index order."""
-    return [derive_seed(base_seed, estimator_id, f"{threshold:.6f}", mode, run)
-            for run in range(runs_per_point)]
+    """The seeds of the retraining runs of the grid cell with this
+    `cell_key`, run index order."""
+    return [derive_seed(base_seed, *key, run) for run in range(runs_per_point)]
 
 
 def rank_features(scores: np.ndarray,
@@ -54,6 +54,25 @@ def rank_features(scores: np.ndarray,
 def n_modified(threshold: float, n_positions: int) -> int:
     """ceil(t * P), guarded against float representation of t * P."""
     return math.ceil(threshold * n_positions - 1e-9)
+
+
+# The keys of the rank-free cells, which replace no position or every one.
+NONE_REPLACED = ("none",)
+ALL_REPLACED = ("all",)
+
+
+def cell_key(estimator_id: str, threshold: float, mode: str,
+             n_positions: int) -> tuple[str, ...]:
+    """The key a grid cell's seeds and reuse go by. A cell that replaces
+    no position or every one (ROAR and KAR at t = 0, and at t = 1) trains on
+    the same data whatever the ranking, so its key names only what it
+    replaces, and every estimator shares it; ROAR at t = 0 and KAR at t = 1
+    share NONE_REPLACED. Any other cell is ranked: (estimator, t, mode)."""
+    k = n_modified(threshold, n_positions)
+    if k in (0, n_positions):
+        return ALL_REPLACED if (k == n_positions) == (mode == ROAR) \
+            else NONE_REPLACED
+    return (estimator_id, f"{threshold:.6f}", mode)
 
 
 @dataclass
@@ -170,11 +189,12 @@ def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
 def generate_modified_datasets(dataset: ArrayDataset,
                                estimates: dict[str, tuple[np.ndarray, np.ndarray]],
                                thresholds, modes=(ROAR,),
-                               source_id: str = "dataset"
+                               source_id: str = "dataset", seed: int = 0
                                ) -> Iterator[ModifiedDataset]:
     """Yield one ModifiedDataset per (estimator, threshold, mode), one at a
     time, so callers can persist each before the next is built. Each split
-    is ranked once per estimator."""
+    is ranked once per estimator; `seed` is the config seed provenance
+    records."""
     replacement = replacement_matrix(dataset)
     shape = dataset.image_shape
     for estimator_id, (train_scores, test_scores) in estimates.items():
@@ -188,7 +208,7 @@ def generate_modified_datasets(dataset: ArrayDataset,
                     dataset.train_y.copy(),
                     modify_rows(dataset.test_x, test_rank, spec),
                     dataset.test_y.copy(),
-                    Provenance(estimator_id, threshold, mode, 0, source_id),
+                    Provenance(estimator_id, threshold, mode, seed, source_id),
                     shape)
 
 
@@ -298,54 +318,70 @@ STACK_BYTES = 1 << 28
 def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
                       train_scores: np.ndarray, test_scores: np.ndarray,
                       estimator_id: str, cells, trainer: TrainerFn,
-                      base_seed: int, runs_per_point: int) -> list[list]:
+                      base_seed: int, runs_per_point: int,
+                      shared: dict | None = None) -> list[list]:
     """Retrain `runs_per_point` fresh models at each (threshold, mode) cell
     of one estimator, and return each cell's run results, in order.
 
-    Each split is ranked once, and the cells go to the trainer as one
-    DatasetStack (one per STACK_BYTES of train splits); a cell's splits are
-    modified, with `replacement_matrix(dataset)` values, when the trainer
-    builds them.
+    Each split is ranked once, and each `cell_key` not yet trained goes to
+    the trainer, in one DatasetStack (one per STACK_BYTES of train splits);
+    a cell's splits are modified, with `replacement_matrix(dataset)` values,
+    when the trainer builds them. The results of rank-free keys are kept in
+    `shared`, which the caller owns for one grid: a rank-free key already
+    there is neither modified nor trained again.
     """
+    shared = {} if shared is None else shared
     train_rank = rank_split(train_scores, dataset.train_x, dataset.image_shape)
     test_rank = rank_split(test_scores, dataset.test_x, dataset.image_shape)
-    specs = [ModificationSpec(t, mode, replacement) for t, mode in cells]
+    keys = [cell_key(estimator_id, t, mode, len(replacement))
+            for t, mode in cells]
+    pending = {}  # key -> the spec of its first cell, in cell order
+    for key, (t, mode) in zip(keys, cells):
+        if key not in shared:
+            pending.setdefault(key, ModificationSpec(t, mode, replacement))
     split_bytes = np.dtype(TRAIN_DTYPE).itemsize * dataset.train_x.size
     per_call = max(1, STACK_BYTES // max(1, split_bytes))
-    results = []
+    todo, specs = list(pending), list(pending.values())
+    trained = {}
     for start in range(0, len(specs), per_call):
         chunk = specs[start:start + per_call]
+        chunk_keys = todo[start:start + per_call]
         stack = DatasetStack(
             len(chunk), dataset.n_features,
             lambda c: modify_rows(dataset.train_x, train_rank, chunk[c]),
             dataset.train_y,
             lambda c: modify_rows(dataset.test_x, test_rank, chunk[c]),
             dataset.test_y)
-        results += trainer(stack, [
-            run_seeds(base_seed, estimator_id, spec.threshold, spec.mode,
-                      runs_per_point) for spec in chunk])
-    return results
+        trained.update(zip(chunk_keys, trainer(stack, [
+            run_seeds(base_seed, key, runs_per_point) for key in chunk_keys])))
+    shared.update((key, results) for key, results in trained.items()
+                  if key in (NONE_REPLACED, ALL_REPLACED))
+    return [trained[key] if key in trained else shared[key] for key in keys]
 
 
 def run_roar(dataset: ArrayDataset,
              estimates: dict[str, tuple[np.ndarray, np.ndarray]],
              thresholds, trainer: TrainerFn, runs_per_point: int = 5,
-             modes=(ROAR,), base_seed: int = 0) -> ResultGrid:
+             modes=(ROAR,), base_seed: int = 0,
+             shared: dict | None = None) -> ResultGrid:
     """Retrain `runs_per_point` fresh models per grid cell on modified data,
     one `retrain_estimator` stack per estimator; the grid holds the runs in
-    grid order (estimator, threshold, mode, run).
+    grid order (estimator, threshold, mode, run). Rank-free cells train once
+    per `shared` dict, which a caller that splits one grid over several
+    calls passes to each; without one, once per call.
 
     Diverged runs are recorded as failures and the grid run continues.
     """
     if runs_per_point < 1:
         raise ValueError("runs_per_point must be >= 1")
+    shared = {} if shared is None else shared
     grid = ResultGrid()
     replacement = replacement_matrix(dataset)
     cells = [(t, mode) for t in thresholds for mode in modes]
     for estimator_id, (train_scores, test_scores) in estimates.items():
         results = retrain_estimator(
             dataset, replacement, train_scores, test_scores, estimator_id,
-            cells, trainer, base_seed, runs_per_point)
+            cells, trainer, base_seed, runs_per_point, shared)
         for (threshold, mode), cell_results in zip(cells, results):
             for run, result in enumerate(cell_results):
                 key = (estimator_id, threshold, mode, run)
@@ -381,6 +417,23 @@ def run_deletion_metric(dataset: ArrayDataset, original_model: Model,
 # shapes and the data file's checksum, from which the offsets follow.
 
 DATA_FILE = "data.bin"
+# The part files of the four-file layout that the data file replaced.
+OLD_PARTS = ("train_features.f32", "train_labels.i64", "test_features.f32",
+             "test_labels.i64")
+
+
+def refuse_old_parts(modified_dir: str):
+    """Refuse a `modified/` directory whose cells hold part files of the
+    four-file layout, which writing a data file next to them would leave
+    behind."""
+    with os.scandir(modified_dir) as cells:
+        for cell in cells:
+            if cell.is_dir() and any(
+                    os.path.exists(os.path.join(cell.path, part))
+                    for part in OLD_PARTS):
+                raise ProvenanceError(
+                    f"{cell.path} holds part files of the four-file layout; "
+                    f"use a fresh output directory")
 
 
 def _split_layout(n_train: int, n_test: int, d_train: int, d_test: int):

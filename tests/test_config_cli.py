@@ -559,7 +559,7 @@ class TestCli:
                     pipeline.save_modified_dataset(
                         pipeline.make_modified_dataset(
                             ctx.dataset, *estimates[estimator_id],
-                            estimator_id, threshold, mode,
+                            estimator_id, threshold, mode, seed=cfg.seed,
                             source_id=ctx.source_id), expected)
                     got = os.path.join(out, "modified", name)
                     assert sorted(os.listdir(got)) == \
@@ -626,9 +626,11 @@ class TestCli:
         calls.clear()
         # Scoring each id on its own, as `run` does, runs every pass again.
         for estimator_id in ctx.config.estimators.ids:
-            for got, fresh in zip(saved[estimator_id],
-                                  experiment.estimate_splits(
-                                      ctx, settings, model, estimator_id)):
+            for got, (x, y) in zip(saved[estimator_id],
+                                   ((ctx.dataset.train_x, ctx.dataset.train_y),
+                                    (ctx.dataset.test_x, ctx.dataset.test_y))):
+                [(_, fresh)] = experiment.score_split(settings, model, x, y,
+                                                      [estimator_id])
                 assert got.tobytes() == fresh.tobytes(), estimator_id
         assert len(calls) == 3807
 
@@ -793,7 +795,8 @@ class TestOutputConfig:
 
     @pytest.mark.parametrize("first,then", [("estimate", "modify"),
                                             ("modify", "run"),
-                                            ("run", "estimate")])
+                                            ("run", "estimate"),
+                                            ("deletion-metric", "run")])
     def test_unrecorded_outputs_are_refused(self, bars_config, tmp_path,
                                             first, then):
         # Outputs of any command, once their config.ini is gone, belong to
@@ -840,6 +843,214 @@ class TestOutputConfig:
                        "--output", out) == 3
         err = capsys.readouterr().err
         assert "ProvenanceError" in err and path in err
+
+
+# BARS over both modes with t = 1: ROAR and KAR at t = 0 and at t = 1 are
+# the rank-free cells, and the two estimators share each of their keys.
+GRID = BARS.replace("thresholds = 0,0.5", "thresholds = 0,0.5,1").replace(
+    "modes = roar", "modes = roar,kar")
+
+
+class TestRankFreeGrid:
+    """`run` trains each rank-free cell once per grid, whichever estimators'
+    fragments are missing, and every other cell as it always has."""
+
+    @pytest.fixture
+    def grid_config(self, tmp_path):
+        path = tmp_path / "grid.ini"
+        path.write_text(GRID)
+        return str(path)
+
+    @staticmethod
+    def counting(seen):
+        make_trainer = experiment.make_trainer
+
+        def make(cfg):
+            trainer = make_trainer(cfg)
+
+            def train(dataset, seeds):
+                if isinstance(dataset, nn.DatasetStack):
+                    seen.extend(map(tuple, seeds))
+                return trainer(dataset, seeds)
+            return train
+        return make
+
+    def test_each_rank_free_key_trains_once_per_run(self, grid_config,
+                                                    tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(experiment, "make_trainer", self.counting(seen))
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", grid_config, "--output", out) == 0
+        rank_free = [tuple(pipeline.run_seeds(11, key, 2)) for key in
+                     (pipeline.NONE_REPLACED, pipeline.ALL_REPLACED)]
+        assert sorted(seen) == sorted(rank_free + [
+            tuple(pipeline.run_seeds(11, (e, "0.500000", mode), 2))
+            for e in ("grad", "random") for mode in ("roar", "kar")])
+        # A rerun with one fragment missing trains its ranked cells and the
+        # rank-free keys, once each.
+        os.remove(os.path.join(out, "cells", "random.csv"))
+        seen.clear()
+        assert run_cli("run", "--config", grid_config, "--output", out) == 0
+        assert sorted(seen) == sorted(rank_free + [
+            tuple(pipeline.run_seeds(11, ("random", "0.500000", mode), 2))
+            for mode in ("roar", "kar")])
+
+    @pytest.mark.parametrize("deleted", ["grad", "random"])
+    def test_resume_is_byte_identical(self, grid_config, tmp_path, deleted):
+        full, resumed = str(tmp_path / "full"), str(tmp_path / "resumed")
+        for out in (full, resumed):
+            assert run_cli("run", "--config", grid_config,
+                           "--output", out) == 0
+        os.remove(os.path.join(resumed, "cells", f"{deleted}.csv"))
+        os.remove(os.path.join(resumed, "results.csv"))
+        assert run_cli("run", "--config", grid_config,
+                       "--output", resumed) == 0
+        for name in ("cells/grad.csv", "cells/random.csv", "results.csv",
+                     "aggregated.csv"):
+            with open(os.path.join(full, name), "rb") as f1, \
+                    open(os.path.join(resumed, name), "rb") as f2:
+                assert f1.read() == f2.read(), name
+
+    def test_rank_free_rows_are_shared_and_ranked_rows_keep_their_bits(
+            self, grid_config, tmp_path):
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", grid_config, "--output", out) == 0
+        with open(os.path.join(out, "results.csv")) as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        accuracy = {tuple(row[:4]): row[4] for row in rows}
+        assert len(accuracy) == 2 * 3 * 2 * 2
+        for t in ("0.000000", "1.000000"):
+            for mode in ("roar", "kar"):
+                for run in "01":
+                    assert accuracy["grad", t, mode, run] == \
+                        accuracy["random", t, mode, run]
+        # A ranked cell trains its modified dataset alone with the seeds
+        # derived from (estimator, t, mode): the bits of every earlier
+        # version.
+        ctx = experiment.build_context(parse_config(GRID))
+        model, _ = experiment.train_baseline(ctx)
+        estimates = experiment.compute_all_estimates(ctx, model)
+        trainer = experiment.make_trainer(ctx.config)
+        for e in ("grad", "random"):
+            for mode in ("roar", "kar"):
+                modified = pipeline.make_modified_dataset(
+                    ctx.dataset, *estimates[e], e, 0.5, mode)
+                seeds = [pipeline.derive_seed(11, e, "0.500000", mode, run)
+                         for run in range(2)]
+                for run, (_, acc) in enumerate(
+                        trainer(modified.as_dataset(), seeds)):
+                    assert accuracy[e, "0.500000", mode, str(run)] == \
+                        f"{acc:.10f}"
+
+
+class TestBaselineCache:
+    """The first command of an output directory that needs the baseline
+    trains it and saves `<output>/baseline.npz`; later ones load it."""
+
+    @staticmethod
+    def counting(trained):
+        train_baseline = experiment.train_baseline
+
+        def train(ctx):
+            trained.append(1)
+            return train_baseline(ctx)
+        return train
+
+    def test_run_then_deletion_metric_trains_once(self, bars_config,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        trained = []
+        monkeypatch.setattr(experiment, "train_baseline",
+                            self.counting(trained))
+        out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+        for command in ("run", "deletion-metric"):
+            assert run_cli(command, "--config", bars_config,
+                           "--output", out) == 0
+        assert trained == [1]
+        marks = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("baseline accuracy=")]
+        assert len(marks) == 2 and marks[0] == marks[1]
+        assert run_cli("deletion-metric", "--config", bars_config,
+                       "--output", fresh) == 0
+        assert trained == [1, 1]
+        for name in ("deletion.csv", "deletion_aggregated.csv"):
+            with open(os.path.join(out, name), "rb") as f1, \
+                    open(os.path.join(fresh, name), "rb") as f2:
+                assert f1.read() == f2.read(), name
+
+    def test_loaded_baseline_is_bit_identical(self, bars_config, tmp_path):
+        out = str(tmp_path / "out")
+        assert run_cli("estimate", "--config", bars_config,
+                       "--output", out) == 0
+        ctx = experiment.build_context(parse_config(BARS))
+        model, acc = experiment.train_baseline(ctx)
+        loaded, loaded_acc = experiment.load_baseline(
+            ctx, os.path.join(out, "baseline.npz"))
+        assert loaded_acc == acc
+        assert [type(layer) for layer in loaded.layers] == \
+            [type(layer) for layer in model.layers]
+        for a, b in zip(loaded.layers[::2], model.layers[::2]):
+            assert a.weight.tobytes() == b.weight.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+
+    def test_baseline_of_another_config_is_refused(self, tmp_path, capsys):
+        short, long = tmp_path / "short.ini", tmp_path / "long.ini"
+        short.write_text(BARS.replace("steps = 120", "steps = 10"))
+        long.write_text(BARS.replace("steps = 120", "steps = 50"))
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert run_cli("deletion-metric", "--config", str(short),
+                       "--output", a) == 0
+        assert run_cli("deletion-metric", "--config", str(long),
+                       "--output", b) == 0
+        os.replace(os.path.join(a, "baseline.npz"),
+                   os.path.join(b, "baseline.npz"))
+        before = TestOutputConfig.tree(b)
+        capsys.readouterr()
+        assert run_cli("deletion-metric", "--config", str(long),
+                       "--output", b) == 3
+        err = capsys.readouterr().err
+        assert "ProvenanceError" in err and "baseline.npz" in err
+        assert TestOutputConfig.tree(b) == before
+
+
+class TestModifyProvenance:
+    def test_manifests_record_the_config_seed(self, tmp_path):
+        config = tmp_path / "seed5.ini"
+        config.write_text(BARS.replace("seed = 11", "seed = 5"))
+        out = str(tmp_path / "out")
+        assert run_cli("modify", "--config", str(config), "--output", out) == 0
+        modified = os.path.join(out, "modified")
+        for name in os.listdir(modified):
+            with open(os.path.join(modified, name, "manifest.txt")) as f:
+                assert "seed=5\n" in f.read().splitlines(True), name
+            assert pipeline.load_modified_dataset(
+                os.path.join(modified, name)).provenance.seed == 5
+
+    @pytest.mark.parametrize("part", pipeline.OLD_PARTS)
+    def test_old_part_files_are_refused_by_directory(self, bars_config,
+                                                     tmp_path, capsys, part):
+        out = str(tmp_path / "out")
+        assert run_cli("modify", "--config", bars_config, "--output", out) == 0
+        cell = os.path.join(out, "modified",
+                            pipeline.cell_name("random", 0.5, "roar"))
+        with open(os.path.join(cell, part), "wb") as f:
+            f.write(b"\0" * 8)
+        before = TestOutputConfig.tree(out)
+        capsys.readouterr()
+        assert run_cli("modify", "--config", bars_config, "--output", out) == 3
+        err = capsys.readouterr().err
+        assert "ProvenanceError" in err and cell in err
+        assert TestOutputConfig.tree(out) == before
+
+    def test_fresh_output_is_not_scanned(self, bars_config, tmp_path,
+                                         monkeypatch):
+        scanned = []
+        monkeypatch.setattr(pipeline, "refuse_old_parts", scanned.append)
+        out = str(tmp_path / "out")
+        assert run_cli("modify", "--config", bars_config, "--output", out) == 0
+        assert scanned == []
+        assert run_cli("modify", "--config", bars_config, "--output", out) == 0
+        assert scanned == [os.path.join(out, "modified")]
 
 
 class TestFailures:

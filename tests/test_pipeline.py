@@ -327,13 +327,113 @@ class TestRetrainEstimator:
             modified = make_modified_dataset(ds, train_scores, test_scores,
                                              "e", t, mode)
             solo = trainer(modified.as_dataset(),
-                           pipeline.run_seeds(3, "e", t, mode, 2))
+                           pipeline.run_seeds(
+                               3, pipeline.cell_key("e", t, mode, 6), 2))
             for (model, acc), (solo_model, solo_acc) in zip(
                     cell_results, solo, strict=True):
                 assert acc == solo_acc
                 for la, lb in zip(model.layers[::2], solo_model.layers[::2]):
                     np.testing.assert_array_equal(la.weight, lb.weight)
                     np.testing.assert_array_equal(la.bias, lb.bias)
+
+
+class TestCellKey:
+    """A cell whose replaced count is 0 or P is keyed by what it replaces,
+    whatever its estimator; any other cell keeps its estimator's key, and
+    with it the seeds `run_seeds` has always derived."""
+
+    @pytest.mark.parametrize("t,mode,key", [
+        (0.0, ROAR, pipeline.NONE_REPLACED), (1.0, KAR, pipeline.NONE_REPLACED),
+        (0.0, KAR, pipeline.ALL_REPLACED), (1.0, ROAR, pipeline.ALL_REPLACED),
+        (0.1, ROAR, ("e", "0.100000", ROAR)),
+        (0.5, KAR, ("e", "0.500000", KAR)),
+        (0.99, KAR, pipeline.NONE_REPLACED)])  # ceil(0.99 * 6) = 6
+    def test_keys(self, t, mode, key):
+        assert pipeline.cell_key("e", t, mode, 6) == key
+
+    @given(st.integers(0, 2**32), st.floats(0.01, 0.99),
+           st.sampled_from([ROAR, KAR]), st.integers(1, 4))
+    def test_ranked_seeds_are_the_estimator_seeds(self, base, t, mode, runs):
+        key = pipeline.cell_key("e", t, mode, 1000)
+        assert pipeline.run_seeds(base, key, runs) == [
+            derive_seed(base, "e", f"{t:.6f}", mode, run)
+            for run in range(runs)]
+
+
+class TestRankFreeCells:
+    """`run_roar` over several estimators and both modes, with a trainer that
+    records the train and test splits of every dataset it is given, keyed
+    by the dataset's seeds."""
+
+    @staticmethod
+    def recording_trainer(seen):
+        def train(stack, seeds):
+            for c, cell_seeds in enumerate(seeds):
+                seen.append((tuple(cell_seeds), stack.train_x(c),
+                             stack.test_x(c)))
+            return [[(None, 0.5)] * len(cell_seeds) for cell_seeds in seeds]
+        return train
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_estimators=st.integers(1, 3),
+           inner=st.sets(st.sampled_from([0.2, 0.5, 0.8])),
+           runs=st.integers(1, 3), shared_row=st.booleans())
+    def test_cells(self, seed, n_estimators, inner, runs, shared_row):
+        rng = np.random.default_rng(seed)
+        ds = tiny_dataset(rng, n=12, m=6)
+        thresholds = sorted({0.0, *inner, 1.0})
+        estimates = {f"e{i}": ((rng.standard_normal(6),) * 2 if shared_row
+                               else (rng.standard_normal((12, 6)),
+                                     rng.standard_normal((6, 6))))
+                     for i in range(n_estimators)}
+        seen = []
+        grid = run_roar(ds, estimates, thresholds,
+                        self.recording_trainer(seen), runs,
+                        modes=(ROAR, KAR), base_seed=seed)
+        # Every cell holds runs_per_point entries, in grid order.
+        assert [(e.estimator_id, e.threshold, e.mode, e.run_index)
+                for e in grid.entries] == [
+            (e, t, m, r) for e in estimates for t in thresholds
+            for m in (ROAR, KAR) for r in range(runs)]
+        # Each rank-free key trains once per call, each ranked cell once.
+        trained = {cell_seeds: splits for cell_seeds, *splits in seen}
+        assert len(trained) == len(seen) == 2 + n_estimators * len(inner) * 2
+
+        def splits(e, t, mode):
+            return trained[tuple(pipeline.run_seeds(
+                seed, pipeline.cell_key(e, t, mode, 6), runs))]
+
+        sources = (ds.train_x, ds.test_x)
+        for e in estimates:
+            # ROAR at t = 0 and KAR at t = 1 train on the unmodified data.
+            for t, mode in ((0.0, ROAR), (1.0, KAR)):
+                for got, x in zip(splits(e, t, mode), sources):
+                    np.testing.assert_array_equal(got, x)
+            # ROAR and KAR at one t replace complementary positions.
+            for t in thresholds:
+                for roar, kar, x in zip(splits(e, t, ROAR), splits(e, t, KAR),
+                                        sources):
+                    assert np.all((roar != x) ^ (kar != x))
+
+    def test_shared_dict_spans_calls(self, rng):
+        ds = tiny_dataset(rng, n=12, m=6)
+        estimates = {e: (rng.standard_normal((12, 6)),
+                         rng.standard_normal((6, 6))) for e in "abc"}
+        seen, shared = [], {}
+        trainer = self.recording_trainer(seen)
+        split = [run_roar(ds, {e: scores}, [0.0, 0.5, 1.0], trainer, 2,
+                          (ROAR, KAR), 4, shared)
+                 for e, scores in estimates.items()]
+        assert set(shared) == {pipeline.NONE_REPLACED, pipeline.ALL_REPLACED}
+        assert len(seen) == 2 + 3 * 2
+        whole = run_roar(ds, estimates, [0.0, 0.5, 1.0], trainer, 2,
+                         (ROAR, KAR), 4)
+        assert [e for grid in split for e in grid.entries] == whole.entries
+        # Without a shared dict each call trains the rank-free keys again.
+        seen.clear()
+        for e, scores in estimates.items():
+            run_roar(ds, {e: scores}, [0.0, 1.0], trainer, 2, (ROAR, KAR), 4)
+        assert len(seen) == 3 * 2
 
 
 class TestDeletionMetric:
