@@ -4,8 +4,8 @@ feature-importance estimators."""
 from .nn import (ArrayDataset, Model, TrainConfig, fit_least_squares,
                  forward, input_gradient, train)
 from .estimators import (EnsembleConfig, IGConfig, compute_estimates,
-                         control_random, control_sobel, ensemble,
-                         estimate_gb, estimate_grad, estimate_ig)
+                         control_random, control_sobel, estimate_gb,
+                         estimate_grad, estimate_ig)
 from .pipeline import (ModificationSpec, ModifiedDataset, ResultGrid,
                        generate_modified_datasets, rank_features,
                        run_deletion_metric, run_roar)
@@ -14,7 +14,7 @@ from .toydata import ToyConfig, ToyDataset, generate_toy, ground_truth_ranking
 __all__ = [
     "ArrayDataset", "Model", "TrainConfig", "fit_least_squares", "forward",
     "input_gradient", "train", "EnsembleConfig", "IGConfig",
-    "compute_estimates", "control_random", "control_sobel", "ensemble",
+    "compute_estimates", "control_random", "control_sobel",
     "estimate_gb", "estimate_grad", "estimate_ig",
     "ModificationSpec", "ModifiedDataset", "ResultGrid",
     "generate_modified_datasets", "rank_features", "run_deletion_metric",

@@ -36,9 +36,9 @@ class EnsembleConfig:
     seed: int = 0
 
 
-def default_noise_stddev(x: np.ndarray, fraction: float = 0.15) -> float:
-    """SmoothGrad convention: a fraction of the input value range."""
-    return fraction * float(x.max() - x.min())
+def default_noise_stddev(x: np.ndarray) -> float:
+    """SmoothGrad convention: 0.15 of the input value range."""
+    return 0.15 * float(x.max() - x.min())
 
 
 def estimate_grad(model: Model, x: np.ndarray, targets) -> np.ndarray:
@@ -103,18 +103,6 @@ def _reduce(mode: str, mean: np.ndarray, mean_sq: np.ndarray) -> np.ndarray:
     if mode == SG_SQ:
         return mean_sq
     return mean_sq - mean ** 2  # VAR
-
-
-def ensemble(base: Callable[[Model, np.ndarray, np.ndarray], np.ndarray],
-             mode: str, model: Model, x: np.ndarray, targets,
-             cfg: EnsembleConfig, first_row: int = 0) -> np.ndarray:
-    """Aggregate noisy base estimates: mean (SG), mean of squares (SG-SQ), or
-    population variance (VAR). All three modes consume identical noise draws
-    for a given seed."""
-    if mode not in ENSEMBLE_MODES:
-        raise ValueError(f"unknown ensemble mode {mode!r}")
-    return _reduce(mode, *ensemble_moments(base, model, x, targets, cfg,
-                                           first_row))
 
 
 def control_random(sample_shape, seed: int) -> np.ndarray:

@@ -60,8 +60,8 @@ def make_trainer(cfg: ExperimentConfig) -> nn.TrainerFn:
 def train_baseline(ctx: ExperimentContext) -> tuple[nn.Model, float]:
     """Checkpoint on the unmodified data; estimates are computed against it."""
     trainer = make_trainer(ctx.config)
-    [result] = trainer(ctx.dataset,
-                       [pipeline.derive_seed(ctx.config.seed, "baseline")])
+    [[result]] = trainer(nn.DatasetStack.of([ctx.dataset]),
+                         [[pipeline.derive_seed(ctx.config.seed, "baseline")]])
     if isinstance(result, nn.TrainingDivergedError):
         raise result
     return result
@@ -174,7 +174,7 @@ def save_estimates(estimates, directory: str):
 
 def load_estimates(ctx: ExperimentContext, directory: str):
     """Cached scores of every configured estimator. Each split's scores must
-    be one row per sample of the context's split, or one shared row."""
+    be finite, one row per sample of the context's split or one shared row."""
     d = ctx.dataset.n_features
     out = {}
     for estimator_id in ctx.config.estimators.ids:
@@ -194,6 +194,9 @@ def load_estimates(ctx: ExperimentContext, directory: str):
                         f"{path} holds {split} scores of shape "
                         f"{array.shape}; the config needs ({len(x)}, {d}) "
                         f"or ({d},)")
+                if not np.all(np.isfinite(array)):
+                    raise pipeline.ProvenanceError(
+                        f"{path} holds non-finite {split} scores")
                 scores.append(array)
         out[estimator_id] = tuple(scores)
     return out

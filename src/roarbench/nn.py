@@ -1,7 +1,7 @@
-"""Minimal differentiable MLP engine: affine/rectifier layers, SGD training
-of several seeded runs, over one dataset or a stack of them, as one stacked
-model, batched input gradients with switchable guided-backprop masking, and
-a closed-form least-squares model."""
+"""Minimal differentiable MLP engine: affine/rectifier layers evaluated on
+(n, d) rows, SGD training of several seeded runs over a stack of datasets as
+one stacked model, batched input gradients with switchable guided-backprop
+masking, and a closed-form least-squares model."""
 
 from __future__ import annotations
 
@@ -96,9 +96,11 @@ class TrainConfig:
     loss: str = "softmax_cross_entropy"  # one of LOSSES
 
 
-def _forward_rows(model: Model, x: np.ndarray, pre_acts=None) -> np.ndarray:
-    """(n, d) rows through every layer; rectifier inputs go to `pre_acts`."""
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+def forward(model: Model, x: np.ndarray, pre_acts=None) -> np.ndarray:
+    """Evaluate the model on (n, d) rows; rectifier inputs go to `pre_acts`."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2:
+        raise ValueError(f"input of shape {h.shape}; expected (n, d) rows")
     for i, layer in enumerate(model.layers):
         if isinstance(layer, Affine):
             if h.shape[1] != layer.weight.shape[0]:
@@ -113,24 +115,18 @@ def _forward_rows(model: Model, x: np.ndarray, pre_acts=None) -> np.ndarray:
     return h
 
 
-def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Evaluate the model on a single sample (d,) or a batch (n, d)."""
-    out = _forward_rows(model, x)
-    return out[0] if np.ndim(x) == 1 else out
-
-
 def input_gradient(model: Model, x: np.ndarray, targets,
                    mode: str = STANDARD) -> np.ndarray:
-    """Gradient of output unit targets[i] with respect to input row i.
+    """Gradient of output unit targets[i] with respect to input row i, for
+    (n, d) rows and (n,) targets.
 
-    Takes (n, d) rows with (n,) targets, or a single (d,) sample with an int
-    target. In guided mode every rectifier backward pass applies two masks:
-    the usual forward-activation mask and an additional mask zeroing negative
+    In guided mode every rectifier backward pass applies two masks: the
+    usual forward-activation mask and an additional mask zeroing negative
     incoming gradient entries.
     """
     pre_acts = []
-    out = _forward_rows(model, x, pre_acts)
-    targets = np.atleast_1d(targets)
+    out = forward(model, x, pre_acts)
+    targets = np.asarray(targets)
     if targets.shape != (out.shape[0],):
         raise ValueError(f"{targets.shape} targets for {out.shape[0]} rows")
     if np.any((targets < 0) | (targets >= out.shape[1])):
@@ -146,7 +142,7 @@ def input_gradient(model: Model, x: np.ndarray, targets,
             g = g * (pre_acts.pop() > 0.0)
             if mode == GUIDED:
                 g = g * (g > 0.0)
-    return g[0] if np.ndim(x) == 1 else g
+    return g
 
 
 def init_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> Model:
@@ -244,24 +240,12 @@ class DatasetStack:
 TrainResult = tuple[Model, float] | TrainingDivergedError
 
 
-def train(layer_sizes: Sequence[int], dataset: ArrayDataset | DatasetStack,
-          config: TrainConfig, seeds: Sequence) -> list:
-    """Minibatch SGD of one MLP per seed, stacked into one model.
-
-    Takes one ArrayDataset with a flat seed list and returns one result per
-    seed: (model, test accuracy), or the TrainingDivergedError of a run whose
-    loss turned non-finite. A DatasetStack takes one seed list per dataset
-    and returns one such result list per dataset.
-    """
-    if isinstance(dataset, ArrayDataset):
-        return _train_stack(layer_sizes, DatasetStack.of([dataset]), config,
-                            [seeds])[0]
-    return _train_stack(layer_sizes, dataset, config, seeds)
-
-
-def _train_stack(layer_sizes, stack: DatasetStack, config: TrainConfig,
-                 seeds: Sequence[Sequence[int]]) -> list[list[TrainResult]]:
-    """Every run of every dataset of the stack in one SGD loop.
+def train(layer_sizes: Sequence[int], stack: DatasetStack, config: TrainConfig,
+          seeds: Sequence[Sequence[int]]) -> list[list[TrainResult]]:
+    """Minibatch SGD of one MLP per seed, every run of every dataset of the
+    stack in one SGD loop. Takes one seed list per dataset and returns one
+    result list per dataset: per seed, (model, test accuracy), or the
+    TrainingDivergedError of a run whose loss turned non-finite.
 
     The C train splits are copied into one (C * n, d) TRAIN_DTYPE array,
     next to a (C * n, classes) one-hot table of their labels. Weights are
@@ -381,35 +365,34 @@ def fit_least_squares(dataset: ArrayDataset, ridge: float = 0.0,
     return Model([Affine(weight=weight.reshape(-1, 1), bias=bias)])
 
 
-TrainerFn = Callable[[ArrayDataset | DatasetStack, Sequence], list]
+TrainerFn = Callable[[DatasetStack, Sequence[Sequence[int]]],
+                     list[list[TrainResult]]]
 
 
 def mlp_trainer(hidden: Sequence[int], config: TrainConfig) -> TrainerFn:
     """Trainer closure for the retraining pipeline: one stacked SGD run per
-    call, with `train`'s dataset, seed and result shapes."""
+    call, with `train`'s stack, seed and result shapes."""
 
-    def run(dataset, seeds):
-        sizes = [dataset.n_features, *hidden, dataset.n_classes]
-        return train(sizes, dataset, config, seeds)
+    def run(stack, seeds):
+        sizes = [stack.n_features, *hidden, stack.n_classes]
+        return train(sizes, stack, config, seeds)
 
     return run
 
 
-def least_squares_trainer(ridge: float = 1e-8,
-                          fit_bias: bool = True) -> TrainerFn:
-    """Deterministic closed-form trainer. The seeds are unused, so it fits
-    once per dataset and returns that (model, accuracy) for every seed of
-    the dataset. A DatasetStack is fitted one dataset at a time."""
+def least_squares_trainer(ridge: float = 1e-8) -> TrainerFn:
+    """Deterministic closed-form trainer, with a bias, fitted one dataset of
+    the stack at a time. The seeds are unused, so it fits once per dataset
+    and returns that (model, accuracy) for every seed of the dataset."""
 
     def fit(dataset: ArrayDataset, seeds) -> list[TrainResult]:
-        model = fit_least_squares(dataset, ridge=ridge, fit_bias=fit_bias)
+        model = fit_least_squares(dataset, ridge=ridge, fit_bias=True)
         result = (model, accuracy(model, dataset.test_x, dataset.test_y))
         return [result for _ in seeds]
 
-    def run(dataset, seeds):
-        if isinstance(dataset, ArrayDataset):
-            return fit(dataset, seeds)
-        return [fit(dataset.dataset(c), cell_seeds)
+    def run(stack, seeds):
+        # A dataset is freed when its `fit` returns, before the next is built.
+        return [fit(stack.dataset(c), cell_seeds)
                 for c, cell_seeds in enumerate(seeds)]
 
     return run

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -137,17 +138,11 @@ class Provenance:
 
 
 @dataclass
-class ModifiedDataset:
-    train_x: np.ndarray
-    train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-    provenance: Provenance
-    image_shape: tuple[int, int, int] | None  # that of the source dataset
+class ModifiedDataset(ArrayDataset):
+    """A dataset modified at one (estimator, t, mode) cell; its image shape
+    is that of the source dataset."""
 
-    def as_dataset(self) -> ArrayDataset:
-        return ArrayDataset(self.train_x, self.train_y,
-                            self.test_x, self.test_y, self.image_shape)
+    provenance: Provenance = field(kw_only=True)
 
 
 def rank_split(scores: np.ndarray, x: np.ndarray,
@@ -207,9 +202,9 @@ def generate_modified_datasets(dataset: ArrayDataset,
                     modify_rows(dataset.train_x, train_rank, spec),
                     dataset.train_y.copy(),
                     modify_rows(dataset.test_x, test_rank, spec),
-                    dataset.test_y.copy(),
-                    Provenance(estimator_id, threshold, mode, seed, source_id),
-                    shape)
+                    dataset.test_y.copy(), shape,
+                    provenance=Provenance(estimator_id, threshold, mode, seed,
+                                          source_id))
 
 
 def cell_name(estimator_id: str, threshold: float, mode: str) -> str:
@@ -474,16 +469,13 @@ def save_modified_dataset(modified: ModifiedDataset, directory: str):
                        "\n".join(lines) + "\n")
 
 
-def _manifest_shape(meta: dict, key: str, directory: str) -> tuple[int, int]:
-    try:
-        n, d = map(int, meta[key].split("x"))
-        if min(n, d) >= 0:
-            return n, d
-    except (KeyError, ValueError):
-        pass
-    raise ProvenanceError(
-        f"manifest in {directory}: {key} is {meta.get(key, 'missing')!r}, "
-        f"not <rows>x<features>")
+# The form of each value a manifest must hold.
+_MANIFEST_FORMS = {
+    "estimator_id": r".+", "threshold": r"0\.\d+|1\.0+",
+    "mode": f"{ROAR}|{KAR}", "seed": r"\d+", "source_id": r".+",
+    "train_shape": r"\d+x\d+", "test_shape": r"\d+x\d+",
+    "image_shape": r"none|[1-9]\d*x[1-9]\d*x[1-9]\d*",
+    f"sha256_{DATA_FILE}": r"[0-9a-f]{64}"}
 
 
 def load_modified_dataset(directory: str) -> ModifiedDataset:
@@ -497,12 +489,16 @@ def load_modified_dataset(directory: str) -> ModifiedDataset:
         for line in f:
             key, _, value = line.strip().partition("=")
             meta[key] = value
-    # A directory of the four-file layout has no data-file checksum.
-    for key in ("image_shape", f"sha256_{DATA_FILE}"):
+    # A directory of the four-file layout has no data-file checksum; any
+    # other missing or malformed value is refused by name.
+    for key, form in _MANIFEST_FORMS.items():
         if key not in meta:
             raise ProvenanceError(f"manifest in {directory} has no {key}")
-    n_train, d_train = _manifest_shape(meta, "train_shape", directory)
-    n_test, d_test = _manifest_shape(meta, "test_shape", directory)
+        if not re.fullmatch(form, meta[key]):
+            raise ProvenanceError(f"manifest in {directory}: {key} is "
+                                  f"{meta[key]!r}, not of the form {form}")
+    n_train, d_train = map(int, meta["train_shape"].split("x"))
+    n_test, d_test = map(int, meta["test_shape"].split("x"))
     layout = _split_layout(n_train, n_test, d_train, d_test)
     path = os.path.join(directory, DATA_FILE)
     with open(path, "rb") as f:

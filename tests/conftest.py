@@ -12,8 +12,8 @@ def finite_difference(model, x, target, step=1e-5):
         lo = x.copy()
         hi[i] += step
         lo[i] -= step
-        grad[i] = (nn.forward(model, hi)[target]
-                   - nn.forward(model, lo)[target]) / (2 * step)
+        grad[i] = (nn.forward(model, hi[None])[0, target]
+                   - nn.forward(model, lo[None])[0, target]) / (2 * step)
     return grad
 
 

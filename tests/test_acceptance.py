@@ -8,8 +8,9 @@ import pytest
 from scipy import stats
 
 from roarbench import cli, datasets, nn, pipeline, validation
-from roarbench.estimators import (EnsembleConfig, IGConfig, SG, SG_SQ, VAR,
-                                  control_random, control_sobel, ensemble,
+from roarbench.estimators import (EnsembleConfig, EstimatorSettings,
+                                  IGConfig, SG, SG_SQ, VAR, compute_estimates,
+                                  control_random, control_sobel,
                                   estimate_grad, estimate_ig)
 from conftest import finite_difference, sample_away_from_kinks
 
@@ -57,8 +58,8 @@ class TestCriterion2RetrainingMatters:
             ds = datasets.generate_bars(1500, 400, size=12, seed=seed)
             trainer = nn.mlp_trainer([32], nn.TrainConfig(
                 learning_rate=0.2, steps=600, batch_size=32))
-            [(model, _)] = trainer(ds, [pipeline.derive_seed(seed,
-                                                             "baseline")])
+            [[(model, _)]] = trainer(nn.DatasetStack.of([ds]), [[
+                pipeline.derive_seed(seed, "baseline")]])
             scores = control_random(ds.train_x.shape[1], seed=123)
             est = {"random": (scores, scores)}
             roar = pipeline.run_roar(
@@ -86,7 +87,7 @@ class TestCriterion3GradientCorrectness:
             model = nn.init_mlp([dim, *widths, out], rng)
             x = sample_away_from_kinks(model, rng, dim)
             target = int(rng.integers(0, out))
-            g = nn.input_gradient(model, x, target)
+            [g] = nn.input_gradient(model, x[None], [target])
             fd = finite_difference(model, x, target)
             scale = max(np.abs(fd).max(), 1e-8)
             worst = max(worst, np.abs(g - fd).max() / scale)
@@ -116,35 +117,36 @@ class TestCriterion4IntegratedGradients:
             model = nn.init_mlp([6, 12, 8, 1], rng)
             x = rng.uniform(0.2, 1.0, 6)
             [e] = estimate_ig(model, x[None], [0], IGConfig(steps=25))
-            gap = nn.forward(model, x)[0] - nn.forward(model, np.zeros(6))[0]
+            gap = (nn.forward(model, x[None])[0, 0]
+                   - nn.forward(model, np.zeros((1, 6)))[0, 0])
             worst = max(worst, abs(e.sum() - gap) / abs(gap))
         report("4 completeness within 1% at 25 steps",
                worst <= 0.01, f"worst relative residual {worst:.4f}")
 
 
 class TestCriterion5EnsembleIdentities:
+    @staticmethod
+    def ensemble_grad(model, x, cfg):
+        """SG, SG-SQ and VAR scores of the gradient, as the registry gives
+        them."""
+        settings = EstimatorSettings(ensemble=cfg)
+        return [compute_estimates(f"{mode}-grad", settings, model, x,
+                                  np.array([0])) for mode in (SG, SG_SQ, VAR)]
+
     def test_variance_decomposition_and_degeneracy(self):
         rng = np.random.default_rng(3)
         model = nn.init_mlp([5, 8, 2], rng)
         x = rng.standard_normal((1, 5))
 
         cfg = EnsembleConfig(samples=15, noise_stddev=0.3, seed=21)
-        sg = ensemble(estimate_grad, SG, model, x, [0], cfg)
-        sg_sq = ensemble(estimate_grad, SG_SQ, model, x, [0], cfg)
-        var = ensemble(estimate_grad, VAR, model, x, [0], cfg)
+        sg, sg_sq, var = self.ensemble_grad(model, x, cfg)
         identity_err = np.abs(var - (sg_sq - sg ** 2)).max()
 
         zero = EnsembleConfig(samples=15, noise_stddev=0.0, seed=21)
         base = estimate_grad(model, x, [0])
-        exact = (
-            np.array_equal(
-                ensemble(estimate_grad, SG, model, x, [0], zero), base)
-            and np.array_equal(
-                ensemble(estimate_grad, SG_SQ, model, x, [0], zero),
-                base ** 2)
-            and np.array_equal(
-                ensemble(estimate_grad, VAR, model, x, [0], zero),
-                np.zeros_like(base)))
+        exact = all(np.array_equal(scores, expected) for scores, expected in
+                    zip(self.ensemble_grad(model, x, zero),
+                        (base, base ** 2, np.zeros_like(base))))
         report("5 ensemble identities",
                identity_err <= 1e-10 and exact,
                f"variance-decomposition error {identity_err:.2e}, "

@@ -868,10 +868,9 @@ class TestRankFreeGrid:
         def make(cfg):
             trainer = make_trainer(cfg)
 
-            def train(dataset, seeds):
-                if isinstance(dataset, nn.DatasetStack):
-                    seen.extend(map(tuple, seeds))
-                return trainer(dataset, seeds)
+            def train(stack, seeds):
+                seen.extend(map(tuple, seeds))
+                return trainer(stack, seeds)
             return train
         return make
 
@@ -883,11 +882,12 @@ class TestRankFreeGrid:
         assert run_cli("run", "--config", grid_config, "--output", out) == 0
         rank_free = [tuple(pipeline.run_seeds(11, key, 2)) for key in
                      (pipeline.NONE_REPLACED, pipeline.ALL_REPLACED)]
-        assert sorted(seen) == sorted(rank_free + [
+        baseline = (pipeline.derive_seed(11, "baseline"),)
+        assert sorted(seen) == sorted(rank_free + [baseline] + [
             tuple(pipeline.run_seeds(11, (e, "0.500000", mode), 2))
             for e in ("grad", "random") for mode in ("roar", "kar")])
-        # A rerun with one fragment missing trains its ranked cells and the
-        # rank-free keys, once each.
+        # A rerun with one fragment missing loads the baseline and trains
+        # its ranked cells and the rank-free keys, once each.
         os.remove(os.path.join(out, "cells", "random.csv"))
         seen.clear()
         assert run_cli("run", "--config", grid_config, "--output", out) == 0
@@ -937,8 +937,8 @@ class TestRankFreeGrid:
                     ctx.dataset, *estimates[e], e, 0.5, mode)
                 seeds = [pipeline.derive_seed(11, e, "0.500000", mode, run)
                          for run in range(2)]
-                for run, (_, acc) in enumerate(
-                        trainer(modified.as_dataset(), seeds)):
+                [results] = trainer(nn.DatasetStack.of([modified]), [seeds])
+                for run, (_, acc) in enumerate(results):
                     assert accuracy[e, "0.500000", mode, str(run)] == \
                         f"{acc:.10f}"
 
@@ -1062,9 +1062,9 @@ class TestFailures:
         def make(cfg):
             trainer = make_trainer(cfg)
 
-            def train(dataset, seeds):
-                results = trainer(dataset, seeds)
-                if not isinstance(dataset, nn.DatasetStack):
+            def train(stack, seeds):
+                results = trainer(stack, seeds)
+                if seeds == [[pipeline.derive_seed(cfg.seed, "baseline")]]:
                     return results  # the baseline trains as usual
                 # Runs with odd seeds diverge, at a seed-dependent step.
                 return [[nn.TrainingDivergedError(seed % 97) if seed % 2
@@ -1097,9 +1097,9 @@ class TestFailures:
 
 
 class TestLoadEstimates:
-    """`modify` reuses `estimates/` only if every file holds one score row
-    per sample of its split, or one shared row; anything else is refused
-    by file name, and the CLI exits 3."""
+    """`modify` reuses `estimates/` only if every file holds finite scores,
+    one row per sample of its split or one shared row; anything else is
+    refused by file name, and the CLI exits 3."""
 
     @pytest.fixture
     def cached(self, bars_config, tmp_path):
@@ -1141,6 +1141,23 @@ class TestLoadEstimates:
             experiment.load_estimates(ctx, directory)
         assert run_cli("modify", "--config", bars_config,
                        "--output", out) == 3
+
+    @pytest.mark.parametrize("split,bad", [("train", np.nan),
+                                           ("test", np.inf)])
+    def test_non_finite_scores_are_refused(self, cached, bars_config, split,
+                                           bad):
+        ctx, out, directory = cached
+        path = os.path.join(directory, "grad.npz")
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays[split][:, 3] = bad
+        np.savez(path, **arrays)
+        with pytest.raises(pipeline.ProvenanceError,
+                           match=f"grad.npz holds non-finite {split} scores"):
+            experiment.load_estimates(ctx, directory)
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", out) == 3
+        assert not os.path.exists(os.path.join(out, "modified"))
 
     def test_shared_row_is_accepted(self, cached, bars_config):
         ctx, out, directory = cached

@@ -141,9 +141,9 @@ class TestBars:
     def test_classes_are_learnable(self):
         from roarbench import nn
         image = datasets.generate_bars(400, 100, size=8, seed=2)
-        [(_, acc)] = nn.train([64, 16, 2], image,
-                              nn.TrainConfig(learning_rate=0.2, steps=400,
-                                             batch_size=32), [0])
+        [[(_, acc)]] = nn.train([64, 16, 2], nn.DatasetStack.of([image]),
+                                nn.TrainConfig(learning_rate=0.2, steps=400,
+                                               batch_size=32), [[0]])
         assert acc > 0.9
 
 

@@ -10,8 +10,9 @@ from roarbench import experiment, nn
 from roarbench.estimators import (ENSEMBLE_MODES, ROW_BLOCK, EnsembleConfig,
                                   EstimatorSettings, IGConfig, SG, SG_SQ, VAR,
                                   all_estimator_ids, compute_estimates,
-                                  control_random, control_sobel, ensemble,
-                                  estimate_gb, estimate_grad, estimate_ig)
+                                  control_random, control_sobel,
+                                  ensemble_moments, estimate_gb,
+                                  estimate_grad, estimate_ig)
 from roarbench.pipeline import n_modified, rank_features
 from conftest import finite_difference, sample_away_from_kinks
 
@@ -97,7 +98,8 @@ class TestIntegratedGradients:
         model = nn.init_mlp([6, 12, 8, 1], rng)
         x = rng.uniform(0.2, 1.0, 6)
         [e] = estimate_ig(model, x[None], [0], IGConfig(steps=25))
-        gap = nn.forward(model, x)[0] - nn.forward(model, np.zeros(6))[0]
+        gap = (nn.forward(model, x[None])[0, 0]
+               - nn.forward(model, np.zeros((1, 6)))[0, 0])
         assert abs(e.sum() - gap) <= 0.01 * abs(gap)
 
     def test_reference_shape_mismatch(self, rng):
@@ -105,6 +107,19 @@ class TestIntegratedGradients:
         with pytest.raises(ValueError, match="reference shape"):
             estimate_ig(model, np.ones((1, 4)), [0],
                         IGConfig(steps=5, reference=np.ones(3)))
+
+
+def reduced_ensemble(base, mode, model, x, targets, cfg, first_row=0):
+    """The SG (mean), SG-SQ (mean of squares) or VAR (population variance)
+    reduction of the noisy-pass moments."""
+    mean, mean_sq = ensemble_moments(base, model, x, targets, cfg, first_row)
+    return {SG: mean, SG_SQ: mean_sq, VAR: mean_sq - mean ** 2}[mode]
+
+
+def registry_ensemble(mode, model, x, cfg):
+    """The registry's `<mode>-grad` scores, with target unit 0."""
+    return compute_estimates(f"{mode}-grad", EstimatorSettings(ensemble=cfg),
+                             model, x, np.zeros(len(x), dtype=int))
 
 
 class TestEnsemble:
@@ -119,20 +134,18 @@ class TestEnsemble:
         cfg = EnsembleConfig(samples=15, noise_stddev=0.0, seed=3)
         base = estimate_grad(model, x, [0])
         np.testing.assert_array_equal(
-            ensemble(estimate_grad, SG, model, x, [0], cfg), base)
+            registry_ensemble(SG, model, x, cfg), base)
         np.testing.assert_array_equal(
-            ensemble(estimate_grad, SG_SQ, model, x, [0], cfg),
-            base ** 2)
+            registry_ensemble(SG_SQ, model, x, cfg), base ** 2)
         np.testing.assert_array_equal(
-            ensemble(estimate_grad, VAR, model, x, [0], cfg),
-            np.zeros_like(base))
+            registry_ensemble(VAR, model, x, cfg), np.zeros_like(base))
 
     def test_variance_decomposition_identity(self, setup):
         model, x = setup
         cfg = EnsembleConfig(samples=15, noise_stddev=0.3, seed=11)
-        sg = ensemble(estimate_grad, SG, model, x, [0], cfg)
-        sg_sq = ensemble(estimate_grad, SG_SQ, model, x, [0], cfg)
-        var = ensemble(estimate_grad, VAR, model, x, [0], cfg)
+        sg = registry_ensemble(SG, model, x, cfg)
+        sg_sq = registry_ensemble(SG_SQ, model, x, cfg)
+        var = registry_ensemble(VAR, model, x, cfg)
         np.testing.assert_allclose(var, sg_sq - sg ** 2, atol=1e-10)
 
     def test_linear_model_sg_equals_grad_and_var_vanishes(self, rng):
@@ -141,10 +154,10 @@ class TestEnsemble:
         cfg = EnsembleConfig(samples=15, noise_stddev=0.5, seed=7)
         base = estimate_grad(model, x, [0])
         np.testing.assert_allclose(
-            ensemble(estimate_grad, SG, model, x, [0], cfg), base,
+            reduced_ensemble(estimate_grad, SG, model, x, [0], cfg), base,
             atol=1e-12)
         np.testing.assert_allclose(
-            ensemble(estimate_grad, VAR, model, x, [0], cfg)[0],
+            reduced_ensemble(estimate_grad, VAR, model, x, [0], cfg)[0],
             np.zeros(4), atol=1e-10)
 
     def test_estimator_id_composition(self, setup):
@@ -154,7 +167,7 @@ class TestEnsemble:
         np.testing.assert_array_equal(
             compute_estimates("var-gb", EstimatorSettings(ensemble=cfg),
                               model, x, np.array([0])),
-            ensemble(estimate_gb, VAR, model, x, [0], cfg))
+            reduced_ensemble(estimate_gb, VAR, model, x, [0], cfg))
 
 
 class TestSquare:
@@ -243,8 +256,9 @@ def one_row(estimator_id, settings, model, x, targets, i):
     if mode in ENSEMBLE_MODES:
         base = {"grad": estimate_grad, "gb": estimate_gb,
                 "ig": partial(estimate_ig, cfg=settings.ig)}[base_id]
-        scores = ensemble(base, mode, model, x[rows], targets[rows],
-                          settings.ensemble, first_row=i)
+        scores = reduced_ensemble(base, mode, model, x[rows],
+                                  targets[rows], settings.ensemble,
+                                  first_row=i)
     else:
         scores = compute_estimates(estimator_id, settings, model, x[rows],
                                    targets[rows])

@@ -21,22 +21,27 @@ def two_layer_model():
     ])
 
 
+def one_row_gradient(model, x, target, mode=nn.STANDARD):
+    """The input gradient of the single sample x, passed as one row."""
+    return nn.input_gradient(model, x[None], [target], mode=mode)[0]
+
+
 class TestForward:
     def test_identity_affine(self):
-        out = nn.forward(identity_model(), np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(out, [1.0, 2.0])
+        out = nn.forward(identity_model(), np.array([[1.0, 2.0]]))
+        np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_rectifier(self):
         model = nn.Model([nn.Rectifier()])
         np.testing.assert_array_equal(
-            nn.forward(model, np.array([-1.0, 3.0])), [0.0, 3.0])
+            nn.forward(model, np.array([[-1.0, 3.0]])), [[0.0, 3.0]])
 
     def test_two_layer_hand_oracle(self):
         model = two_layer_model()
         # x=[1,-1]: pre=[-1,-3] -> relu [0,0] -> 0.5
-        assert nn.forward(model, np.array([1.0, -1.0]))[0] == 0.5
+        assert nn.forward(model, np.array([[1.0, -1.0]]))[0, 0] == 0.5
         # x=[0,1]: pre=[4,3] -> 4-3+0.5 = 1.5
-        assert nn.forward(model, np.array([0.0, 1.0]))[0] == 1.5
+        assert nn.forward(model, np.array([[0.0, 1.0]]))[0, 0] == 1.5
 
     def test_batch_matches_single(self):
         model = two_layer_model()
@@ -47,7 +52,14 @@ class TestForward:
 
     def test_shape_mismatch_names_layer(self):
         with pytest.raises(nn.DimensionError, match="layer 0"):
-            nn.forward(identity_model(), np.array([1.0, 2.0, 3.0]))
+            nn.forward(identity_model(), np.array([[1.0, 2.0, 3.0]]))
+
+    @pytest.mark.parametrize("call", [
+        lambda x: nn.forward(identity_model(), x),
+        lambda x: nn.input_gradient(identity_model(), x, 0)])
+    def test_single_sample_is_refused(self, call):
+        with pytest.raises(ValueError, match=r"expected \(n, d\) rows"):
+            call(np.array([1.0, 2.0]))
 
 
 class TestInputGradient:
@@ -56,7 +68,7 @@ class TestInputGradient:
         model = nn.Model([nn.Affine(weight=w, bias=np.array([0.5, -0.5]))])
         for target in (0, 1):
             np.testing.assert_array_equal(
-                nn.input_gradient(model, np.array([0.7, -1.3]), target),
+                one_row_gradient(model, np.array([0.7, -1.3]), target),
                 w[:, target])
 
     @pytest.mark.parametrize("seed", range(20))
@@ -64,7 +76,7 @@ class TestInputGradient:
         rng = np.random.default_rng(seed)
         model = nn.init_mlp([5, 9, 3], rng)
         x = sample_away_from_kinks(model, rng, 5)
-        g = nn.input_gradient(model, x, 1)
+        g = one_row_gradient(model, x, 1)
         fd = finite_difference(model, x, 1)
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-7)
 
@@ -79,8 +91,8 @@ class TestInputGradient:
         ])
         x = rng.uniform(0.1, 1.0, 4)
         np.testing.assert_array_equal(
-            nn.input_gradient(model, x, 0, mode=nn.STANDARD),
-            nn.input_gradient(model, x, 0, mode=nn.GUIDED))
+            one_row_gradient(model, x, 0, mode=nn.STANDARD),
+            one_row_gradient(model, x, 0, mode=nn.GUIDED))
 
     def test_guided_zeroes_negative_backward_path(self):
         # Identity first layer, both units active; second layer [-1, 1].
@@ -91,13 +103,13 @@ class TestInputGradient:
         ])
         x = np.array([2.0, 3.0])
         np.testing.assert_array_equal(
-            nn.input_gradient(model, x, 0, mode=nn.STANDARD), [-1.0, 1.0])
+            one_row_gradient(model, x, 0, mode=nn.STANDARD), [-1.0, 1.0])
         np.testing.assert_array_equal(
-            nn.input_gradient(model, x, 0, mode=nn.GUIDED), [0.0, 1.0])
+            one_row_gradient(model, x, 0, mode=nn.GUIDED), [0.0, 1.0])
 
     def test_invalid_target(self):
         with pytest.raises(IndexError):
-            nn.input_gradient(identity_model(), np.array([1.0, 2.0]), 5)
+            one_row_gradient(identity_model(), np.array([1.0, 2.0]), 5)
 
     @pytest.mark.parametrize("mode", [nn.STANDARD, nn.GUIDED])
     def test_batch_matches_single(self, rng, mode):
@@ -108,7 +120,7 @@ class TestInputGradient:
         assert batch.shape == (11, 5)
         for row, target, g in zip(x, targets, batch):
             np.testing.assert_allclose(
-                g, nn.input_gradient(model, row, int(target), mode=mode),
+                g, one_row_gradient(model, row, int(target), mode=mode),
                 rtol=0, atol=1e-12)
 
     def test_target_count_must_match_rows(self):
@@ -134,6 +146,12 @@ def relabelled(ds, n_classes):
                            ds.test_x, np.arange(len(ds.test_y)) % n_classes)
 
 
+def train_on(sizes, ds, cfg, seeds):
+    """The results of training `seeds` on the one dataset `ds`."""
+    [results] = nn.train(sizes, nn.DatasetStack.of([ds]), cfg, [seeds])
+    return results
+
+
 def assert_same_result(stacked, solo):
     """Equal weights and accuracy, or the same failure step."""
     if isinstance(solo, nn.TrainingDivergedError):
@@ -152,7 +170,7 @@ def assert_same_result(stacked, solo):
 class TestTrain:
     def test_separable_blobs_reach_perfect_accuracy(self):
         ds = separable_blobs()
-        [(_, acc)] = nn.train([2, 8, 2], ds, nn.TrainConfig(
+        [(_, acc)] = train_on([2, 8, 2], ds, nn.TrainConfig(
             learning_rate=0.1, steps=400, batch_size=32), [0])
         assert acc == 1.0
 
@@ -162,15 +180,15 @@ class TestTrain:
         x_test = np.full((100, 3), 0.5)
         y_test = np.array([0] * 60 + [1] * 40)
         ds = nn.ArrayDataset(x_train, y_train, x_test, y_test)
-        [(_, acc)] = nn.train([3, 4, 2], ds, nn.TrainConfig(
+        [(_, acc)] = train_on([3, 4, 2], ds, nn.TrainConfig(
             learning_rate=0.1, steps=400, batch_size=32), [1])
         assert acc == 0.6  # test-set majority-class frequency
 
     def test_same_seed_is_bit_identical(self):
         ds = separable_blobs(seed=3)
         cfg = nn.TrainConfig(learning_rate=0.05, steps=150, batch_size=16)
-        [(model_a, acc_a)] = nn.train([2, 6, 2], ds, cfg, [42])
-        [(model_b, acc_b)] = nn.train([2, 6, 2], ds, cfg, [42])
+        [(model_a, acc_a)] = train_on([2, 6, 2], ds, cfg, [42])
+        [(model_b, acc_b)] = train_on([2, 6, 2], ds, cfg, [42])
         assert acc_a == acc_b
         for la, lb in zip(model_a.layers, model_b.layers):
             if isinstance(la, nn.Affine):
@@ -180,7 +198,7 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_carries_step_index(self):
         ds = separable_blobs(seed=5)
-        [result] = nn.train([2, 4, 2], ds, nn.TrainConfig(
+        [result] = train_on([2, 4, 2], ds, nn.TrainConfig(
             learning_rate=1e9, steps=200, batch_size=16,
             loss="mean_squared_error"), [0])
         assert isinstance(result, nn.TrainingDivergedError)
@@ -190,7 +208,7 @@ class TestTrain:
         ds = nn.ArrayDataset(np.empty((0, 2)), np.empty(0, dtype=int),
                              np.empty((0, 2)), np.empty(0, dtype=int))
         with pytest.raises(ValueError, match="empty"):
-            nn.train([2, 2], ds, nn.TrainConfig(batch_size=1), [0])
+            train_on([2, 2], ds, nn.TrainConfig(batch_size=1), [0])
 
     def test_returned_layers_are_float64_arrays_of_their_own(self):
         base = separable_blobs(n=30, seed=2)
@@ -277,10 +295,10 @@ class TestStackedTrain:
         sizes = [2, *hidden, n_classes]
         cfg = nn.TrainConfig(learning_rate=0.3, steps=steps,
                              batch_size=batch_size, loss=loss)
-        stacked = nn.train(sizes, ds, cfg, seeds)
+        stacked = train_on(sizes, ds, cfg, seeds)
         assert len(stacked) == len(seeds)
         for seed, result in zip(seeds, stacked):
-            [solo] = nn.train(sizes, ds, cfg, [seed])
+            [solo] = train_on(sizes, ds, cfg, [seed])
             assert_same_result(result, solo)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -292,11 +310,11 @@ class TestStackedTrain:
         cfg = nn.TrainConfig(learning_rate=learning_rate, steps=200,
                              batch_size=16, loss=loss)
         seeds = list(range(8))
-        stacked = nn.train([2, 4, 2], ds, cfg, seeds)
+        stacked = train_on([2, 4, 2], ds, cfg, seeds)
         diverged = [isinstance(r, nn.TrainingDivergedError) for r in stacked]
         assert any(diverged) and not all(diverged)
         for seed, result in zip(seeds, stacked):
-            [solo] = nn.train([2, 4, 2], ds, cfg, [seed])
+            [solo] = train_on([2, 4, 2], ds, cfg, [seed])
             assert_same_result(result, solo)
 
     @staticmethod
@@ -330,7 +348,7 @@ class TestStackedTrain:
         stacked = nn.train(sizes, nn.DatasetStack.of(datasets), cfg, seeds)
         assert [len(results) for results in stacked] == list(map(len, seeds))
         for ds, ds_seeds, results in zip(datasets, seeds, stacked):
-            for result, solo in zip(results, nn.train(sizes, ds, cfg,
+            for result, solo in zip(results, train_on(sizes, ds, cfg,
                                                       ds_seeds),
                                     strict=True):
                 assert_same_result(result, solo)
@@ -352,7 +370,7 @@ class TestStackedTrain:
                     for results in stacked]
         assert diverged == [[False] * 2, [True] * 3, [False]]
         for ds, ds_seeds, results in zip(datasets, seeds, stacked):
-            for result, solo in zip(results, nn.train([2, 4, 2], ds, cfg,
+            for result, solo in zip(results, train_on([2, 4, 2], ds, cfg,
                                                       ds_seeds),
                                     strict=True):
                 assert_same_result(result, solo)

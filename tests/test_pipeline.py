@@ -326,9 +326,9 @@ class TestRetrainEstimator:
         for (t, mode), cell_results in zip(cells, results):
             modified = make_modified_dataset(ds, train_scores, test_scores,
                                              "e", t, mode)
-            solo = trainer(modified.as_dataset(),
-                           pipeline.run_seeds(
-                               3, pipeline.cell_key("e", t, mode, 6), 2))
+            [solo] = trainer(nn.DatasetStack.of([modified]),
+                             [pipeline.run_seeds(
+                                 3, pipeline.cell_key("e", t, mode, 6), 2)])
             for (model, acc), (solo_model, solo_acc) in zip(
                     cell_results, solo, strict=True):
                 assert acc == solo_acc
@@ -493,9 +493,8 @@ class TestPersistence:
         save_modified_dataset(modified, str(tmp_path / "cell"))
         loaded = load_modified_dataset(str(tmp_path / "cell"))
         assert loaded.image_shape == ds.image_shape == (4, 4, 1)
-        assert loaded.as_dataset().image_shape == ds.image_shape
-        np.testing.assert_array_equal(
-            replacement_matrix(loaded.as_dataset()), replacement_matrix(ds))
+        np.testing.assert_array_equal(replacement_matrix(loaded),
+                                      replacement_matrix(ds))
         assert loaded.train_y.dtype == loaded.test_y.dtype == np.int64
 
     def test_flat_image_shape_round_trips_as_none(self, rng, tmp_path):
@@ -586,10 +585,53 @@ class TestPersistence:
         if value is not None:
             lines.append(f"{key}={value}")
         manifest.write_text("\n".join(lines) + "\n")
+        where = re.escape(str(cell))
         with pytest.raises(ProvenanceError,
-                           match=f"manifest in {re.escape(str(cell))}: "
-                                 f"{key} is"):
+                           match=f"manifest in {where} has no {key}"
+                           if value is None else
+                           f"manifest in {where}: {key} is"):
             load_modified_dataset(str(cell))
+
+    @pytest.mark.parametrize("key,value", [
+        ("estimator_id", None), ("estimator_id", ""),
+        ("threshold", None), ("threshold", "half"), ("threshold", "1.5"),
+        ("mode", None), ("mode", "remove"),
+        ("seed", None), ("seed", "-1"),
+        ("source_id", None), ("source_id", ""),
+        ("image_shape", None), ("image_shape", "4xq"),
+        ("image_shape", "4x4")])
+    def test_missing_or_malformed_provenance_is_refused_by_name(
+            self, rng, tmp_path, key, value):
+        _, cell = self.saved(rng, tmp_path)
+        manifest = cell / "manifest.txt"
+        lines = [line for line in manifest.read_text().splitlines()
+                 if not line.startswith(key + "=")]
+        if value is not None:
+            lines.append(f"{key}={value}")
+        manifest.write_text("\n".join(lines) + "\n")
+        where = re.escape(str(cell))
+        with pytest.raises(ProvenanceError,
+                           match=f"manifest in {where} has no {key}"
+                           if value is None else
+                           f"manifest in {where}: {key} is {value!r}"):
+            load_modified_dataset(str(cell))
+
+    def test_loaded_dataset_stacks_and_keeps_its_image_shape(self,
+                                                             tmp_path):
+        ds = datasets.generate_bars(40, 10, size=4, seed=1)
+        scores = np.arange(ds.n_features, dtype=np.float64)
+        [modified] = generate_modified_datasets(ds, {"e": (scores, scores)},
+                                                [0.5])
+        save_modified_dataset(modified, str(tmp_path / "cell"))
+        loaded = load_modified_dataset(str(tmp_path / "cell"))
+        assert isinstance(loaded, nn.ArrayDataset)
+        assert loaded.image_shape == (4, 4, 1)
+        stack = nn.DatasetStack.of([loaded])
+        np.testing.assert_array_equal(stack.train_x(0), loaded.train_x)
+        np.testing.assert_array_equal(stack.test_y, loaded.test_y)
+        trainer = nn.mlp_trainer([4], nn.TrainConfig(steps=5, batch_size=8))
+        [[(model, _)]] = trainer(stack, [[0]])
+        assert model.layers[0].weight.shape == (16, 4)
 
     @pytest.mark.parametrize("change", ["truncated", "shape"])
     def test_data_length_must_match_shapes(self, rng, tmp_path, change):
