@@ -7,6 +7,7 @@ import os
 import sys
 
 from roarbench import validation
+from roarbench.config import DatasetSpec, ExperimentConfig
 
 
 def main():
@@ -18,9 +19,9 @@ def main():
     parser.add_argument("--output", default="toy_results")
     args = parser.parse_args()
 
-    result = validation.run_toy_validation(
-        n_train=args.n_train, n_test=args.n_test, seed=args.seed,
-        runs_per_point=args.runs)
+    result = validation.run_toy_validation(ExperimentConfig(
+        seed=args.seed, runs_per_point=args.runs,
+        dataset=DatasetSpec(n_train=args.n_train, n_test=args.n_test)))
 
     os.makedirs(args.output, exist_ok=True)
     csv_path = os.path.join(args.output, "toy_validation.csv")

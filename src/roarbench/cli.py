@@ -53,11 +53,7 @@ def cmd_toy_validate(args) -> int:
     cfg = _load_config(args)
     if cfg.dataset.kind != "toy":
         raise ConfigError("toy-validate requires dataset kind 'toy'")
-    result = run_toy_validation(
-        n_train=cfg.dataset.n_train, n_test=cfg.dataset.n_test,
-        dim=cfg.dataset.dim, n_informative=cfg.dataset.n_informative,
-        seed=cfg.seed, runs_per_point=cfg.runs_per_point,
-        ridge=cfg.train.ridge)
+    result = run_toy_validation(cfg)
     os.makedirs(cfg.output, exist_ok=True)
     result.to_csv(os.path.join(cfg.output, "toy_validation.csv"))
     for check in result.checks:

@@ -199,6 +199,8 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"unknown mode {mode!r}")
     if not cfg.modes:
         raise ConfigError("mode list is empty")
+    if len(set(cfg.modes)) != len(cfg.modes):
+        raise ConfigError("modes must be unique")
     values = {key: getattr(_section(cfg, name), key)
               for name in _SECTIONS for key in _section_keys(name)}
     for key, (low, high) in _RANGES.items():

@@ -130,9 +130,9 @@ def save_baseline(ctx: ExperimentContext, model: nn.Model, baseline_acc: float,
     """`path`: the baseline's affine layers (`weight_<i>`, `bias_<i>`), its
     accuracy, and the sha256 of the canonical config text it was trained
     under."""
-    affines = model.layers[::2]
     arrays = {f"{name}_{i}": getattr(layer, name)
-              for i, layer in enumerate(affines) for name in ("weight", "bias")}
+              for i, layer in enumerate(model.layers)
+              for name in ("weight", "bias")}
     tmp = path + ".tmp.npz"  # suffix keeps savez from renaming it
     np.savez(tmp, accuracy=np.float64(baseline_acc),
              config_sha256=np.str_(config_sha256(ctx.config)), **arrays)
@@ -141,9 +141,8 @@ def save_baseline(ctx: ExperimentContext, model: nn.Model, baseline_acc: float,
 
 def load_baseline(ctx: ExperimentContext, path: str
                   ) -> tuple[nn.Model, float]:
-    """The baseline `save_baseline` wrote, with a rectifier between each two
-    affine layers; a file of another config, or one missing an array, is
-    refused by name."""
+    """The baseline `save_baseline` wrote; a file of another config, or one
+    missing an array, is refused by name."""
     with np.load(path) as data:
         if ("config_sha256" not in data.files
                 or str(data["config_sha256"]) != config_sha256(ctx.config)):
@@ -158,9 +157,7 @@ def load_baseline(ctx: ExperimentContext, path: str
         except KeyError as err:
             raise pipeline.ProvenanceError(
                 f"{path} is incomplete: {err}") from None
-    layers = [layer for affine in affines
-              for layer in (nn.Rectifier(), affine)][1:]
-    return nn.Model(layers), baseline_acc
+    return nn.Model(affines), baseline_acc
 
 
 def save_estimates(estimates, directory: str):

@@ -1,7 +1,8 @@
-"""Minimal differentiable MLP engine: affine/rectifier layers evaluated on
-(n, d) rows, SGD training of several seeded runs over a stack of datasets as
-one stacked model, batched input gradients with switchable guided-backprop
-masking, and a closed-form least-squares model."""
+"""Minimal differentiable MLP engine: a model is its affine layers, with a
+rectifier between each two, evaluated on (n, d) rows; SGD training of
+several seeded runs over a stack of datasets as one stacked model, batched
+input gradients with switchable guided-backprop masking, and a closed-form
+least-squares model."""
 
 from __future__ import annotations
 
@@ -43,21 +44,15 @@ class Affine:
     bias: np.ndarray  # (d_out,)
 
 
-class Rectifier:
-    def __repr__(self):
-        return "Rectifier()"
-
-
 @dataclass
 class Model:
-    layers: list
+    """An MLP: its affine layers, with a rectifier between each two."""
+
+    layers: list[Affine]
 
     @property
     def output_dim(self) -> int:
-        for layer in reversed(self.layers):
-            if isinstance(layer, Affine):
-                return layer.weight.shape[1]
-        raise ValueError("model has no affine layer")
+        return self.layers[-1].weight.shape[1]
 
 
 @dataclass
@@ -102,16 +97,15 @@ def forward(model: Model, x: np.ndarray, pre_acts=None) -> np.ndarray:
     if h.ndim != 2:
         raise ValueError(f"input of shape {h.shape}; expected (n, d) rows")
     for i, layer in enumerate(model.layers):
-        if isinstance(layer, Affine):
-            if h.shape[1] != layer.weight.shape[0]:
-                raise DimensionError(
-                    i, f"input has {h.shape[1]} features, weight expects "
-                    f"{layer.weight.shape[0]}")
-            h = h @ layer.weight + layer.bias
-        else:
+        if i > 0:  # the rectifier between affines i - 1 and i
             if pre_acts is not None:
                 pre_acts.append(h)
             h = np.maximum(h, 0.0)
+        if h.shape[1] != layer.weight.shape[0]:
+            raise DimensionError(
+                i, f"input has {h.shape[1]} features, weight expects "
+                f"{layer.weight.shape[0]}")
+        h = h @ layer.weight + layer.bias
     return h
 
 
@@ -136,9 +130,8 @@ def input_gradient(model: Model, x: np.ndarray, targets,
     g = np.zeros_like(out)
     g[np.arange(len(g)), targets] = 1.0
     for layer in reversed(model.layers):
-        if isinstance(layer, Affine):
-            g = g @ layer.weight.T
-        else:
+        g = g @ layer.weight.T
+        if pre_acts:  # the rectifier before this affine
             g = g * (pre_acts.pop() > 0.0)
             if mode == GUIDED:
                 g = g * (g > 0.0)
@@ -146,16 +139,15 @@ def input_gradient(model: Model, x: np.ndarray, targets,
 
 
 def init_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> Model:
-    """MLP with rectifiers between affines; uniform +-1/sqrt(fan_in) init."""
-    layers: list = []
-    for i, (d_in, d_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
+    """MLP of one affine per pair of adjacent layer sizes; uniform
+    +-1/sqrt(fan_in) init."""
+    layers = []
+    for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         bound = 1.0 / np.sqrt(d_in)
         layers.append(Affine(
             weight=rng.uniform(-bound, bound, size=(d_in, d_out)),
             bias=rng.uniform(-bound, bound, size=d_out),
         ))
-        if i < len(layer_sizes) - 2:
-            layers.append(Rectifier())
     return Model(layers)
 
 
@@ -287,11 +279,9 @@ def train(layer_sizes: Sequence[int], stack: DatasetStack, config: TrainConfig,
     onehot = np.tile(np.eye(layer_sizes[-1], dtype=TRAIN_DTYPE)[stack.train_y],
                      (stack.size, 1))
     rows = np.stack(rows, axis=1)  # (steps, R, batch)
-    params = [(np.stack([m.layers[i].weight for m in models],
-                        dtype=TRAIN_DTYPE),
-               np.stack([m.layers[i].bias[None] for m in models],
-                        dtype=TRAIN_DTYPE))
-              for i in range(0, len(models[0].layers), 2)]
+    params = [(np.stack([a.weight for a in affines], dtype=TRAIN_DTYPE),
+               np.stack([a.bias[None] for a in affines], dtype=TRAIN_DTYPE))
+              for affines in zip(*(m.layers for m in models))]
     results: list = [None] * len(models)
     live = np.arange(len(models))
     lr = TRAIN_DTYPE(config.learning_rate)
@@ -325,7 +315,7 @@ def train(layer_sizes: Sequence[int], stack: DatasetStack, config: TrainConfig,
             b -= lr * grad_b
     del train_x, onehot  # before any test split is built
     for k, run in enumerate(live):
-        for layer, (w, b) in zip(models[run].layers[::2], params):
+        for layer, (w, b) in zip(models[run].layers, params):
             layer.weight = w[k].astype(np.float64)
             layer.bias = b[k, 0].astype(np.float64)
     bounds = np.cumsum([0, *map(len, seeds)])

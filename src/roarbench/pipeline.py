@@ -250,11 +250,16 @@ def record_row(entry: Record | CellFailure) -> str:
 
 
 def parse_row(row: str) -> Record | CellFailure:
-    """Inverse of record_row; ValueError on a malformed row."""
+    """Inverse of record_row; ValueError on a malformed row, or on an
+    outcome that is neither `failed:<step>` nor an accuracy in [0, 1]."""
     estimator_id, threshold, mode, run, outcome = row.split(",")
     key = (estimator_id, float(threshold), mode, int(run))
-    return (CellFailure(*key, outcome) if outcome.startswith("failed:")
-            else Record(*key, float(outcome)))
+    if re.fullmatch(r"failed:[0-9]+", outcome):
+        return CellFailure(*key, outcome)
+    accuracy = float(outcome)
+    if not 0.0 <= accuracy <= 1.0:  # also false for nan
+        raise ValueError(f"accuracy {outcome} outside [0, 1]")
+    return Record(*key, accuracy)
 
 
 @dataclass

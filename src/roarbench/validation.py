@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import nn, pipeline, toydata
+from .config import ExperimentConfig
 
 TOY_THRESHOLDS = (0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0)
 
@@ -43,15 +44,15 @@ class ToyValidationResult:
         pipeline._atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def run_toy_validation(n_train: int = 10_000, n_test: int = 2_000,
-                       dim: int = 16, n_informative: int = 4, seed: int = 0,
-                       runs_per_point: int = 5,
-                       thresholds=TOY_THRESHOLDS,
-                       ridge: float = 1e-8) -> ToyValidationResult:
+def run_toy_validation(cfg: ExperimentConfig) -> ToyValidationResult:
+    """The toy contrast at TOY_THRESHOLDS, read from cfg's toy dataset keys,
+    seed, runs_per_point and ridge; the toy data is drawn from the config
+    seed itself."""
+    seed, spec = cfg.seed, cfg.dataset
     toy = toydata.generate_toy(toydata.ToyConfig(
-        n_samples=n_train + n_test, dim=dim, n_informative=n_informative,
-        seed=seed))
-    dataset = toy.split(n_train)
+        n_samples=spec.n_train + spec.n_test, dim=spec.dim,
+        n_informative=spec.n_informative, seed=seed))
+    dataset = toy.split(spec.n_train)
 
     rankings = {
         toydata.GROUND_TRUTH: toydata.ground_truth_ranking(
@@ -63,13 +64,14 @@ def run_toy_validation(n_train: int = 10_000, n_test: int = 2_000,
     scores = {name: pipeline.ranking_to_scores(order)
               for name, order in rankings.items()}
 
-    trainer = nn.least_squares_trainer(ridge=ridge)
+    ridge = cfg.train.ridge
     roar_grid = pipeline.run_roar(
-        dataset, {name: (s, s) for name, s in scores.items()}, thresholds,
-        trainer, runs_per_point=runs_per_point, base_seed=seed)
+        dataset, {name: (s, s) for name, s in scores.items()}, TOY_THRESHOLDS,
+        nn.least_squares_trainer(ridge=ridge),
+        runs_per_point=cfg.runs_per_point, base_seed=seed)
     baseline = nn.fit_least_squares(dataset, ridge=ridge, fit_bias=True)
-    deletion_grid = pipeline.run_deletion_metric(dataset, baseline,
-                                                 scores.items(), thresholds)
+    deletion_grid = pipeline.run_deletion_metric(
+        dataset, baseline, scores.items(), TOY_THRESHOLDS)
 
     roar = {(e, t): mean for e, t, _, mean, _ in roar_grid.aggregate()}
     deletion = {(e, t): mean for e, t, _, mean, _
@@ -80,7 +82,7 @@ def run_toy_validation(n_train: int = 10_000, n_test: int = 2_000,
                  for r in roar_grid.records if r.run_index == 0}
 
     result = ToyValidationResult(roar=roar, deletion=deletion)
-    result.checks = _shape_checks(roar, deletion, roar_run0, thresholds)
+    result.checks = _shape_checks(roar, deletion, roar_run0, TOY_THRESHOLDS)
     return result
 
 

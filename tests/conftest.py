@@ -18,14 +18,14 @@ def finite_difference(model, x, target, step=1e-5):
 
 
 def rectifier_preacts(model, x):
+    """The input of each rectifier: the output of every affine but the
+    last."""
     h = x
     preacts = []
-    for layer in model.layers:
-        if isinstance(layer, nn.Affine):
-            h = h @ layer.weight + layer.bias
-        else:
-            preacts.append(h.copy())
-            h = np.maximum(h, 0.0)
+    for layer in model.layers[:-1]:
+        h = h @ layer.weight + layer.bias
+        preacts.append(h.copy())
+        h = np.maximum(h, 0.0)
     return preacts
 
 

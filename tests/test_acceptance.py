@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from roarbench import cli, datasets, nn, pipeline, validation
+from roarbench.config import ExperimentConfig
 from roarbench.estimators import (EnsembleConfig, EstimatorSettings,
                                   IGConfig, SG, SG_SQ, VAR, compute_estimates,
                                   control_random, control_sobel,
@@ -28,7 +29,8 @@ def report(criterion, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def result():
-    return validation.run_toy_validation(seed=TOY_SEED, runs_per_point=5)
+    # The config defaults are the toy task's reference scale.
+    return validation.run_toy_validation(ExperimentConfig(seed=TOY_SEED))
 
 
 class TestCriterion1ToyCurveShapes:

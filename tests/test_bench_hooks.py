@@ -1,9 +1,8 @@
 """Guards the hooks `perfbench/run.py --trace 1` relies on: every function
-the tracer wraps must still exist where its callers look it up, and
-`compute_estimates` must keep the parameters the tracer reads from each
-call, as must `nn.train` for a dataset stack; and `run` must retrain
-through `pipeline.run_roar`, so that its traced span covers retraining.
-The benchmark files are only read here."""
+the tracer wraps must still exist where its callers look it up, and every
+function it describes must keep the parameters the tracer reads from each
+call; and `run` must retrain through `pipeline.run_roar`, so that its
+traced span covers retraining. The benchmark files are only read here."""
 
 import importlib
 import importlib.util
@@ -11,8 +10,10 @@ import inspect
 import os
 
 import numpy as np
+import pytest
 
 from roarbench import cli, experiment, nn, pipeline
+from roarbench.estimators import EstimatorSettings
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "tracer.py")
@@ -65,6 +66,46 @@ def test_train_binds_described_parameters_of_a_dataset_stack():
     # The bound call is a real one: one result list per stacked dataset.
     results = nn.train(*bound.args, **bound.kwargs)
     assert [len(r) for r in results] == [2, 1, 2]
+
+
+def described_calls(tmp_path) -> dict:
+    """Per span name the tracer describes: the args and kwargs of one real
+    call, and the entries its description must hold."""
+    rng = np.random.default_rng(2)
+    dataset = nn.ArrayDataset(rng.standard_normal((6, 3)), np.arange(6) % 2,
+                              rng.standard_normal((4, 3)), np.arange(4) % 2)
+    modified = pipeline.ModifiedDataset(
+        dataset.train_x, dataset.train_y, dataset.test_x, dataset.test_y,
+        provenance=pipeline.Provenance("random", 0.5, "roar", 2, "dataset"))
+    cell = str(tmp_path / "cell")
+    return {
+        "estimators.compute_estimates": (
+            ("grad", EstimatorSettings(), nn.init_mlp([3, 4, 2], rng),
+             dataset.test_x, dataset.test_y), {},
+            {"id": "grad", "samples": 4}),
+        "nn.fit_least_squares": ((dataset,), {"ridge": 1e-8,
+                                              "fit_bias": True}, {}),
+        "nn.train": (([3, 4, 2], nn.DatasetStack.of([dataset]),
+                      nn.TrainConfig(steps=5, batch_size=2), [[0]]), {},
+                     {"steps": 5}),
+        "pipeline.save_modified_dataset": ((modified, cell), {},
+                                           {"dir": cell}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(load_tracer().DESCRIBE))
+def test_described_call_binds_and_is_described(name, tmp_path):
+    tracer = load_tracer()
+    [(module_name, attr)] = [(module_name, attr) for module_name, attr, span
+                             in tracer.PATCHES if span == name]
+    fn = getattr(importlib.import_module(module_name), attr)
+    args, kwargs, expected = described_calls(tmp_path)[name]
+    # Bind the call the way the tracer does, describe it, then make it.
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    described = tracer.DESCRIBE[name](bound.arguments)
+    assert expected.items() <= described.items()
+    fn(*bound.args, **bound.kwargs)
 
 
 def test_run_retrains_through_run_roar(tmp_path, monkeypatch):

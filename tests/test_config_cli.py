@@ -105,6 +105,10 @@ class TestParseConfig:
             parse_config(f"[experiment]\nthresholds = {thresholds}\n"
                          + MINIMAL)
 
+    def test_duplicate_modes_rejected(self):
+        with pytest.raises(ConfigError, match="modes must be unique"):
+            parse_config("[experiment]\nmodes = roar,kar,roar\n" + MINIMAL)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ConfigError, match="unknown estimator"):
             parse_config("[estimators]\nids = shapley\n")
@@ -330,6 +334,15 @@ class TestRanges:
         assert run_cli(command, "--config", str(config), "--output", out,
                        "--seed", seed) == 1
         assert "seed" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_run_refuses_duplicate_modes(self, tmp_path, capsys):
+        # Each mode once: a repeated one would list every run twice.
+        config = tmp_path / "config.ini"
+        config.write_text(BARS.replace("modes = roar", "modes = roar,roar"))
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", str(config), "--output", out) == 1
+        assert "modes must be unique" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 
@@ -715,6 +728,32 @@ class TestCollectGrid:
                            match=os.path.basename(path)):
             experiment.collect_grid(ctx, out)
 
+    @pytest.mark.parametrize("outcome", ["nan", "1.5", "failed:banana"])
+    def test_corrupt_outcome_names_the_fragment(self, grid_dir, outcome):
+        ctx, out, path = grid_dir
+        with open(path) as f:
+            rows = f.read().splitlines()
+        rows[1] = rows[1].rpartition(",")[0] + "," + outcome
+        with open(path, "w") as f:
+            f.writelines(row + "\n" for row in rows)
+        with pytest.raises(pipeline.ProvenanceError,
+                           match=f"corrupt record in .*"
+                                 f"{os.path.basename(path)}"):
+            experiment.collect_grid(ctx, out)
+
+    def test_outcomes_at_the_range_ends_are_read(self, grid_dir):
+        ctx, out, path = grid_dir
+        with open(path) as f:
+            rows = f.read().splitlines()
+        for i, outcome in enumerate(["0.0000000000", "1.0000000000",
+                                     "failed:17"]):
+            rows[i] = rows[i].rpartition(",")[0] + "," + outcome
+        with open(path, "w") as f:
+            f.writelines(row + "\n" for row in rows)
+        grid = experiment.collect_grid(ctx, out)
+        assert [f.reason for f in grid.failures] == ["failed:17"]
+        assert len(grid.records) == 2 * 2 * 1 * 2 - 1
+
 
 class TestOutputConfig:
     """An output directory is tied to the config that filled it through
@@ -987,9 +1026,8 @@ class TestBaselineCache:
         loaded, loaded_acc = experiment.load_baseline(
             ctx, os.path.join(out, "baseline.npz"))
         assert loaded_acc == acc
-        assert [type(layer) for layer in loaded.layers] == \
-            [type(layer) for layer in model.layers]
-        for a, b in zip(loaded.layers[::2], model.layers[::2]):
+        assert len(loaded.layers) == len(model.layers)
+        for a, b in zip(loaded.layers, model.layers):
             assert a.weight.tobytes() == b.weight.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
 

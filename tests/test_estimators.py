@@ -52,7 +52,6 @@ class TestGuidedBackprop:
     def test_hand_traced_negative_path_zeroed(self):
         model = nn.Model([
             nn.Affine(weight=np.eye(2), bias=np.zeros(2)),
-            nn.Rectifier(),
             nn.Affine(weight=np.array([[-1.0], [1.0]]), bias=np.zeros(1)),
         ])
         [e] = estimate_gb(model, np.array([[2.0, 3.0]]), [0])
@@ -62,7 +61,6 @@ class TestGuidedBackprop:
         model = nn.Model([
             nn.Affine(weight=rng.uniform(0.1, 1.0, (3, 5)),
                       bias=rng.uniform(0.0, 0.2, 5)),
-            nn.Rectifier(),
             nn.Affine(weight=rng.uniform(0.1, 1.0, (5, 2)),
                       bias=np.zeros(2)),
         ])

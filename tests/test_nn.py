@@ -16,7 +16,6 @@ def two_layer_model():
     return nn.Model([
         nn.Affine(weight=np.array([[1.0, 2.0], [3.0, 4.0]]),
                   bias=np.array([1.0, -1.0])),
-        nn.Rectifier(),
         nn.Affine(weight=np.array([[1.0], [-1.0]]), bias=np.array([0.5])),
     ])
 
@@ -32,7 +31,9 @@ class TestForward:
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_rectifier(self):
-        model = nn.Model([nn.Rectifier()])
+        # Identity affine, rectifier, identity affine.
+        model = nn.Model([nn.Affine(weight=np.eye(2), bias=np.zeros(2)),
+                          nn.Affine(weight=np.eye(2), bias=np.zeros(2))])
         np.testing.assert_array_equal(
             nn.forward(model, np.array([[-1.0, 3.0]])), [[0.0, 3.0]])
 
@@ -53,6 +54,13 @@ class TestForward:
     def test_shape_mismatch_names_layer(self):
         with pytest.raises(nn.DimensionError, match="layer 0"):
             nn.forward(identity_model(), np.array([[1.0, 2.0, 3.0]]))
+
+    def test_layer_index_counts_affine_layers(self):
+        model = nn.Model([nn.Affine(weight=np.eye(2), bias=np.zeros(2)),
+                          nn.Affine(weight=np.eye(3), bias=np.zeros(3))])
+        with pytest.raises(nn.DimensionError, match="layer 1") as err:
+            nn.forward(model, np.array([[1.0, 2.0]]))
+        assert err.value.layer_index == 1
 
     @pytest.mark.parametrize("call", [
         lambda x: nn.forward(identity_model(), x),
@@ -85,7 +93,6 @@ class TestInputGradient:
         model = nn.Model([
             nn.Affine(weight=rng.uniform(0.1, 1.0, (4, 6)),
                       bias=rng.uniform(0.1, 0.5, 6)),
-            nn.Rectifier(),
             nn.Affine(weight=rng.uniform(0.1, 1.0, (6, 2)),
                       bias=np.zeros(2)),
         ])
@@ -98,7 +105,6 @@ class TestInputGradient:
         # Identity first layer, both units active; second layer [-1, 1].
         model = nn.Model([
             nn.Affine(weight=np.eye(2), bias=np.zeros(2)),
-            nn.Rectifier(),
             nn.Affine(weight=np.array([[-1.0], [1.0]]), bias=np.zeros(1)),
         ])
         x = np.array([2.0, 3.0])
@@ -161,10 +167,8 @@ def assert_same_result(stacked, solo):
     assert not isinstance(stacked, nn.TrainingDivergedError)
     assert stacked[1] == solo[1]
     for la, lb in zip(stacked[0].layers, solo[0].layers, strict=True):
-        assert type(la) is type(lb)
-        if isinstance(la, nn.Affine):
-            np.testing.assert_array_equal(la.weight, lb.weight)
-            np.testing.assert_array_equal(la.bias, lb.bias)
+        np.testing.assert_array_equal(la.weight, lb.weight)
+        np.testing.assert_array_equal(la.bias, lb.bias)
 
 
 class TestTrain:
@@ -190,10 +194,9 @@ class TestTrain:
         [(model_a, acc_a)] = train_on([2, 6, 2], ds, cfg, [42])
         [(model_b, acc_b)] = train_on([2, 6, 2], ds, cfg, [42])
         assert acc_a == acc_b
-        for la, lb in zip(model_a.layers, model_b.layers):
-            if isinstance(la, nn.Affine):
-                np.testing.assert_array_equal(la.weight, lb.weight)
-                np.testing.assert_array_equal(la.bias, lb.bias)
+        for la, lb in zip(model_a.layers, model_b.layers, strict=True):
+            np.testing.assert_array_equal(la.weight, lb.weight)
+            np.testing.assert_array_equal(la.bias, lb.bias)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_carries_step_index(self):
@@ -217,7 +220,7 @@ class TestTrain:
         results = nn.train([2, 5, 4, 2], stack, cfg, [[0, 1], [2]])
         arrays = []
         for model, _ in (r for cell in results for r in cell):
-            for layer in model.layers[::2]:
+            for layer in model.layers:
                 for a in (layer.weight, layer.bias):
                     assert a.dtype == np.float64
                     assert a.flags.c_contiguous and a.flags.owndata

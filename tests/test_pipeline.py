@@ -332,7 +332,8 @@ class TestRetrainEstimator:
             for (model, acc), (solo_model, solo_acc) in zip(
                     cell_results, solo, strict=True):
                 assert acc == solo_acc
-                for la, lb in zip(model.layers[::2], solo_model.layers[::2]):
+                for la, lb in zip(model.layers, solo_model.layers,
+                                  strict=True):
                     np.testing.assert_array_equal(la.weight, lb.weight)
                     np.testing.assert_array_equal(la.bias, lb.bias)
 
