@@ -3,7 +3,7 @@ feature-importance estimators."""
 
 from .nn import (ArrayDataset, Model, TrainConfig, fit_least_squares,
                  forward, input_gradient, train)
-from .estimators import (EnsembleConfig, IGConfig, compute_estimates,
+from .estimators import (EstimatorSettings, compute_estimates,
                          control_random, control_sobel, estimate_gb,
                          estimate_grad, estimate_ig)
 from .pipeline import (ModificationSpec, ModifiedDataset, ResultGrid,
@@ -13,10 +13,9 @@ from .toydata import ToyConfig, ToyDataset, generate_toy, ground_truth_ranking
 
 __all__ = [
     "ArrayDataset", "Model", "TrainConfig", "fit_least_squares", "forward",
-    "input_gradient", "train", "EnsembleConfig", "IGConfig",
-    "compute_estimates", "control_random", "control_sobel",
-    "estimate_gb", "estimate_grad", "estimate_ig",
-    "ModificationSpec", "ModifiedDataset", "ResultGrid",
+    "input_gradient", "train", "EstimatorSettings", "compute_estimates",
+    "control_random", "control_sobel", "estimate_gb", "estimate_grad",
+    "estimate_ig", "ModificationSpec", "ModifiedDataset", "ResultGrid",
     "generate_modified_datasets", "rank_features", "run_deletion_metric",
     "run_roar", "ToyConfig", "ToyDataset", "generate_toy",
     "ground_truth_ranking",

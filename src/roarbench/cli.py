@@ -53,8 +53,8 @@ def cmd_toy_validate(args) -> int:
     cfg = _load_config(args)
     if cfg.dataset.kind != "toy":
         raise ConfigError("toy-validate requires dataset kind 'toy'")
+    experiment.check_output_config(cfg, cfg.output, stamp=True)
     result = run_toy_validation(cfg)
-    os.makedirs(cfg.output, exist_ok=True)
     result.to_csv(os.path.join(cfg.output, "toy_validation.csv"))
     for check in result.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -95,8 +95,8 @@ def cmd_modify(args) -> int:
     ctx = _context(args)
     cfg = ctx.config
     modified_dir = os.path.join(cfg.output, "modified")
-    if not experiment.check_output_config(cfg, cfg.output, stamp=True) \
-            and os.path.isdir(modified_dir):
+    experiment.check_output_config(cfg, cfg.output, stamp=True)
+    if os.path.isdir(modified_dir):
         pipeline.refuse_old_parts(modified_dir)
     estimates_dir = os.path.join(cfg.output, "estimates")
     if os.path.isdir(estimates_dir):
@@ -106,7 +106,7 @@ def cmd_modify(args) -> int:
     # Each dataset is saved as it is built; none is kept in memory after.
     for m in pipeline.generate_modified_datasets(
             ctx.dataset, estimates, cfg.thresholds, modes=cfg.modes,
-            source_id=ctx.source_id, seed=cfg.seed):
+            source_id=cfg.dataset.kind, seed=cfg.seed):
         p = m.provenance
         pipeline.save_modified_dataset(m, os.path.join(
             modified_dir,

@@ -11,6 +11,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .estimators import all_estimator_ids
 from .nn import LOSSES
+from .pipeline import threshold_text
 
 
 class ConfigError(ValueError):
@@ -188,7 +189,7 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError("threshold list is empty")
     if sorted(cfg.thresholds) != cfg.thresholds:
         raise ConfigError("thresholds must be sorted ascending")
-    if len({f"{t:.6f}" for t in cfg.thresholds}) != len(cfg.thresholds):
+    if len(set(map(threshold_text, cfg.thresholds))) != len(cfg.thresholds):
         raise ConfigError("thresholds must differ at 6 decimals, the "
                           "precision of results and cell names")
     for t in cfg.thresholds:

@@ -7,7 +7,7 @@ target units -- to (n, d) scores."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -24,21 +24,15 @@ ROW_BLOCK = 64
 
 
 @dataclass
-class IGConfig:
-    steps: int = 25
-    reference: np.ndarray | None = None  # defaults to all-zeros
+class EstimatorSettings:
+    """Per-experiment knobs of the registry estimators, named as the
+    `[estimators]` config keys."""
 
-
-@dataclass
-class EnsembleConfig:
-    samples: int = 15
+    ig_steps: int = 25
+    ensemble_samples: int = 15
     noise_stddev: float = 0.15
-    seed: int = 0
-
-
-def default_noise_stddev(x: np.ndarray) -> float:
-    """SmoothGrad convention: 0.15 of the input value range."""
-    return 0.15 * float(x.max() - x.min())
+    seed: int = 0  # ensemble noise streams and the random control
+    image_shape: tuple[int, int, int] | None = None  # (H, W, C), images only
 
 
 def estimate_grad(model: Model, x: np.ndarray, targets) -> np.ndarray:
@@ -49,52 +43,54 @@ def estimate_gb(model: Model, x: np.ndarray, targets) -> np.ndarray:
     return input_gradient(model, x, targets, mode=GUIDED)
 
 
-def estimate_ig(model: Model, x: np.ndarray, targets,
-                cfg: IGConfig) -> np.ndarray:
-    """Riemann approximation of the path integral from the reference to each
-    row of x; one batched gradient pass per step."""
+def estimate_ig(model: Model, x: np.ndarray, targets, steps: int,
+                reference: np.ndarray | None = None) -> np.ndarray:
+    """Riemann approximation, in `steps` steps, of the path integral from
+    the reference (all-zeros by default) to each row of x; one batched
+    gradient pass per step."""
     x = np.asarray(x, dtype=np.float64)
-    ref = np.zeros(x.shape[1:]) if cfg.reference is None else np.asarray(
-        cfg.reference, dtype=np.float64)
+    ref = np.zeros(x.shape[1:]) if reference is None else np.asarray(
+        reference, dtype=np.float64)
     if ref.shape != x.shape[1:]:
         raise ValueError(f"reference shape {ref.shape} != sample shape "
                          f"{x.shape[1:]}")
-    k = cfg.steps
     total = np.zeros_like(x)
-    for j in range(1, k + 1):
-        total += input_gradient(model, ref + (j / k) * (x - ref), targets)
-    return (x - ref) * total / k
+    for j in range(1, steps + 1):
+        total += input_gradient(model, ref + (j / steps) * (x - ref), targets)
+    return (x - ref) * total / steps
 
 
 def ensemble_moments(base: Callable[[Model, np.ndarray, np.ndarray],
                                      np.ndarray],
                      model: Model, x: np.ndarray, targets,
-                     cfg: EnsembleConfig, first_row: int = 0
+                     settings: EstimatorSettings, first_row: int = 0
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and mean of squares of the base estimates of noisy copies of x,
-    from which SG, SG-SQ and VAR are reductions.
+    """Mean and mean of squares of the base estimates of
+    `settings.ensemble_samples` noisy copies of x, from which SG, SG-SQ and
+    VAR are reductions.
 
-    Row i draws its noise from the stream _mix_seed(cfg.seed, first_row + i),
-    so a row's scores do not depend on the rows batched with it.
+    Row i draws its noise from the stream _mix_seed(settings.seed,
+    first_row + i), so a row's scores do not depend on the rows batched
+    with it.
     """
     x = np.asarray(x, dtype=np.float64)
-    if cfg.noise_stddev == 0.0:
+    samples, stddev = settings.ensemble_samples, settings.noise_stddev
+    if stddev == 0.0:
         # Every draw is x itself: one pass gives the moments exactly.
         scores = base(model, x, targets)
         return scores, scores ** 2
-    noise = np.empty((cfg.samples, *x.shape))  # (S, n, d)
+    noise = np.empty((samples, *x.shape))  # (S, n, d)
     for i in range(len(x)):
-        rng = np.random.default_rng(np.uint64(_mix_seed(cfg.seed,
+        rng = np.random.default_rng(np.uint64(_mix_seed(settings.seed,
                                                         first_row + i)))
-        noise[:, i] = rng.normal(0.0, cfg.noise_stddev,
-                                 size=(cfg.samples, x.shape[1]))
+        noise[:, i] = rng.normal(0.0, stddev, size=(samples, x.shape[1]))
     acc = np.zeros_like(x)
     acc_sq = np.zeros_like(x)
     for draw in noise:
         scores = base(model, x + draw, targets)
         acc += scores
         acc_sq += scores ** 2
-    return acc / cfg.samples, acc_sq / cfg.samples
+    return acc / samples, acc_sq / samples
 
 
 def _reduce(mode: str, mean: np.ndarray, mean_sq: np.ndarray) -> np.ndarray:
@@ -150,15 +146,6 @@ def all_estimator_ids() -> list[str]:
     return ids
 
 
-@dataclass
-class EstimatorSettings:
-    """Per-experiment knobs shared by the registry-built estimators."""
-
-    ig: IGConfig = field(default_factory=IGConfig)
-    ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    image_shape: tuple[int, int, int] | None = None  # (H, W, C), images only
-
-
 def _mix_seed(seed: int, sample_index: int) -> int:
     # Private per-sample stream; SplitMix-style odd-constant mixing.
     return (seed * 0x9E3779B97F4A7C15 + sample_index * 0xBF58476D1CE4E5B9
@@ -195,13 +182,12 @@ def compute_estimates(estimator_id: str, settings: EstimatorSettings,
     targets = np.asarray(targets)
     head, _, tail = estimator_id.partition("-")
     bases = {"grad": estimate_grad, "gb": estimate_gb,
-             "ig": partial(estimate_ig, cfg=settings.ig)}
+             "ig": partial(estimate_ig, steps=settings.ig_steps)}
 
     def run_pass(rows: slice):
         if head in ENSEMBLE_MODES:
             return ensemble_moments(bases[tail], model, x[rows],
-                                    targets[rows], settings.ensemble,
-                                    rows.start)
+                                    targets[rows], settings, rows.start)
         return bases[head](model, x[rows], targets[rows])
 
     out = np.empty_like(x)
@@ -209,7 +195,7 @@ def compute_estimates(estimator_id: str, settings: EstimatorSettings,
         rows = slice(start, start + ROW_BLOCK)
         if estimator_id == "random":
             # One shared score vector: every sample gets the same ranking.
-            out[rows] = control_random(x.shape[1], settings.ensemble.seed)
+            out[rows] = control_random(x.shape[1], settings.seed)
             continue
         if estimator_id == "sobel":
             images = x[rows].reshape(-1, *settings.image_shape)

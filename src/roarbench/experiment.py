@@ -15,19 +15,13 @@ import numpy as np
 from . import datasets as ds_io
 from . import nn, pipeline, toydata
 from .config import ConfigError, ExperimentConfig, serialize_config
-from .estimators import (EnsembleConfig, EstimatorSettings, IGConfig,
-                         compute_estimates, default_noise_stddev,
-                         pass_family)
+from .estimators import EstimatorSettings, compute_estimates, pass_family
 
 
 @dataclass
 class ExperimentContext:
     config: ExperimentConfig
     dataset: nn.ArrayDataset
-
-    @property
-    def source_id(self) -> str:
-        return self.config.dataset.kind
 
 
 def build_context(cfg: ExperimentConfig) -> ExperimentContext:
@@ -68,18 +62,17 @@ def train_baseline(ctx: ExperimentContext) -> tuple[nn.Model, float]:
 
 
 def estimator_settings(ctx: ExperimentContext) -> EstimatorSettings:
+    """The `[estimators]` keys; `noise_stddev = auto` is the SmoothGrad
+    convention, 0.15 of the train split's value range."""
     spec = ctx.config.estimators
-    if spec.noise_stddev == "auto":
-        stddev = default_noise_stddev(ctx.dataset.train_x)
-    else:
-        stddev = float(spec.noise_stddev)
+    x = ctx.dataset.train_x
+    stddev = (0.15 * float(x.max() - x.min()) if spec.noise_stddev == "auto"
+              else float(spec.noise_stddev))
     return EstimatorSettings(
-        ig=IGConfig(steps=spec.ig_steps),
-        ensemble=EnsembleConfig(
-            samples=spec.ensemble_samples, noise_stddev=stddev,
-            seed=pipeline.derive_seed(ctx.config.seed, "ensemble")),
-        image_shape=ctx.dataset.image_shape,
-    )
+        ig_steps=spec.ig_steps, ensemble_samples=spec.ensemble_samples,
+        noise_stddev=stddev,
+        seed=pipeline.derive_seed(ctx.config.seed, "ensemble"),
+        image_shape=ctx.dataset.image_shape)
 
 
 def _targets(model: nn.Model, labels: np.ndarray) -> np.ndarray:
@@ -203,10 +196,6 @@ def load_estimates(ctx: ExperimentContext, directory: str):
 # Resumable grid execution: one CSV fragment per estimator, written
 # atomically; estimators whose fragment exists are skipped on rerun.
 
-def _log(message: str):
-    print(message, file=sys.stderr, flush=True)
-
-
 def config_text(cfg: ExperimentConfig) -> str:
     """The canonical config without its `output` line: what ties outputs to
     the config that produced them."""
@@ -219,12 +208,11 @@ def config_sha256(cfg: ExperimentConfig) -> str:
 
 
 def check_output_config(cfg: ExperimentConfig, output_dir: str,
-                        stamp: bool = False) -> bool:
+                        stamp: bool = False):
     """`<output>/config.ini`, the `config_text`, ties an output directory to
     its config. A missing or different file is refused, not recomputed;
     `stamp` writes it into a directory that holds no `cells/`, `estimates/`,
-    `modified/` or `baseline.npz`. True if it did: the directory holds no
-    outputs yet."""
+    `modified/` or `baseline.npz`."""
     text = config_text(cfg)
     path = os.path.join(output_dir, "config.ini")
     if not os.path.exists(path):
@@ -235,12 +223,11 @@ def check_output_config(cfg: ExperimentConfig, output_dir: str,
                 f"missing {path}: no record of {output_dir}'s config")
         os.makedirs(output_dir, exist_ok=True)
         pipeline._atomic_write_text(path, text)
-        return True
+        return
     with open(path) as f:
         if f.read() != text:
             raise pipeline.ProvenanceError(
                 f"{path} records another config; use a fresh output directory")
-    return False
 
 
 def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
@@ -270,7 +257,8 @@ def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
             pipeline._atomic_write_text(path, "\n".join(
                 map(pipeline.record_row, grid.entries)) + "\n")
             status = "done"
-        _log(f"estimator={estimator_id} status={status}")
+        print(f"estimator={estimator_id} status={status}", file=sys.stderr,
+              flush=True)
 
 
 def collect_grid(ctx: ExperimentContext, output_dir: str) -> pipeline.ResultGrid:
@@ -312,8 +300,8 @@ def write_report(ctx: ExperimentContext, grid: pipeline.ResultGrid,
     aggregated = grid.aggregate()  # sorted by (estimator, t, mode)
     for estimator_id in ctx.config.estimators.ids:
         lines = ["threshold,mode,mean_accuracy,std_accuracy"]
-        lines += [f"{t:.6f},{mode},{mean:.10f},{std:.10f}"
-                  for est, t, mode, mean, std in aggregated
+        lines += [f"{pipeline.threshold_text(t)},{mode},{mean:.10f},"
+                  f"{std:.10f}" for est, t, mode, mean, std in aggregated
                   if est == estimator_id]
         pipeline._atomic_write_text(
             os.path.join(output_dir, f"plot_{estimator_id}.csv"),

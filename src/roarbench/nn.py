@@ -71,14 +71,6 @@ class ArrayDataset:
     def n_features(self) -> int:
         return self.train_x.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return _n_classes(self.train_y, self.test_y)
-
-
-def _n_classes(train_y: np.ndarray, test_y: np.ndarray) -> int:
-    return int(max(train_y.max(), test_y.max())) + 1
-
 
 LOSSES = ("softmax_cross_entropy", "mean_squared_error")
 
@@ -214,7 +206,7 @@ class DatasetStack:
 
     @property
     def n_classes(self) -> int:
-        return _n_classes(self.train_y, self.test_y)
+        return int(max(self.train_y.max(), self.test_y.max())) + 1
 
     @classmethod
     def of(cls, datasets: Sequence[ArrayDataset]) -> "DatasetStack":

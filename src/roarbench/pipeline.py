@@ -52,6 +52,11 @@ def rank_features(scores: np.ndarray,
     return np.argsort(-scores, axis=-1, kind="stable")
 
 
+def threshold_text(threshold: float) -> str:
+    """A threshold as every key, name, record and report writes it."""
+    return f"{threshold:.6f}"
+
+
 def n_modified(threshold: float, n_positions: int) -> int:
     """ceil(t * P), guarded against float representation of t * P."""
     return math.ceil(threshold * n_positions - 1e-9)
@@ -73,7 +78,7 @@ def cell_key(estimator_id: str, threshold: float, mode: str,
     if k in (0, n_positions):
         return ALL_REPLACED if (k == n_positions) == (mode == ROAR) \
             else NONE_REPLACED
-    return (estimator_id, f"{threshold:.6f}", mode)
+    return (estimator_id, threshold_text(threshold), mode)
 
 
 @dataclass
@@ -210,7 +215,7 @@ def generate_modified_datasets(dataset: ArrayDataset,
 def cell_name(estimator_id: str, threshold: float, mode: str) -> str:
     """File-system name of one grid cell; thresholds keep the 6 decimals
     records carry, so distinct configured thresholds never share a name."""
-    return f"{estimator_id}_t{threshold:.6f}_{mode}"
+    return f"{estimator_id}_t{threshold_text(threshold)}_{mode}"
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +242,7 @@ class CellFailure:
 def row_key(estimator_id: str, threshold: float, mode: str,
             run_index: int) -> str:
     """The first four fields of a row: the run of the grid it records."""
-    return f"{estimator_id},{threshold:.6f},{mode},{run_index}"
+    return f"{estimator_id},{threshold_text(threshold)},{mode},{run_index}"
 
 
 def record_row(entry: Record | CellFailure) -> str:
@@ -298,7 +303,8 @@ class ResultGrid:
     def aggregated_to_csv(self, path: str):
         lines = ["estimator,threshold,mode,mean_accuracy,std_accuracy"]
         for e, t, m, mean, std in self.aggregate():
-            lines.append(f"{e},{t:.6f},{m},{mean:.10f},{std:.10f}")
+            lines.append(
+                f"{e},{threshold_text(t)},{m},{mean:.10f},{std:.10f}")
         _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -319,7 +325,7 @@ def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
                       train_scores: np.ndarray, test_scores: np.ndarray,
                       estimator_id: str, cells, trainer: TrainerFn,
                       base_seed: int, runs_per_point: int,
-                      shared: dict | None = None) -> list[list]:
+                      shared: dict) -> list[list]:
     """Retrain `runs_per_point` fresh models at each (threshold, mode) cell
     of one estimator, and return each cell's run results, in order.
 
@@ -330,7 +336,6 @@ def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
     `shared`, which the caller owns for one grid: a rank-free key already
     there is neither modified nor trained again.
     """
-    shared = {} if shared is None else shared
     train_rank = rank_split(train_scores, dataset.train_x, dataset.image_shape)
     test_rank = rank_split(test_scores, dataset.test_x, dataset.image_shape)
     keys = [cell_key(estimator_id, t, mode, len(replacement))
@@ -341,19 +346,18 @@ def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
             pending.setdefault(key, ModificationSpec(t, mode, replacement))
     split_bytes = np.dtype(TRAIN_DTYPE).itemsize * dataset.train_x.size
     per_call = max(1, STACK_BYTES // max(1, split_bytes))
-    todo, specs = list(pending), list(pending.values())
+    todo = list(pending.items())
     trained = {}
-    for start in range(0, len(specs), per_call):
-        chunk = specs[start:start + per_call]
-        chunk_keys = todo[start:start + per_call]
+    for start in range(0, len(todo), per_call):
+        chunk = todo[start:start + per_call]
         stack = DatasetStack(
             len(chunk), dataset.n_features,
-            lambda c: modify_rows(dataset.train_x, train_rank, chunk[c]),
+            lambda c: modify_rows(dataset.train_x, train_rank, chunk[c][1]),
             dataset.train_y,
-            lambda c: modify_rows(dataset.test_x, test_rank, chunk[c]),
+            lambda c: modify_rows(dataset.test_x, test_rank, chunk[c][1]),
             dataset.test_y)
-        trained.update(zip(chunk_keys, trainer(stack, [
-            run_seeds(base_seed, key, runs_per_point) for key in chunk_keys])))
+        trained.update(zip([key for key, _ in chunk], trainer(stack, [
+            run_seeds(base_seed, key, runs_per_point) for key, _ in chunk])))
     shared.update((key, results) for key, results in trained.items()
                   if key in (NONE_REPLACED, ALL_REPLACED))
     return [trained[key] if key in trained else shared[key] for key in keys]
@@ -461,7 +465,7 @@ def save_modified_dataset(modified: ModifiedDataset, directory: str):
     p = modified.provenance
     shape = modified.image_shape
     lines = [f"estimator_id={p.estimator_id}",
-             f"threshold={p.threshold:.6f}",
+             f"threshold={threshold_text(p.threshold)}",
              f"mode={p.mode}",
              f"seed={p.seed}",
              f"source_id={p.source_id}",

@@ -37,10 +37,10 @@ class ToyValidationResult:
 
     def to_csv(self, path: str):
         lines = ["metric,ranking,threshold,accuracy"]
-        for (ranking, t), acc in sorted(self.roar.items()):
-            lines.append(f"roar,{ranking},{t:.6f},{acc:.10f}")
-        for (ranking, t), acc in sorted(self.deletion.items()):
-            lines.append(f"deletion,{ranking},{t:.6f},{acc:.10f}")
+        for metric, accs in (("roar", self.roar), ("deletion", self.deletion)):
+            lines += [f"{metric},{ranking},{pipeline.threshold_text(t)},"
+                      f"{acc:.10f}"
+                      for (ranking, t), acc in sorted(accs.items())]
         pipeline._atomic_write_text(path, "\n".join(lines) + "\n")
 
 

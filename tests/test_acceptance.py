@@ -9,10 +9,9 @@ from scipy import stats
 
 from roarbench import cli, datasets, nn, pipeline, validation
 from roarbench.config import ExperimentConfig
-from roarbench.estimators import (EnsembleConfig, EstimatorSettings,
-                                  IGConfig, SG, SG_SQ, VAR, compute_estimates,
-                                  control_random, control_sobel,
-                                  estimate_grad, estimate_ig)
+from roarbench.estimators import (EstimatorSettings, SG, SG_SQ, VAR,
+                                  compute_estimates, control_random,
+                                  control_sobel, estimate_grad, estimate_ig)
 from conftest import finite_difference, sample_away_from_kinks
 
 TOY_SEED = 9
@@ -106,8 +105,7 @@ class TestCriterion4IntegratedGradients:
         ref = rng.standard_normal(6)
         worst = 0.0
         for k in (1, 5, 25):
-            [e] = estimate_ig(model, x[None], [2],
-                              IGConfig(steps=k, reference=ref))
+            [e] = estimate_ig(model, x[None], [2], k, reference=ref)
             worst = max(worst, np.abs(e - (x - ref) * w[:, 2]).max())
         report("4 path-integral scores analytically exact on linear models",
                worst <= 1e-10, f"worst deviation {worst:.2e}")
@@ -118,7 +116,7 @@ class TestCriterion4IntegratedGradients:
             rng = np.random.default_rng(seed)
             model = nn.init_mlp([6, 12, 8, 1], rng)
             x = rng.uniform(0.2, 1.0, 6)
-            [e] = estimate_ig(model, x[None], [0], IGConfig(steps=25))
+            [e] = estimate_ig(model, x[None], [0], 25)
             gap = (nn.forward(model, x[None])[0, 0]
                    - nn.forward(model, np.zeros((1, 6)))[0, 0])
             worst = max(worst, abs(e.sum() - gap) / abs(gap))
@@ -128,10 +126,9 @@ class TestCriterion4IntegratedGradients:
 
 class TestCriterion5EnsembleIdentities:
     @staticmethod
-    def ensemble_grad(model, x, cfg):
+    def ensemble_grad(model, x, settings):
         """SG, SG-SQ and VAR scores of the gradient, as the registry gives
         them."""
-        settings = EstimatorSettings(ensemble=cfg)
         return [compute_estimates(f"{mode}-grad", settings, model, x,
                                   np.array([0])) for mode in (SG, SG_SQ, VAR)]
 
@@ -140,11 +137,13 @@ class TestCriterion5EnsembleIdentities:
         model = nn.init_mlp([5, 8, 2], rng)
         x = rng.standard_normal((1, 5))
 
-        cfg = EnsembleConfig(samples=15, noise_stddev=0.3, seed=21)
+        cfg = EstimatorSettings(ensemble_samples=15, noise_stddev=0.3,
+                                seed=21)
         sg, sg_sq, var = self.ensemble_grad(model, x, cfg)
         identity_err = np.abs(var - (sg_sq - sg ** 2)).max()
 
-        zero = EnsembleConfig(samples=15, noise_stddev=0.0, seed=21)
+        zero = EstimatorSettings(ensemble_samples=15, noise_stddev=0.0,
+                                 seed=21)
         base = estimate_grad(model, x, [0])
         exact = all(np.array_equal(scores, expected) for scores, expected in
                     zip(self.ensemble_grad(model, x, zero),

@@ -573,7 +573,7 @@ class TestCli:
                         pipeline.make_modified_dataset(
                             ctx.dataset, *estimates[estimator_id],
                             estimator_id, threshold, mode, seed=cfg.seed,
-                            source_id=ctx.source_id), expected)
+                            source_id=cfg.dataset.kind), expected)
                     got = os.path.join(out, "modified", name)
                     assert sorted(os.listdir(got)) == \
                         sorted(os.listdir(expected))
@@ -865,6 +865,28 @@ class TestOutputConfig:
                        "--output", out) == 3
         # Fragments of an unknown config are not adopted by `run` either.
         assert run_cli("run", "--config", bars_config, "--output", out) == 3
+        assert self.tree(out) == before
+
+    def test_toy_validate_refuses_another_seed(self, tmp_path, capsys):
+        config = tmp_path / "toy.ini"
+        config.write_text(
+            "[experiment]\nseed = 9\nruns_per_point = 5\n"
+            "[dataset]\nkind = toy\n"
+            "[estimators]\nids = grad\n"
+            "[train]\nmodel = least_squares\n")
+        out = str(tmp_path / "out")
+        assert run_cli("toy-validate", "--config", str(config),
+                       "--output", out) == 0
+        assert "seed = 9\n" in (tmp_path / "out" / "config.ini").read_text()
+        before = self.tree(out)
+        capsys.readouterr()
+        assert run_cli("toy-validate", "--config", str(config),
+                       "--output", out, "--seed", "10") == 3
+        err = capsys.readouterr().err
+        assert "ProvenanceError" in err and "config.ini" in err
+        assert self.tree(out) == before
+        assert run_cli("toy-validate", "--config", str(config),
+                       "--output", out) == 0
         assert self.tree(out) == before
 
     def test_corrupt_fragment_is_named_by_report(self, bars_config, tmp_path,
@@ -1206,3 +1228,30 @@ class TestLoadEstimates:
         assert train.shape == test.shape == (d,)
         assert run_cli("modify", "--config", bars_config,
                        "--output", out) == 0
+
+
+class TestEstimatorSettings:
+    """`estimator_settings` carries each `[estimators]` key to the settings
+    field of the same name."""
+
+    def test_each_key_maps_to_its_field(self):
+        cfg = parse_config(BARS.replace(
+            "ids = grad, random",
+            "ids = grad, random\nig_steps = 7\nensemble_samples = 4\n"
+            "noise_stddev = 0.25"))
+        ctx = experiment.build_context(cfg)
+        settings = experiment.estimator_settings(ctx)
+        assert (settings.ig_steps, settings.ensemble_samples,
+                settings.noise_stddev) == (7, 4, 0.25)
+        assert settings.seed == pipeline.derive_seed(11, "ensemble")
+        assert settings.image_shape == ctx.dataset.image_shape == (6, 6, 1)
+
+    def test_auto_noise_is_0_15_of_the_train_range(self):
+        # Unbounded toy features: the train and test ranges differ.
+        ctx = experiment.build_context(parse_config(TOY.replace(
+            "dim = 4\n", "dim = 4\nn_train = 200\nn_test = 100\n")))
+        assert ctx.config.estimators.noise_stddev == "auto"
+        train, test = ctx.dataset.train_x, ctx.dataset.test_x
+        stddev = experiment.estimator_settings(ctx).noise_stddev
+        assert stddev == 0.15 * (train.max() - train.min())
+        assert stddev != 0.15 * (test.max() - test.min())

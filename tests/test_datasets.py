@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from roarbench import datasets, pipeline
+from roarbench import datasets, nn, pipeline
 
 
 def write_raw(path, payload: bytes):
@@ -130,7 +130,7 @@ class TestBars:
         ds = datasets.generate_bars(30, 10, size=9, seed=0)
         assert ds.train_x.shape == (30, 81)
         assert ds.image_shape == (9, 9, 1)
-        assert ds.n_classes == 2
+        assert nn.DatasetStack.of([ds]).n_classes == 2
 
     def test_deterministic(self):
         a = datasets.generate_bars(20, 5, seed=4)

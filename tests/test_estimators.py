@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from roarbench import experiment, nn
-from roarbench.estimators import (ENSEMBLE_MODES, ROW_BLOCK, EnsembleConfig,
-                                  EstimatorSettings, IGConfig, SG, SG_SQ, VAR,
+from roarbench.estimators import (ENSEMBLE_MODES, ROW_BLOCK,
+                                  EstimatorSettings, SG, SG_SQ, VAR,
                                   all_estimator_ids, compute_estimates,
                                   control_random, control_sobel,
                                   ensemble_moments, estimate_gb,
@@ -73,8 +73,7 @@ class TestIntegratedGradients:
     def test_input_at_reference_gives_zeros(self, rng):
         model = nn.init_mlp([4, 6, 2], rng)
         x = rng.standard_normal(4)
-        [e] = estimate_ig(model, x[None], [0],
-                          IGConfig(steps=10, reference=x.copy()))
+        [e] = estimate_ig(model, x[None], [0], 10, reference=x.copy())
         np.testing.assert_array_equal(e, np.zeros(4))
 
     @pytest.mark.parametrize("k", [1, 5, 25])
@@ -84,8 +83,7 @@ class TestIntegratedGradients:
         model = affine_model(w)
         x = rng.standard_normal(5)
         ref = rng.standard_normal(5)
-        [e] = estimate_ig(model, x[None], [1],
-                          IGConfig(steps=k, reference=ref))
+        [e] = estimate_ig(model, x[None], [1], k, reference=ref)
         np.testing.assert_allclose(e, (x - ref) * w[:, 1], atol=1e-10)
 
     # Seeds chosen so the straight path from the zero reference crosses few
@@ -95,7 +93,7 @@ class TestIntegratedGradients:
         rng = np.random.default_rng(seed)
         model = nn.init_mlp([6, 12, 8, 1], rng)
         x = rng.uniform(0.2, 1.0, 6)
-        [e] = estimate_ig(model, x[None], [0], IGConfig(steps=25))
+        [e] = estimate_ig(model, x[None], [0], 25)
         gap = (nn.forward(model, x[None])[0, 0]
                - nn.forward(model, np.zeros((1, 6)))[0, 0])
         assert abs(e.sum() - gap) <= 0.01 * abs(gap)
@@ -103,8 +101,7 @@ class TestIntegratedGradients:
     def test_reference_shape_mismatch(self, rng):
         model = nn.init_mlp([4, 2], rng)
         with pytest.raises(ValueError, match="reference shape"):
-            estimate_ig(model, np.ones((1, 4)), [0],
-                        IGConfig(steps=5, reference=np.ones(3)))
+            estimate_ig(model, np.ones((1, 4)), [0], 5, reference=np.ones(3))
 
 
 def reduced_ensemble(base, mode, model, x, targets, cfg, first_row=0):
@@ -116,8 +113,8 @@ def reduced_ensemble(base, mode, model, x, targets, cfg, first_row=0):
 
 def registry_ensemble(mode, model, x, cfg):
     """The registry's `<mode>-grad` scores, with target unit 0."""
-    return compute_estimates(f"{mode}-grad", EstimatorSettings(ensemble=cfg),
-                             model, x, np.zeros(len(x), dtype=int))
+    return compute_estimates(f"{mode}-grad", cfg, model, x,
+                             np.zeros(len(x), dtype=int))
 
 
 class TestEnsemble:
@@ -129,7 +126,8 @@ class TestEnsemble:
 
     def test_zero_noise_degenerates_exactly(self, setup):
         model, x = setup
-        cfg = EnsembleConfig(samples=15, noise_stddev=0.0, seed=3)
+        cfg = EstimatorSettings(ensemble_samples=15, noise_stddev=0.0,
+                                seed=3)
         base = estimate_grad(model, x, [0])
         np.testing.assert_array_equal(
             registry_ensemble(SG, model, x, cfg), base)
@@ -140,7 +138,8 @@ class TestEnsemble:
 
     def test_variance_decomposition_identity(self, setup):
         model, x = setup
-        cfg = EnsembleConfig(samples=15, noise_stddev=0.3, seed=11)
+        cfg = EstimatorSettings(ensemble_samples=15, noise_stddev=0.3,
+                                seed=11)
         sg = registry_ensemble(SG, model, x, cfg)
         sg_sq = registry_ensemble(SG_SQ, model, x, cfg)
         var = registry_ensemble(VAR, model, x, cfg)
@@ -149,7 +148,8 @@ class TestEnsemble:
     def test_linear_model_sg_equals_grad_and_var_vanishes(self, rng):
         model = affine_model(rng.standard_normal((4, 2)))
         x = rng.standard_normal((1, 4))
-        cfg = EnsembleConfig(samples=15, noise_stddev=0.5, seed=7)
+        cfg = EstimatorSettings(ensemble_samples=15, noise_stddev=0.5,
+                                seed=7)
         base = estimate_grad(model, x, [0])
         np.testing.assert_allclose(
             reduced_ensemble(estimate_grad, SG, model, x, [0], cfg), base,
@@ -161,10 +161,10 @@ class TestEnsemble:
     def test_estimator_id_composition(self, setup):
         # The registry id "var-gb" is the VAR ensemble over guided backprop.
         model, x = setup
-        cfg = EnsembleConfig(samples=2, noise_stddev=0.1, seed=0)
+        cfg = EstimatorSettings(ensemble_samples=2, noise_stddev=0.1,
+                                seed=0)
         np.testing.assert_array_equal(
-            compute_estimates("var-gb", EstimatorSettings(ensemble=cfg),
-                              model, x, np.array([0])),
+            compute_estimates("var-gb", cfg, model, x, np.array([0])),
             reduced_ensemble(estimate_gb, VAR, model, x, [0], cfg))
 
 
@@ -253,10 +253,9 @@ def one_row(estimator_id, settings, model, x, targets, i):
     rows = slice(i, i + 1)
     if mode in ENSEMBLE_MODES:
         base = {"grad": estimate_grad, "gb": estimate_gb,
-                "ig": partial(estimate_ig, cfg=settings.ig)}[base_id]
+                "ig": partial(estimate_ig, steps=settings.ig_steps)}[base_id]
         scores = reduced_ensemble(base, mode, model, x[rows],
-                                  targets[rows], settings.ensemble,
-                                  first_row=i)
+                                  targets[rows], settings, first_row=i)
     else:
         scores = compute_estimates(estimator_id, settings, model, x[rows],
                                    targets[rows])
@@ -277,10 +276,8 @@ class TestComputeEstimates:
         x = rng.standard_normal((n, d))
         targets = rng.integers(0, out, n)
         settings = EstimatorSettings(
-            ig=IGConfig(steps=3),
-            ensemble=EnsembleConfig(samples=2, noise_stddev=0.3,
-                                    seed=int(rng.integers(2 ** 32))),
-            image_shape=image_shape)
+            ig_steps=3, ensemble_samples=2, noise_stddev=0.3,
+            seed=int(rng.integers(2 ** 32)), image_shape=image_shape)
         for estimator_id in all_estimator_ids():
             batch = compute_estimates(estimator_id, settings, model, x,
                                       targets)
@@ -303,10 +300,8 @@ class TestComputeEstimates:
         x = rng.standard_normal((n, d))
         y = rng.integers(0, 3, n)
         settings = EstimatorSettings(
-            ig=IGConfig(steps=3),
-            ensemble=EnsembleConfig(samples=2, noise_stddev=noise,
-                                    seed=int(rng.integers(2 ** 32))),
-            image_shape=(2, 2, 3))
+            ig_steps=3, ensemble_samples=2, noise_stddev=noise,
+            seed=int(rng.integers(2 ** 32)), image_shape=(2, 2, 3))
         shared = list(experiment.score_split(settings, model, x, y, ids))
         assert sorted(e for e, _ in shared) == sorted(ids)
         for estimator_id, scores in shared:

@@ -319,7 +319,8 @@ class TestRetrainEstimator:
         cells = [(t, mode) for t in (0.2, 0.5, 0.8) for mode in (ROAR, KAR)]
         results = pipeline.retrain_estimator(
             ds, replacement_matrix(ds), train_scores, test_scores,
-            "e", cells, counting_trainer, base_seed=3, runs_per_point=2)
+            "e", cells, counting_trainer, base_seed=3, runs_per_point=2,
+            shared={})
         assert len(results) == len(cells)
         assert stack_sizes == {pipeline.STACK_BYTES: [6], 1: [1] * 6,
                                TWO_CELLS: [2] * 3}[stack_bytes]
