@@ -74,10 +74,10 @@ def _baseline(ctx):
     the first command of an output directory that needs it."""
     path = os.path.join(ctx.config.output, "baseline.npz")
     if os.path.exists(path):
-        model, baseline_acc = experiment.load_baseline(ctx, path)
+        model, baseline_acc = experiment.load_baseline(ctx.config, path)
     else:
         model, baseline_acc = experiment.train_baseline(ctx)
-        experiment.save_baseline(ctx, model, baseline_acc, path)
+        experiment.save_baseline(ctx.config, model, baseline_acc, path)
     print(f"baseline accuracy={baseline_acc:.4f}", file=sys.stderr)
     return model
 
@@ -118,16 +118,15 @@ def cmd_run(args) -> int:
     ctx = _context(args)
     experiment.check_output_config(ctx.config, ctx.config.output, stamp=True)
     experiment.run_grid(ctx, _baseline(ctx), ctx.config.output)
-    grid = experiment.collect_grid(ctx, ctx.config.output)
-    experiment.write_report(ctx, grid, ctx.config.output)
-    return EXIT_OK
+    return cmd_report(args)
 
 
 def cmd_report(args) -> int:
-    ctx = _context(args)
-    experiment.check_output_config(ctx.config, ctx.config.output)
-    grid = experiment.collect_grid(ctx, ctx.config.output)
-    experiment.write_report(ctx, grid, ctx.config.output)
+    """The report of the grid's fragments; no dataset is built or read."""
+    cfg = _load_config(args)
+    experiment.check_output_config(cfg, cfg.output)
+    grid = experiment.collect_grid(cfg, cfg.output)
+    experiment.write_report(cfg, grid, cfg.output)
     return EXIT_OK
 
 

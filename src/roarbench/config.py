@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .estimators import all_estimator_ids
-from .nn import LOSSES
+from .nn import LOSSES, TrainConfig
 from .pipeline import threshold_text
 
 
@@ -42,17 +42,6 @@ class EstimatorSpec:
 
 
 @dataclass
-class TrainSpec:
-    model: str = "mlp"  # mlp | least_squares
-    hidden: list[int] = field(default_factory=lambda: [32])
-    learning_rate: float = 0.05
-    steps: int = 500
-    batch_size: int = 32
-    loss: str = "softmax_cross_entropy"
-    ridge: float = 1e-8
-
-
-@dataclass
 class ExperimentConfig:
     seed: int = 0
     output: str = "results"
@@ -62,7 +51,7 @@ class ExperimentConfig:
     modes: list[str] = field(default_factory=lambda: ["roar"])
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     estimators: EstimatorSpec = field(default_factory=EstimatorSpec)
-    train: TrainSpec = field(default_factory=TrainSpec)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
 
 _DATASET_KEYS = {
@@ -75,7 +64,7 @@ _DATASET_KEYS = {
 # Each section is one dataclass; [experiment] holds ExperimentConfig's
 # fields other than the three sections nested in it.
 _SECTIONS = {"experiment": ExperimentConfig, "dataset": DatasetSpec,
-             "estimators": EstimatorSpec, "train": TrainSpec}
+             "estimators": EstimatorSpec, "train": TrainConfig}
 # Field types, resolved once: int, float, str, or a list of one of these.
 _TYPES = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 

@@ -79,8 +79,13 @@ def make_image_dataset(train_images: np.ndarray, train_labels: np.ndarray,
 
 def load_idx_dataset(train_images_path, train_labels_path,
                      test_images_path, test_labels_path) -> ArrayDataset:
-    return make_image_dataset(*load_idx(train_images_path, train_labels_path),
-                              *load_idx(test_images_path, test_labels_path))
+    train = load_idx(train_images_path, train_labels_path)
+    test = load_idx(test_images_path, test_labels_path)
+    if train[0].shape[1:] != test[0].shape[1:]:
+        raise IdxFormatError(
+            f"{train_images_path} holds images of shape {train[0].shape[1:]}"
+            f", {test_images_path} of shape {test[0].shape[1:]}")
+    return make_image_dataset(*train, *test)
 
 
 def generate_bars(n_train: int, n_test: int, size: int = 12,

@@ -45,10 +45,8 @@ def build_context(cfg: ExperimentConfig) -> ExperimentContext:
 
 def make_trainer(cfg: ExperimentConfig) -> nn.TrainerFn:
     if cfg.train.model == "least_squares":
-        return nn.least_squares_trainer(ridge=cfg.train.ridge)
-    return nn.mlp_trainer(cfg.train.hidden, nn.TrainConfig(
-        learning_rate=cfg.train.learning_rate, steps=cfg.train.steps,
-        batch_size=cfg.train.batch_size, loss=cfg.train.loss))
+        return nn.least_squares_trainer(cfg.train)
+    return nn.mlp_trainer(cfg.train)
 
 
 def train_baseline(ctx: ExperimentContext) -> tuple[nn.Model, float]:
@@ -118,7 +116,7 @@ def deletion_estimates(ctx: ExperimentContext, model: nn.Model):
                        ctx.dataset.test_y, ctx.config.estimators.ids)
 
 
-def save_baseline(ctx: ExperimentContext, model: nn.Model, baseline_acc: float,
+def save_baseline(cfg: ExperimentConfig, model: nn.Model, baseline_acc: float,
                   path: str):
     """`path`: the baseline's affine layers (`weight_<i>`, `bias_<i>`), its
     accuracy, and the sha256 of the canonical config text it was trained
@@ -128,17 +126,17 @@ def save_baseline(ctx: ExperimentContext, model: nn.Model, baseline_acc: float,
               for name in ("weight", "bias")}
     tmp = path + ".tmp.npz"  # suffix keeps savez from renaming it
     np.savez(tmp, accuracy=np.float64(baseline_acc),
-             config_sha256=np.str_(config_sha256(ctx.config)), **arrays)
+             config_sha256=np.str_(config_sha256(cfg)), **arrays)
     os.replace(tmp, path)
 
 
-def load_baseline(ctx: ExperimentContext, path: str
+def load_baseline(cfg: ExperimentConfig, path: str
                   ) -> tuple[nn.Model, float]:
     """The baseline `save_baseline` wrote; a file of another config, or one
     missing an array, is refused by name."""
     with np.load(path) as data:
         if ("config_sha256" not in data.files
-                or str(data["config_sha256"]) != config_sha256(ctx.config)):
+                or str(data["config_sha256"]) != config_sha256(cfg)):
             raise pipeline.ProvenanceError(
                 f"{path} holds a baseline of another config; use a fresh "
                 f"output directory")
@@ -261,10 +259,9 @@ def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
               flush=True)
 
 
-def collect_grid(ctx: ExperimentContext, output_dir: str) -> pipeline.ResultGrid:
+def collect_grid(cfg: ExperimentConfig, output_dir: str) -> pipeline.ResultGrid:
     """Rebuild the result grid from per-estimator fragments; a fragment that
     does not hold its estimator's runs in grid order is refused by name."""
-    cfg = ctx.config
     grid = pipeline.ResultGrid()
     for estimator_id in cfg.estimators.ids:
         path = os.path.join(output_dir, "cells", f"{estimator_id}.csv")
@@ -291,14 +288,14 @@ def collect_grid(ctx: ExperimentContext, output_dir: str) -> pipeline.ResultGrid
     return grid
 
 
-def write_report(ctx: ExperimentContext, grid: pipeline.ResultGrid,
+def write_report(cfg: ExperimentConfig, grid: pipeline.ResultGrid,
                  output_dir: str):
     """Per-record and aggregated CSVs plus per-estimator plot data with the
     retain-and-remove curves on shared axes."""
     grid.to_csv(os.path.join(output_dir, "results.csv"))
     grid.aggregated_to_csv(os.path.join(output_dir, "aggregated.csv"))
     aggregated = grid.aggregate()  # sorted by (estimator, t, mode)
-    for estimator_id in ctx.config.estimators.ids:
+    for estimator_id in cfg.estimators.ids:
         lines = ["threshold,mode,mean_accuracy,std_accuracy"]
         lines += [f"{pipeline.threshold_text(t)},{mode},{mean:.10f},"
                   f"{std:.10f}" for est, t, mode, mean, std in aggregated

@@ -6,7 +6,7 @@ least-squares model."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,10 +77,15 @@ LOSSES = ("softmax_cross_entropy", "mean_squared_error")
 
 @dataclass
 class TrainConfig:
+    """The `[train]` section of a config: a trainer and its settings."""
+
+    model: str = "mlp"  # mlp | least_squares
+    hidden: list[int] = field(default_factory=lambda: [32])
     learning_rate: float = 0.05
     steps: int = 500
     batch_size: int = 32
     loss: str = "softmax_cross_entropy"  # one of LOSSES
+    ridge: float = 1e-8
 
 
 def forward(model: Model, x: np.ndarray, pre_acts=None) -> np.ndarray:
@@ -351,28 +356,32 @@ TrainerFn = Callable[[DatasetStack, Sequence[Sequence[int]]],
                      list[list[TrainResult]]]
 
 
-def mlp_trainer(hidden: Sequence[int], config: TrainConfig) -> TrainerFn:
+def mlp_trainer(config: TrainConfig) -> TrainerFn:
     """Trainer closure for the retraining pipeline: one stacked SGD run per
     call, with `train`'s stack, seed and result shapes."""
 
     def run(stack, seeds):
-        sizes = [stack.n_features, *hidden, stack.n_classes]
+        sizes = [stack.n_features, *config.hidden, stack.n_classes]
         return train(sizes, stack, config, seeds)
 
     return run
 
 
-def least_squares_trainer(ridge: float = 1e-8) -> TrainerFn:
+def least_squares_trainer(config: TrainConfig) -> TrainerFn:
     """Deterministic closed-form trainer, with a bias, fitted one dataset of
     the stack at a time. The seeds are unused, so it fits once per dataset
-    and returns that (model, accuracy) for every seed of the dataset."""
+    and returns that (model, accuracy) for every seed of the dataset. Its one
+    output thresholds at 0.5, so more than two classes are refused."""
 
     def fit(dataset: ArrayDataset, seeds) -> list[TrainResult]:
-        model = fit_least_squares(dataset, ridge=ridge, fit_bias=True)
+        model = fit_least_squares(dataset, ridge=config.ridge, fit_bias=True)
         result = (model, accuracy(model, dataset.test_x, dataset.test_y))
         return [result for _ in seeds]
 
     def run(stack, seeds):
+        if stack.n_classes > 2:
+            raise ValueError(f"least_squares fits 2 classes, not "
+                             f"{stack.n_classes}")
         # A dataset is freed when its `fit` returns, before the next is built.
         return [fit(stack.dataset(c), cell_seeds)
                 for c, cell_seeds in enumerate(seeds)]

@@ -321,58 +321,19 @@ def _atomic_write_text(path: str, text: str):
 STACK_BYTES = 1 << 28
 
 
-def retrain_estimator(dataset: ArrayDataset, replacement: np.ndarray,
-                      train_scores: np.ndarray, test_scores: np.ndarray,
-                      estimator_id: str, cells, trainer: TrainerFn,
-                      base_seed: int, runs_per_point: int,
-                      shared: dict) -> list[list]:
-    """Retrain `runs_per_point` fresh models at each (threshold, mode) cell
-    of one estimator, and return each cell's run results, in order.
-
-    Each split is ranked once, and each `cell_key` not yet trained goes to
-    the trainer, in one DatasetStack (one per STACK_BYTES of train splits);
-    a cell's splits are modified, with `replacement_matrix(dataset)` values,
-    when the trainer builds them. The results of rank-free keys are kept in
-    `shared`, which the caller owns for one grid: a rank-free key already
-    there is neither modified nor trained again.
-    """
-    train_rank = rank_split(train_scores, dataset.train_x, dataset.image_shape)
-    test_rank = rank_split(test_scores, dataset.test_x, dataset.image_shape)
-    keys = [cell_key(estimator_id, t, mode, len(replacement))
-            for t, mode in cells]
-    pending = {}  # key -> the spec of its first cell, in cell order
-    for key, (t, mode) in zip(keys, cells):
-        if key not in shared:
-            pending.setdefault(key, ModificationSpec(t, mode, replacement))
-    split_bytes = np.dtype(TRAIN_DTYPE).itemsize * dataset.train_x.size
-    per_call = max(1, STACK_BYTES // max(1, split_bytes))
-    todo = list(pending.items())
-    trained = {}
-    for start in range(0, len(todo), per_call):
-        chunk = todo[start:start + per_call]
-        stack = DatasetStack(
-            len(chunk), dataset.n_features,
-            lambda c: modify_rows(dataset.train_x, train_rank, chunk[c][1]),
-            dataset.train_y,
-            lambda c: modify_rows(dataset.test_x, test_rank, chunk[c][1]),
-            dataset.test_y)
-        trained.update(zip([key for key, _ in chunk], trainer(stack, [
-            run_seeds(base_seed, key, runs_per_point) for key, _ in chunk])))
-    shared.update((key, results) for key, results in trained.items()
-                  if key in (NONE_REPLACED, ALL_REPLACED))
-    return [trained[key] if key in trained else shared[key] for key in keys]
-
-
 def run_roar(dataset: ArrayDataset,
              estimates: dict[str, tuple[np.ndarray, np.ndarray]],
              thresholds, trainer: TrainerFn, runs_per_point: int = 5,
              modes=(ROAR,), base_seed: int = 0,
              shared: dict | None = None) -> ResultGrid:
-    """Retrain `runs_per_point` fresh models per grid cell on modified data,
-    one `retrain_estimator` stack per estimator; the grid holds the runs in
-    grid order (estimator, threshold, mode, run). Rank-free cells train once
-    per `shared` dict, which a caller that splits one grid over several
-    calls passes to each; without one, once per call.
+    """Retrain `runs_per_point` fresh models per grid cell on modified data;
+    the grid holds the runs in grid order (estimator, threshold, mode, run).
+
+    Per estimator, each split is ranked once, and each `cell_key` not yet
+    trained goes to the trainer in one DatasetStack per STACK_BYTES of train
+    splits, which modifies a cell's splits as it builds them. Rank-free keys
+    train once per `shared` dict, which holds their results: a caller that
+    splits one grid over several calls passes each the same dict.
 
     Diverged runs are recorded as failures and the grid run continues.
     """
@@ -382,16 +343,40 @@ def run_roar(dataset: ArrayDataset,
     grid = ResultGrid()
     replacement = replacement_matrix(dataset)
     cells = [(t, mode) for t in thresholds for mode in modes]
+    split_bytes = np.dtype(TRAIN_DTYPE).itemsize * dataset.train_x.size
+    per_call = max(1, STACK_BYTES // max(1, split_bytes))
+    shape = dataset.image_shape
     for estimator_id, (train_scores, test_scores) in estimates.items():
-        results = retrain_estimator(
-            dataset, replacement, train_scores, test_scores, estimator_id,
-            cells, trainer, base_seed, runs_per_point, shared)
-        for (threshold, mode), cell_results in zip(cells, results):
-            for run, result in enumerate(cell_results):
-                key = (estimator_id, threshold, mode, run)
-                grid.add(CellFailure(*key, f"failed:{result.step}")
+        train_rank = rank_split(train_scores, dataset.train_x, shape)
+        test_rank = rank_split(test_scores, dataset.test_x, shape)
+        keys = [cell_key(estimator_id, t, mode, len(replacement))
+                for t, mode in cells]
+        pending = {}  # key -> the spec of its first cell, in cell order
+        for key, (t, mode) in zip(keys, cells):
+            if key not in shared:
+                pending.setdefault(key, ModificationSpec(t, mode, replacement))
+        todo = list(pending.items())
+        trained = {}
+        for start in range(0, len(todo), per_call):
+            chunk = todo[start:start + per_call]
+            stack = DatasetStack(
+                len(chunk), dataset.n_features,
+                lambda c: modify_rows(dataset.train_x, train_rank, chunk[c][1]),
+                dataset.train_y,
+                lambda c: modify_rows(dataset.test_x, test_rank, chunk[c][1]),
+                dataset.test_y)
+            trained.update(zip([key for key, _ in chunk], trainer(stack, [
+                run_seeds(base_seed, key, runs_per_point)
+                for key, _ in chunk])))
+        shared.update((key, results) for key, results in trained.items()
+                      if key in (NONE_REPLACED, ALL_REPLACED))
+        for (threshold, mode), key in zip(cells, keys):
+            results = trained[key] if key in trained else shared[key]
+            for run, result in enumerate(results):
+                entry = (estimator_id, threshold, mode, run)
+                grid.add(CellFailure(*entry, f"failed:{result.step}")
                          if isinstance(result, TrainingDivergedError)
-                         else Record(*key, result[1]))
+                         else Record(*entry, result[1]))
     return grid
 
 

@@ -64,12 +64,11 @@ def run_toy_validation(cfg: ExperimentConfig) -> ToyValidationResult:
     scores = {name: pipeline.ranking_to_scores(order)
               for name, order in rankings.items()}
 
-    ridge = cfg.train.ridge
     roar_grid = pipeline.run_roar(
         dataset, {name: (s, s) for name, s in scores.items()}, TOY_THRESHOLDS,
-        nn.least_squares_trainer(ridge=ridge),
+        nn.least_squares_trainer(cfg.train),
         runs_per_point=cfg.runs_per_point, base_seed=seed)
-    baseline = nn.fit_least_squares(dataset, ridge=ridge, fit_bias=True)
+    baseline = nn.fit_least_squares(dataset, cfg.train.ridge, fit_bias=True)
     deletion_grid = pipeline.run_deletion_metric(
         dataset, baseline, scores.items(), TOY_THRESHOLDS)
 

@@ -57,8 +57,8 @@ class TestCriterion2RetrainingMatters:
         margins = []
         for seed in (0, 1, 2):
             ds = datasets.generate_bars(1500, 400, size=12, seed=seed)
-            trainer = nn.mlp_trainer([32], nn.TrainConfig(
-                learning_rate=0.2, steps=600, batch_size=32))
+            trainer = nn.mlp_trainer(nn.TrainConfig(
+                hidden=[32], learning_rate=0.2, steps=600, batch_size=32))
             [[(model, _)]] = trainer(nn.DatasetStack.of([ds]), [[
                 pipeline.derive_seed(seed, "baseline")]])
             scores = control_random(ds.train_x.shape[1], seed=123)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roarbench import cli, estimators, experiment, nn, pipeline
+from roarbench import (cli, datasets, estimators, experiment, nn,
+                       pipeline)
 from roarbench.config import (_DATASET_KEYS, ConfigError, DatasetSpec,
-                              EstimatorSpec, ExperimentConfig, TrainSpec,
+                              EstimatorSpec, ExperimentConfig,
                               _float_text, parse_config, serialize_config)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -247,7 +248,7 @@ class TestSchema:
             "[dataset]": (cfg.dataset, ["kind", *sorted(dataset)]),
             "[estimators]": (cfg.estimators,
                              [f.name for f in fields(EstimatorSpec)]),
-            "[train]": (cfg.train, [f.name for f in fields(TrainSpec)]),
+            "[train]": (cfg.train, [f.name for f in fields(nn.TrainConfig)]),
         }
         assert list(sections) == list(expected)
         for header, (section, keys) in expected.items():
@@ -687,7 +688,7 @@ class TestCollectGrid:
         ctx = experiment.build_context(parse_config(BARS))
         out = str(tmp_path / "out")
         paths = self.write_fragments(ctx, out)
-        grid = experiment.collect_grid(ctx, out)
+        grid = experiment.collect_grid(ctx.config, out)
         assert len(grid.records) == 2 * 2 * 1 * 2
         return ctx, out, paths[-1]
 
@@ -700,7 +701,7 @@ class TestCollectGrid:
         with pytest.raises(pipeline.ProvenanceError,
                            match=f"{os.path.basename(path)} row 2: expected "
                                  f"random,0.000000,roar,1, found nothing"):
-            experiment.collect_grid(ctx, out)
+            experiment.collect_grid(ctx.config, out)
 
     def test_rows_must_name_the_file_cell(self, grid_dir):
         ctx, out, path = grid_dir
@@ -711,7 +712,7 @@ class TestCollectGrid:
         with pytest.raises(pipeline.ProvenanceError,
                            match=f"{os.path.basename(path)} row 3:.*found "
                                  f"random,0.000000,roar,0"):
-            experiment.collect_grid(ctx, out)
+            experiment.collect_grid(ctx.config, out)
 
     @pytest.mark.parametrize("field,value", [(3, "abc"), (4, "abc"),
                                              (4, "")],
@@ -726,7 +727,7 @@ class TestCollectGrid:
             f.writelines(",".join(row) + "\n" for row in rows)
         with pytest.raises(pipeline.ProvenanceError,
                            match=os.path.basename(path)):
-            experiment.collect_grid(ctx, out)
+            experiment.collect_grid(ctx.config, out)
 
     @pytest.mark.parametrize("outcome", ["nan", "1.5", "failed:banana"])
     def test_corrupt_outcome_names_the_fragment(self, grid_dir, outcome):
@@ -739,7 +740,7 @@ class TestCollectGrid:
         with pytest.raises(pipeline.ProvenanceError,
                            match=f"corrupt record in .*"
                                  f"{os.path.basename(path)}"):
-            experiment.collect_grid(ctx, out)
+            experiment.collect_grid(ctx.config, out)
 
     def test_outcomes_at_the_range_ends_are_read(self, grid_dir):
         ctx, out, path = grid_dir
@@ -750,7 +751,7 @@ class TestCollectGrid:
             rows[i] = rows[i].rpartition(",")[0] + "," + outcome
         with open(path, "w") as f:
             f.writelines(row + "\n" for row in rows)
-        grid = experiment.collect_grid(ctx, out)
+        grid = experiment.collect_grid(ctx.config, out)
         assert [f.reason for f in grid.failures] == ["failed:17"]
         assert len(grid.records) == 2 * 2 * 1 * 2 - 1
 
@@ -887,6 +888,38 @@ class TestOutputConfig:
         assert self.tree(out) == before
         assert run_cli("toy-validate", "--config", str(config),
                        "--output", out) == 0
+        assert self.tree(out) == before
+
+    def test_report_builds_no_dataset(self, bars_config, tmp_path,
+                                      monkeypatch):
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", bars_config, "--output", out) == 0
+        before = self.tree(out)
+        reports = [name for name in os.listdir(out) if name.endswith(".csv")]
+        assert len(reports) == 4  # results, aggregated, one plot per id
+        for name in reports:
+            os.remove(os.path.join(out, name))
+
+        def no_dataset(cfg):
+            raise AssertionError("report built a dataset")
+
+        monkeypatch.setattr(experiment, "build_context", no_dataset)
+        assert run_cli("report", "--config", bars_config,
+                       "--output", out) == 0
+        assert self.tree(out) == before
+
+    def test_toy_validation_script_refuses_another_seed(self, tmp_path,
+                                                        capsys):
+        script = load_module("scripts", "toy_validation.py")
+        out = str(tmp_path / "out")
+        args = ["--n-train", "400", "--n-test", "200", "--runs", "1",
+                "--output", out]
+        assert script.main(["--seed", "9", *args]) == 0
+        assert "curves written to" in capsys.readouterr().out
+        before = self.tree(out)
+        assert sorted(before) == ["config.ini", "toy_validation.csv"]
+        assert script.main(["--seed", "10", *args]) == 3
+        assert "ProvenanceError" in capsys.readouterr().err
         assert self.tree(out) == before
 
     def test_corrupt_fragment_is_named_by_report(self, bars_config, tmp_path,
@@ -1046,7 +1079,7 @@ class TestBaselineCache:
         ctx = experiment.build_context(parse_config(BARS))
         model, acc = experiment.train_baseline(ctx)
         loaded, loaded_acc = experiment.load_baseline(
-            ctx, os.path.join(out, "baseline.npz"))
+            ctx.config, os.path.join(out, "baseline.npz"))
         assert loaded_acc == acc
         assert len(loaded.layers) == len(model.layers)
         for a, b in zip(loaded.layers, model.layers):
@@ -1148,12 +1181,45 @@ class TestFailures:
             cfg.modes, cfg.seed)
         assert grid.failures
         assert all(f.reason.startswith("failed:") for f in grid.failures)
-        assert grid.failures == experiment.collect_grid(ctx, out).failures
+        assert grid.failures == experiment.collect_grid(ctx.config, out).failures
         expected = str(tmp_path / "expected.csv")
         grid.to_csv(expected)
         with open(os.path.join(out, "results.csv"), "rb") as f1, \
                 open(expected, "rb") as f2:
             assert f1.read() == f2.read()
+
+
+class TestIdxRun:
+    @staticmethod
+    def idx_config(tmp_path, n_classes):
+        """A least-squares config over IDX files of 6 x 6 images with
+        `n_classes` labels."""
+        rng = np.random.default_rng(3)
+        lines = ["[experiment]", "runs_per_point = 1", "[dataset]",
+                 "kind = idx"]
+        for split, n in (("train", 40), ("test", 20)):
+            for part, array in (
+                    ("images", rng.integers(0, 256, (n, 6, 6), np.uint8)),
+                    ("labels", np.arange(n, dtype=np.uint8) % n_classes)):
+                path = str(tmp_path / f"{split}-{part}.idx")
+                datasets.write_idx(path, array)
+                lines.append(f"{split}_{part} = {path}")
+        lines += ["[estimators]", "ids = grad, random", "[train]",
+                  "model = least_squares"]
+        config = tmp_path / "idx.ini"
+        config.write_text("\n".join(lines) + "\n")
+        return str(config)
+
+    def test_least_squares_refuses_more_than_two_classes(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        for n_classes, status in ((2, 0), (3, 3)):
+            config = self.idx_config(tmp_path, n_classes)
+            assert run_cli("run", "--config", config,
+                           "--output", str(out / str(n_classes))) == status
+        assert "least_squares fits 2 classes, not 3" in \
+            capsys.readouterr().err
+        assert os.listdir(out / "3") == ["config.ini"]
 
 
 class TestLoadEstimates:

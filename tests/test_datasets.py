@@ -68,6 +68,21 @@ class TestIdx:
             datasets.load_idx(str(tmp_path / "im.idx"),
                               str(tmp_path / "lb.idx"))
 
+    def test_train_and_test_image_shapes_must_match(self, tmp_path):
+        rng = np.random.default_rng(1)
+        paths = []
+        for split, side in (("train", 6), ("test", 7)):
+            for part, array in (
+                    ("images", rng.integers(0, 256, (4, side, side),
+                                            dtype=np.uint8)),
+                    ("labels", rng.integers(0, 2, 4, dtype=np.uint8))):
+                paths.append(str(tmp_path / f"{split}-{part}.idx"))
+                datasets.write_idx(paths[-1], array)
+        with pytest.raises(datasets.IdxFormatError) as err:
+            datasets.load_idx_dataset(*paths)
+        for name in (paths[0], paths[2], "(6, 6, 1)", "(7, 7, 1)"):
+            assert name in str(err.value)
+
 
 def image_dataset(rng, n=12, m=6, h=5, w=4, c=3):
     return datasets.make_image_dataset(

@@ -249,9 +249,13 @@ class TestGenerateModifiedDatasets:
                                             [0.5]))
 
 
+# Two cells' train splits of a 40 x 6 dataset in the float32 training dtype.
+TWO_CELLS = 2 * 4 * 40 * 6
+
+
 class TestRunRoar:
     def trainer(self):
-        return nn.least_squares_trainer(ridge=1e-6)
+        return nn.least_squares_trainer(nn.TrainConfig(ridge=1e-6))
 
     def test_record_count(self, rng):
         ds = tiny_dataset(rng, n=40, m=20)
@@ -292,51 +296,52 @@ class TestRunRoar:
                [(r.estimator_id, r.threshold, r.mode, r.run_index, r.accuracy)
                 for r in grid_rev.sorted_records()]
 
-
-# Two cells' train splits of a 40 x 6 dataset in the float32 training dtype.
-TWO_CELLS = 2 * 4 * 40 * 6
-
-
-class TestRetrainEstimator:
-    """One estimator's cells train as a stack; every run must equal training
-    its cell's modified dataset alone, however the stack is split."""
-
     @pytest.mark.parametrize("stack_bytes", [pipeline.STACK_BYTES, 1,
                                              TWO_CELLS])
-    def test_equals_per_cell_training(self, rng, monkeypatch, stack_bytes):
+    def test_stacks_equal_per_cell_training(self, rng, monkeypatch,
+                                            stack_bytes):
+        """One estimator's cells train as a stack; every run must equal
+        training its cell's modified dataset alone, however the stack is
+        split."""
         monkeypatch.setattr(pipeline, "STACK_BYTES", stack_bytes)
         ds = tiny_dataset(rng, n=40, m=20)
         train_scores, test_scores = (rng.standard_normal((40, 6)),
                                      rng.standard_normal((20, 6)))
-        trainer = nn.mlp_trainer([4], nn.TrainConfig(
-            learning_rate=0.3, steps=30, batch_size=8))
-        stack_sizes = []
+        trainer = nn.mlp_trainer(nn.TrainConfig(
+            hidden=[4], learning_rate=0.3, steps=30, batch_size=8))
+        stack_sizes, trained = [], {}  # trained: seeds -> results
 
         def counting_trainer(stack, seeds):
             stack_sizes.append(stack.size)
-            return trainer(stack, seeds)
+            results = trainer(stack, seeds)
+            trained.update(zip(map(tuple, seeds), results, strict=True))
+            return results
 
-        cells = [(t, mode) for t in (0.2, 0.5, 0.8) for mode in (ROAR, KAR)]
-        results = pipeline.retrain_estimator(
-            ds, replacement_matrix(ds), train_scores, test_scores,
-            "e", cells, counting_trainer, base_seed=3, runs_per_point=2,
-            shared={})
-        assert len(results) == len(cells)
+        thresholds, modes = (0.2, 0.5, 0.8), (ROAR, KAR)
+        grid = run_roar(ds, {"e": (train_scores, test_scores)}, thresholds,
+                        counting_trainer, runs_per_point=2, modes=modes,
+                        base_seed=3)
         assert stack_sizes == {pipeline.STACK_BYTES: [6], 1: [1] * 6,
                                TWO_CELLS: [2] * 3}[stack_bytes]
-        for (t, mode), cell_results in zip(cells, results):
-            modified = make_modified_dataset(ds, train_scores, test_scores,
-                                             "e", t, mode)
-            [solo] = trainer(nn.DatasetStack.of([modified]),
-                             [pipeline.run_seeds(
-                                 3, pipeline.cell_key("e", t, mode, 6), 2)])
-            for (model, acc), (solo_model, solo_acc) in zip(
-                    cell_results, solo, strict=True):
-                assert acc == solo_acc
-                for la, lb in zip(model.layers, solo_model.layers,
-                                  strict=True):
-                    np.testing.assert_array_equal(la.weight, lb.weight)
-                    np.testing.assert_array_equal(la.bias, lb.bias)
+        entries = iter(grid.entries)
+        for t in thresholds:
+            for mode in modes:
+                modified = make_modified_dataset(ds, train_scores,
+                                                 test_scores, "e", t, mode)
+                seeds = pipeline.run_seeds(
+                    3, pipeline.cell_key("e", t, mode, 6), 2)
+                [solo] = trainer(nn.DatasetStack.of([modified]), [seeds])
+                for run, (model, acc), (solo_model, solo_acc) in zip(
+                        range(2), trained[tuple(seeds)], solo, strict=True):
+                    assert next(entries) == Record("e", t, mode, run,
+                                                   solo_acc)
+                    assert acc == solo_acc
+                    for la, lb in zip(model.layers, solo_model.layers,
+                                      strict=True):
+                        np.testing.assert_array_equal(la.weight, lb.weight)
+                        np.testing.assert_array_equal(la.bias, lb.bias)
+        assert next(entries, None) is None
+
 
 
 class TestCellKey:
@@ -631,7 +636,8 @@ class TestPersistence:
         stack = nn.DatasetStack.of([loaded])
         np.testing.assert_array_equal(stack.train_x(0), loaded.train_x)
         np.testing.assert_array_equal(stack.test_y, loaded.test_y)
-        trainer = nn.mlp_trainer([4], nn.TrainConfig(steps=5, batch_size=8))
+        trainer = nn.mlp_trainer(nn.TrainConfig(hidden=[4], steps=5,
+                                                batch_size=8))
         [[(model, _)]] = trainer(stack, [[0]])
         assert model.layers[0].weight.shape == (16, 4)
 
