@@ -230,32 +230,39 @@ def check_output_config(cfg: ExperimentConfig, output_dir: str,
 
 def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
     """Execute the estimate -> modify -> retrain grid with resumability.
-    The unit of work is one estimator: unless its fragment exists, it is
-    scored against `model`, retrained by `pipeline.run_roar`, and its rows
-    are written to its fragment in grid order. The `run_roar` calls share
-    one dict, so each rank-free cell trains once per grid."""
+    The unit of work is one estimator: an estimator whose fragment exists
+    is skipped; the others are scored against `model` by one `score_split`
+    per split, advanced in lockstep, so the ids of a pass family reduce one
+    set of passes, family by family. Each is retrained by
+    `pipeline.run_roar` as soon as it is scored, and its rows are written
+    to its fragment in grid order. A family's passes are dropped once its
+    last member has retrained. The `run_roar` calls share one dict, so each
+    rank-free cell trains once per grid."""
     cfg = ctx.config
     ds = ctx.dataset
     os.makedirs(os.path.join(output_dir, "cells"), exist_ok=True)
+    paths = {estimator_id: os.path.join(output_dir, "cells",
+                                        f"{estimator_id}.csv")
+             for estimator_id in cfg.estimators.ids}
+    pending = []
+    for estimator_id, path in paths.items():
+        if os.path.exists(path):
+            print(f"estimator={estimator_id} status=skipped",
+                  file=sys.stderr, flush=True)
+        else:
+            pending.append(estimator_id)
     trainer = make_trainer(cfg)
     settings = estimator_settings(ctx)
     shared = {}
-    for estimator_id in cfg.estimators.ids:
-        path = os.path.join(output_dir, "cells", f"{estimator_id}.csv")
-        status = "skipped"
-        if not os.path.exists(path):
-            scores = tuple(
-                split_scores for x, y in ((ds.train_x, ds.train_y),
-                                          (ds.test_x, ds.test_y))
-                for _, split_scores in score_split(settings, model, x, y,
-                                                   [estimator_id]))
-            grid = pipeline.run_roar(
-                ds, {estimator_id: scores}, cfg.thresholds, trainer,
-                cfg.runs_per_point, cfg.modes, cfg.seed, shared)
-            pipeline._atomic_write_text(path, "\n".join(
-                map(pipeline.record_row, grid.entries)) + "\n")
-            status = "done"
-        print(f"estimator={estimator_id} status={status}", file=sys.stderr,
+    for (estimator_id, train_scores), (_, test_scores) in zip(
+            score_split(settings, model, ds.train_x, ds.train_y, pending),
+            score_split(settings, model, ds.test_x, ds.test_y, pending)):
+        grid = pipeline.run_roar(
+            ds, {estimator_id: (train_scores, test_scores)}, cfg.thresholds,
+            trainer, cfg.runs_per_point, cfg.modes, cfg.seed, shared)
+        pipeline._atomic_write_text(paths[estimator_id], "\n".join(
+            map(pipeline.record_row, grid.entries)) + "\n")
+        print(f"estimator={estimator_id} status=done", file=sys.stderr,
               flush=True)
 
 

@@ -240,10 +240,13 @@ def train(layer_sizes: Sequence[int], stack: DatasetStack, config: TrainConfig,
     next to a (C * n, classes) one-hot table of their labels. Weights are
     stacked as (R, d_in, d_out) and biases as (R, 1, d_out) over all R runs,
     in TRAIN_DTYPE, and each step is one batched forward and backward pass
-    over (R, batch, d) rows, gathered from that array with one fancy index.
-    Run r initializes from, then draws all its batch indices from, its own
-    `default_rng(seed_r)` stream. numpy runs one product per stacked slice,
-    so every run replays training its seed alone on its dataset bit for bit.
+    over (R, batch, d) rows, gathered from that array, and their one-hot
+    rows from the table, with one `take` each. The bias adds, rectifier,
+    learning-rate scaling and updates write into arrays the step already
+    holds. Run r initializes from, then draws all its batch indices from,
+    its own `default_rng(seed_r)` stream. numpy runs one product per
+    stacked slice, so every run replays training its seed alone on its
+    dataset bit for bit.
     A run whose loss turns non-finite leaves the stack at that step, before
     its update; the others go on. Each trained run's layers come back as
     float64 arrays of their own, so scoring and ranking stay in float64.
@@ -287,11 +290,15 @@ def train(layer_sizes: Sequence[int], stack: DatasetStack, config: TrainConfig,
         idx = rows[step]
         # xs[i] is the input of affine i; its positive entries are the
         # units the rectifier before it passed.
-        xs = [train_x[idx]]
+        xs = [train_x.take(idx, axis=0)]
         for w, b in params[:-1]:
-            xs.append(np.maximum(xs[-1] @ w + b, 0.0))
+            h = xs[-1] @ w
+            h += b
+            xs.append(np.maximum(h, 0.0, out=h))
         w, b = params[-1]
-        loss, g = _loss_and_output_grad(xs[-1] @ w + b, onehot[idx],
+        logits = xs[-1] @ w
+        logits += b
+        loss, g = _loss_and_output_grad(logits, onehot.take(idx, axis=0),
                                         config.loss)
         finite = np.isfinite(loss)
         if not finite.all():
@@ -305,11 +312,14 @@ def train(layer_sizes: Sequence[int], stack: DatasetStack, config: TrainConfig,
         for i in reversed(range(len(params))):
             w, b = params[i]
             grad_w = xs[i].transpose(0, 2, 1) @ g
+            grad_w *= lr
             grad_b = ones @ g
+            grad_b *= lr
             if i > 0:
-                g = (g @ w.transpose(0, 2, 1)) * (xs[i] > 0.0)
-            w -= lr * grad_w
-            b -= lr * grad_b
+                g = g @ w.transpose(0, 2, 1)
+                g *= xs[i] > 0.0
+            w -= grad_w
+            b -= grad_b
     del train_x, onehot  # before any test split is built
     for k, run in enumerate(live):
         for layer, (w, b) in zip(models[run].layers, params):

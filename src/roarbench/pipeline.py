@@ -44,6 +44,8 @@ def rank_features(scores: np.ndarray,
     break by ascending index.
 
     Given an image_shape, scores are summed over channels per pixel first.
+    The reference order: the modification paths select its first k
+    positions with `top_positions` instead of sorting.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if image_shape is not None:
@@ -112,21 +114,45 @@ def replacement_matrix(dataset: ArrayDataset) -> np.ndarray:
     return train_x.mean(axis=0)[:, None]
 
 
-def modify_rows(x: np.ndarray, rankings: np.ndarray,
-                spec: ModificationSpec) -> np.ndarray:
-    """Replace ranked positions of every row of x with the replacement values.
+def top_positions(scores: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of each row's k highest-scoring positions, ties broken
+    by ascending index: the first k of the row's `rank_features` order,
+    found by selection (`np.partition`) instead of a full sort.
 
-    `rankings` is (n, P), one ranking per row, or (1, P), shared by all rows.
-    ROAR replaces the top ceil(t*P) positions; KAR replaces everything except
-    the top ceil(t*P). Untouched values are bit-identical to the input.
+    `scores` are finite (rows, P) per-position scores. A row holds every
+    position scored above its k-th highest value; the cumsum fix-up that
+    picks the lowest-indexed positions tied at that value runs only on the
+    rows where more than k positions reach it."""
+    n, p = scores.shape
+    if k in (0, p):
+        return np.full((n, p), k == p)
+    kth = np.partition(scores, p - k, axis=1)[:, p - k, None]
+    top = scores >= kth
+    tied = np.flatnonzero(np.count_nonzero(top, axis=1) > k)
+    if len(tied):
+        rows, row_kth = scores[tied], kth[tied]
+        above = rows > row_kth
+        at = rows == row_kth
+        room = k - np.count_nonzero(above, axis=1)[:, None]
+        top[tied] = above | (at & (np.cumsum(at, axis=1) <= room))
+    return top
+
+
+def modify_rows(x: np.ndarray, scores: np.ndarray,
+                spec: ModificationSpec) -> np.ndarray:
+    """Replace the top-scored positions of every row of x with the
+    replacement values.
+
+    `scores` are per-position scores from `rank_split`: (n, P), one row per
+    row of x, or (1, P), shared by all rows. ROAR replaces each row's top
+    ceil(t*P) positions (`top_positions`); KAR replaces everything except
+    those. Untouched values are bit-identical to the input.
     """
     p, c = spec.replacement.shape
-    if rankings.shape[1] != p:
-        raise ValueError(
-            f"ranking length {rankings.shape[1]} != positions {p}")
-    top = np.zeros(rankings.shape, dtype=bool)
-    np.put_along_axis(top, rankings[:, :n_modified(spec.threshold, p)], True,
-                      axis=1)
+    if scores.shape[1] != p:
+        raise ValueError(f"scores for {scores.shape[1]} positions; the "
+                         f"replacement has {p}")
+    top = top_positions(scores, n_modified(spec.threshold, p))
     replaced = top if spec.mode == ROAR else ~top
     rows = np.asarray(x, dtype=np.float64).reshape(len(x), p, c)
     return np.where(replaced[:, :, None], spec.replacement,
@@ -150,20 +176,29 @@ class ModifiedDataset(ArrayDataset):
     provenance: Provenance = field(kw_only=True)
 
 
-def rank_split(scores: np.ndarray, x: np.ndarray,
-               image_shape=None) -> np.ndarray:
-    """Rankings of one split, the one place an estimator's scores are
-    checked and ranked: per-sample score rows give one ranking per row of
-    x, and a single shared score vector (uniform ranking) gives one (1, P)
-    ranking that broadcasts over the rows."""
+def rank_split(scores: np.ndarray, x: np.ndarray, image_shape,
+               split: str) -> np.ndarray:
+    """Per-position scores of one split, the one place an estimator's scores
+    are checked: per-sample score rows give one row per row of x, and a
+    single shared score vector (uniform ranking) gives one (1, P) row that
+    broadcasts over the rows. Given an image shape, each pixel's channel
+    scores are summed, as `rank_features` sums them; with one channel the
+    scores come back as they are. Non-finite scores, which no ranking
+    orders, are refused naming the split and the first such sample."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim == 1:
         scores = scores[None]
     elif scores.shape[0] != len(x):
         raise ProvenanceError(
-            f"have scores for {scores.shape[0]} samples, dataset has "
+            f"have {split} scores for {scores.shape[0]} samples, dataset has "
             f"{len(x)}; first missing sample is {min(scores.shape[0], len(x))}")
-    return rank_features(scores, image_shape)
+    if image_shape is not None and image_shape[2] > 1:
+        scores = scores.reshape(len(scores), -1, image_shape[2]).sum(axis=-1)
+    finite = np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite {split} scores at sample "
+                         f"{np.flatnonzero(~finite)[0]}")
+    return scores
 
 
 def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
@@ -173,13 +208,14 @@ def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
     """Modify both train and test splits at one (estimator, t, mode) cell."""
     spec = ModificationSpec(threshold, mode, replacement_matrix(dataset))
 
-    def modify(x, scores):
-        return modify_rows(x, rank_split(scores, x, dataset.image_shape), spec)
+    def modify(x, scores, split):
+        return modify_rows(
+            x, rank_split(scores, x, dataset.image_shape, split), spec)
 
     return ModifiedDataset(
-        train_x=modify(dataset.train_x, train_scores),
+        train_x=modify(dataset.train_x, train_scores, "train"),
         train_y=dataset.train_y.copy(),
-        test_x=modify(dataset.test_x, test_scores),
+        test_x=modify(dataset.test_x, test_scores, "test"),
         test_y=dataset.test_y.copy(),
         provenance=Provenance(estimator_id, threshold, mode, seed, source_id),
         image_shape=dataset.image_shape,
@@ -192,21 +228,22 @@ def generate_modified_datasets(dataset: ArrayDataset,
                                source_id: str = "dataset", seed: int = 0
                                ) -> Iterator[ModifiedDataset]:
     """Yield one ModifiedDataset per (estimator, threshold, mode), one at a
-    time, so callers can persist each before the next is built. Each split
-    is ranked once per estimator; `seed` is the config seed provenance
-    records."""
+    time, so callers can persist each before the next is built. Each
+    split's scores are checked once per estimator (`rank_split`); `seed` is
+    the config seed provenance records."""
     replacement = replacement_matrix(dataset)
     shape = dataset.image_shape
     for estimator_id, (train_scores, test_scores) in estimates.items():
-        train_rank = rank_split(train_scores, dataset.train_x, shape)
-        test_rank = rank_split(test_scores, dataset.test_x, shape)
+        train_scores = rank_split(train_scores, dataset.train_x, shape,
+                                  "train")
+        test_scores = rank_split(test_scores, dataset.test_x, shape, "test")
         for threshold in thresholds:
             for mode in modes:
                 spec = ModificationSpec(threshold, mode, replacement)
                 yield ModifiedDataset(
-                    modify_rows(dataset.train_x, train_rank, spec),
+                    modify_rows(dataset.train_x, train_scores, spec),
                     dataset.train_y.copy(),
-                    modify_rows(dataset.test_x, test_rank, spec),
+                    modify_rows(dataset.test_x, test_scores, spec),
                     dataset.test_y.copy(), shape,
                     provenance=Provenance(estimator_id, threshold, mode, seed,
                                           source_id))
@@ -329,9 +366,10 @@ def run_roar(dataset: ArrayDataset,
     """Retrain `runs_per_point` fresh models per grid cell on modified data;
     the grid holds the runs in grid order (estimator, threshold, mode, run).
 
-    Per estimator, each split is ranked once, and each `cell_key` not yet
-    trained goes to the trainer in one DatasetStack per STACK_BYTES of train
-    splits, which modifies a cell's splits as it builds them. Rank-free keys
+    Per estimator, each split's scores are checked once (`rank_split`), and
+    each `cell_key` not yet trained goes to the trainer in one DatasetStack
+    per STACK_BYTES of train splits, which modifies a cell's splits as it
+    builds them. Rank-free keys
     train once per `shared` dict, which holds their results: a caller that
     splits one grid over several calls passes each the same dict.
 
@@ -347,8 +385,9 @@ def run_roar(dataset: ArrayDataset,
     per_call = max(1, STACK_BYTES // max(1, split_bytes))
     shape = dataset.image_shape
     for estimator_id, (train_scores, test_scores) in estimates.items():
-        train_rank = rank_split(train_scores, dataset.train_x, shape)
-        test_rank = rank_split(test_scores, dataset.test_x, shape)
+        train_scores = rank_split(train_scores, dataset.train_x, shape,
+                                  "train")
+        test_scores = rank_split(test_scores, dataset.test_x, shape, "test")
         keys = [cell_key(estimator_id, t, mode, len(replacement))
                 for t, mode in cells]
         pending = {}  # key -> the spec of its first cell, in cell order
@@ -361,9 +400,11 @@ def run_roar(dataset: ArrayDataset,
             chunk = todo[start:start + per_call]
             stack = DatasetStack(
                 len(chunk), dataset.n_features,
-                lambda c: modify_rows(dataset.train_x, train_rank, chunk[c][1]),
+                lambda c: modify_rows(dataset.train_x, train_scores,
+                                      chunk[c][1]),
                 dataset.train_y,
-                lambda c: modify_rows(dataset.test_x, test_rank, chunk[c][1]),
+                lambda c: modify_rows(dataset.test_x, test_scores,
+                                      chunk[c][1]),
                 dataset.test_y)
             trained.update(zip([key for key, _ in chunk], trainer(stack, [
                 run_seeds(base_seed, key, runs_per_point)
@@ -389,11 +430,11 @@ def run_deletion_metric(dataset: ArrayDataset, original_model: Model,
     grid = ResultGrid()
     replacement = replacement_matrix(dataset)
     for estimator_id, test_scores in test_estimates:
-        rankings = rank_split(test_scores, dataset.test_x,
-                              dataset.image_shape)
+        test_scores = rank_split(test_scores, dataset.test_x,
+                                 dataset.image_shape, "test")
         for threshold in thresholds:
             spec = ModificationSpec(threshold, ROAR, replacement)
-            test_x = modify_rows(dataset.test_x, rankings, spec)
+            test_x = modify_rows(dataset.test_x, test_scores, spec)
             acc = accuracy(original_model, test_x, dataset.test_y)
             grid.add(Record(estimator_id, threshold, ROAR, 0, acc))
     return grid

@@ -163,10 +163,14 @@ class TestCriterion6ModificationInvariants:
         ok = True
         details = []
 
+        def scores_of(order):
+            # One row of per-position scores ranked in `order`.
+            return pipeline.ranking_to_scores(order)[None]
+
         for t in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             spec = pipeline.ModificationSpec(t, pipeline.ROAR, replacement)
             order = rng.permutation(p)
-            out = pipeline.modify_rows(x[None], order[None], spec)[0]
+            out = pipeline.modify_rows(x[None], scores_of(order), spec)[0]
             count = int((out == 0.125).sum())
             if count != pipeline.n_modified(t, p):
                 ok = False
@@ -174,13 +178,15 @@ class TestCriterion6ModificationInvariants:
 
         spec0 = pipeline.ModificationSpec(0.0, pipeline.ROAR, replacement)
         if not np.array_equal(
-                pipeline.modify_rows(x[None], np.arange(p)[None], spec0)[0],
+                pipeline.modify_rows(x[None], scores_of(np.arange(p)),
+                                     spec0)[0],
                 x):
             ok = False
             details.append("t=0 not identity")
         spec1 = pipeline.ModificationSpec(1.0, pipeline.ROAR, replacement)
         if not np.array_equal(
-                pipeline.modify_rows(x[None], np.arange(p)[None], spec1)[0],
+                pipeline.modify_rows(x[None], scores_of(np.arange(p)),
+                                     spec1)[0],
                 np.full(p, 0.125)):
             ok = False
             details.append("t=1 not all-replacement")
@@ -191,10 +197,10 @@ class TestCriterion6ModificationInvariants:
             t = numerator / p
             order = rng.permutation(p)
             removed = pipeline.modify_rows(
-                x[None], order[None],
+                x[None], scores_of(order),
                 pipeline.ModificationSpec(t, pipeline.ROAR, replacement))[0]
             kept = pipeline.modify_rows(
-                x[None], order[None],
+                x[None], scores_of(order),
                 pipeline.ModificationSpec(t, pipeline.KAR, replacement))[0]
             touched_r = set(np.nonzero(removed != x)[0])
             touched_k = set(np.nonzero(kept != x)[0])

@@ -136,3 +136,33 @@ def test_run_retrains_through_run_roar(tmp_path, monkeypatch):
     assert calls[3:] == [["random"]]
     run()
     assert calls[4:] == []
+
+
+def test_run_scores_through_compute_estimates_once_per_split(tmp_path,
+                                                             monkeypatch):
+    # The tracer's `estimators.compute_estimates` span wraps
+    # experiment.compute_estimates; `run` must score through that name, one
+    # call per (estimator, split), family by family: the ensemble ids, then
+    # grad and grad-sq, then random.
+    config = tmp_path / "config.ini"
+    config.write_text(
+        "[experiment]\nseed = 3\nruns_per_point = 1\nthresholds = 0,0.5\n"
+        "[dataset]\nkind = bars\nn_train = 40\nn_test = 20\nsize = 6\n"
+        "[estimators]\nids = sg-grad, grad, random, var-grad, grad-sq\n"
+        "ensemble_samples = 2\n"
+        "[train]\nmodel = mlp\nhidden = 4\nsteps = 10\nbatch_size = 8\n")
+    calls = []
+    compute_estimates = experiment.compute_estimates
+
+    def counting(estimator_id, settings, model, x, *args, **kwargs):
+        calls.append((estimator_id, len(x)))
+        return compute_estimates(estimator_id, settings, model, x, *args,
+                                 **kwargs)
+
+    monkeypatch.setattr(experiment, "compute_estimates", counting)
+    assert cli.main(["run", "--config", str(config),
+                     "--output", str(tmp_path / "out")]) == 0
+    assert calls == [(estimator_id, n)
+                     for estimator_id in ("sg-grad", "var-grad", "grad",
+                                          "grad-sq", "random")
+                     for n in (40, 20)]

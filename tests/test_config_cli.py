@@ -513,7 +513,7 @@ class TestCli:
             self, bars_config, tmp_path, monkeypatch):
         events = []
         compute_estimates = experiment.compute_estimates
-        rank_features = pipeline.rank_features
+        rank_split = pipeline.rank_split
 
         def scoring(estimator_id, settings, model, x, targets, passes=None):
             events.append(("score", estimator_id, len(x)))
@@ -522,10 +522,10 @@ class TestCli:
 
         def ranking(scores, *args):
             events.append(("rank", len(scores)))
-            return rank_features(scores, *args)
+            return rank_split(scores, *args)
 
         monkeypatch.setattr(experiment, "compute_estimates", scoring)
-        monkeypatch.setattr(pipeline, "rank_features", ranking)
+        monkeypatch.setattr(pipeline, "rank_split", ranking)
         out = str(tmp_path / "out")
         assert run_cli("deletion-metric", "--config", bars_config,
                        "--output", out) == 0
@@ -638,7 +638,8 @@ class TestCli:
         model, _ = experiment.train_baseline(ctx)
         settings = experiment.estimator_settings(ctx)
         calls.clear()
-        # Scoring each id on its own, as `run` does, runs every pass again.
+        # Scoring each id on its own, with no passes shared, runs every
+        # pass again.
         for estimator_id in ctx.config.estimators.ids:
             for got, (x, y) in zip(saved[estimator_id],
                                    ((ctx.dataset.train_x, ctx.dataset.train_y),
@@ -647,6 +648,43 @@ class TestCli:
                                                       [estimator_id])
                 assert got.tobytes() == fresh.tobytes(), estimator_id
         assert len(calls) == 3807
+
+    def test_run_runs_each_family_pass_once(self, tmp_path, monkeypatch,
+                                            capsys):
+        # `run` shares passes within a family as `estimate` does, even though
+        # each estimator retrains before the next is scored.
+        config = tmp_path / "run.ini"
+        config.write_text(BARS_ESTIMATE)
+        calls = []
+        input_gradient = estimators.input_gradient
+        monkeypatch.setattr(
+            estimators, "input_gradient",
+            lambda *args, **kwargs: calls.append(1) or input_gradient(
+                *args, **kwargs))
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", str(config), "--output", out) == 0
+        assert len(calls) == 3 * (27 + 15 * 27) == 1296
+        with open(os.path.join(out, "results.csv"), "rb") as f:
+            full = f.read()
+        # Logged, and written, in family order: `<b>-sq` right after `<b>`.
+        done = re.findall(r"estimator=(\S+) status=done",
+                          capsys.readouterr().err)
+        ids = estimators.all_estimator_ids()
+        assert sorted(done) == sorted(ids)
+        assert done.index("grad-sq") == done.index("grad") + 1
+        assert done.index("var-grad") == done.index("sg_sq-grad") + 1
+        # Alone in its family on the rerun, var-grad runs its 15 noisy
+        # passes per block, and the grid comes out the same.
+        os.remove(os.path.join(out, "cells", "var-grad.csv"))
+        os.remove(os.path.join(out, "results.csv"))
+        calls.clear()
+        assert run_cli("run", "--config", str(config), "--output", out) == 0
+        assert len(calls) == 3 * 15
+        with open(os.path.join(out, "results.csv"), "rb") as f:
+            assert f.read() == full
+        err = capsys.readouterr().err
+        assert re.findall(r"estimator=(\S+) status=done", err) == ["var-grad"]
+        assert err.count("status=skipped") == len(ids) - 1
 
     def test_toy_validate_passes_and_writes_csv(self, tmp_path, capsys):
         config = tmp_path / "toy.ini"

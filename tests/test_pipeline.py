@@ -62,16 +62,22 @@ def spec_for(x, threshold, mode):
     return ModificationSpec(threshold, mode, replacement)
 
 
+def order_scores(orders):
+    """(rows, P) per-position scores whose top-k selection is the first k
+    of each row of `orders`."""
+    return np.stack([ranking_to_scores(order) for order in orders])
+
+
 class TestModifySample:
     def test_threshold_zero_is_identity(self, rng):
         x = rng.standard_normal(10)
-        out = modify_rows(x[None], np.arange(10)[None],
+        out = modify_rows(x[None], order_scores([np.arange(10)]),
                           spec_for(x, 0.0, ROAR))[0]
         np.testing.assert_array_equal(out, x)
 
     def test_threshold_one_is_all_replacement(self, rng):
         x = rng.standard_normal(10)
-        out = modify_rows(x[None], np.arange(10)[None],
+        out = modify_rows(x[None], order_scores([np.arange(10)]),
                           spec_for(x, 1.0, ROAR))[0]
         np.testing.assert_array_equal(out, np.full(10, 0.25))
 
@@ -86,10 +92,12 @@ class TestModifySample:
         x = rng.standard_normal(p)
         order = rng.permutation(p)
         removed = set(np.nonzero(
-            modify_rows(x[None], order[None], spec_for(x, t, ROAR))[0]
+            modify_rows(x[None], order_scores([order]),
+                        spec_for(x, t, ROAR))[0]
             != x)[0])
         kept_mode = set(np.nonzero(
-            modify_rows(x[None], order[None], spec_for(x, t, KAR))[0]
+            modify_rows(x[None], order_scores([order]),
+                        spec_for(x, t, KAR))[0]
             != x)[0])
         # Replacement collisions with original values are measure-zero for
         # continuous draws; the touched sets partition the positions.
@@ -105,9 +113,9 @@ class TestModifySample:
         x = rng.standard_normal(12)
         order = rng.permutation(12)
         spec = spec_for(x, t, mode)
-        once = modify_rows(x[None], order[None], spec)[0]
+        once = modify_rows(x[None], order_scores([order]), spec)[0]
         np.testing.assert_array_equal(
-            modify_rows(once[None], order[None], spec)[0], once)
+            modify_rows(once[None], order_scores([order]), spec)[0], once)
 
     def test_modified_count_is_ceil(self):
         for p in (10, 16, 28 * 28):
@@ -116,8 +124,9 @@ class TestModifySample:
 
     def test_length_mismatch(self):
         x = np.zeros(5)
-        with pytest.raises(ValueError, match="ranking length"):
-            modify_rows(x[None], np.arange(4)[None], spec_for(x, 0.5, ROAR))
+        with pytest.raises(ValueError, match="scores for 4 positions"):
+            modify_rows(x[None], order_scores([np.arange(4)]),
+                        spec_for(x, 0.5, ROAR))
 
 
 class TestModifyRows:
@@ -133,7 +142,8 @@ class TestModifyRows:
         rankings = np.argsort(rng.standard_normal((1 if shared else n, p)))
         spec = ModificationSpec(t, mode, rng.standard_normal((p, c)))
         k = n_modified(t, p)
-        for i, row in enumerate(modify_rows(x, rankings, spec)):
+        for i, row in enumerate(modify_rows(x, order_scores(rankings),
+                                            spec)):
             order = rankings[0 if shared else i]
             selected = order[:k] if mode == ROAR else order[k:]
             expected = x[i].reshape(p, c).copy()
@@ -157,6 +167,58 @@ class TestModifyRows:
             run_deletion_metric(ds, model, [("e", scores)], [0.3, 0.5, 1.0])
             for scores in (shared, tiled[1]))
         assert shared_grid.records == tiled_grid.records
+
+
+# Score draws for selection tests: tie-heavy integers, constant rows, zeros
+# of both signs, and continuous values.
+SCORE_KINDS = {
+    "integers": lambda rng, shape: rng.integers(-2, 3, shape).astype(float),
+    "constant": lambda rng, shape: np.full(shape, 0.5),
+    "signed_zeros": lambda rng, shape: rng.choice([-0.0, 0.0, 1.0], shape),
+    "continuous": lambda rng, shape: rng.standard_normal(shape),
+}
+
+
+class TestTopPositions:
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([None, (2, 3, 1), (2, 3, 2)]),
+           st.sampled_from(sorted(SCORE_KINDS)), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_mask_is_first_k_of_rank_features(self, seed, image_shape, kind,
+                                              shared):
+        rng = np.random.default_rng(seed)
+        n = 5
+        d = 6 if image_shape is None else int(np.prod(image_shape))
+        scores = SCORE_KINDS[kind](rng, d if shared else (n, d))
+        positions = pipeline.rank_split(scores, np.zeros((n, d)),
+                                        image_shape, "train")
+        order = np.atleast_2d(rank_features(scores, image_shape))
+        p = order.shape[1]
+        assert positions.shape == (1 if shared else n, p)
+        for k in range(p + 1):
+            expected = np.zeros(order.shape, dtype=bool)
+            np.put_along_axis(expected, order[:, :k], True, axis=1)
+            np.testing.assert_array_equal(
+                pipeline.top_positions(positions, k), expected)
+
+    def test_one_channel_scores_are_not_copied(self, rng):
+        scores = rng.standard_normal((4, 6))
+        for image_shape in (None, (2, 3, 1)):
+            positions = pipeline.rank_split(scores, scores, image_shape,
+                                            "train")
+            assert np.shares_memory(positions, scores)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_non_finite_scores_are_refused_by_split(self, rng, split, bad):
+        ds = tiny_dataset(rng)
+        scores = {"train": rng.standard_normal((20, 6)),
+                  "test": rng.standard_normal((8, 6))}
+        scores[split][3, 2] = bad
+        with pytest.raises(ValueError,
+                           match=f"non-finite {split} scores at sample 3"):
+            make_modified_dataset(ds, scores["train"], scores["test"], "e",
+                                  0.5, ROAR)
 
 
 def tiny_dataset(rng, n=20, m=8, d=6, image_shape=None):
@@ -208,8 +270,8 @@ class TestGenerateModifiedDatasets:
     @settings(max_examples=40, deadline=None)
     def test_equals_make_modified_dataset_per_cell(
             self, seed, n_estimators, image_shape, shared, thresholds):
-        # Each split is ranked once per estimator, yet every cell must equal
-        # the one-cell reference. Coarse scores force ties.
+        # Each split's scores are checked once per estimator, yet every cell
+        # must equal the one-cell reference. Coarse scores force ties.
         rng = np.random.default_rng(seed)
         d = 6 if image_shape is None else int(np.prod(image_shape))
         ds = tiny_dataset(rng, d=d, image_shape=image_shape)
@@ -221,10 +283,10 @@ class TestGenerateModifiedDatasets:
             for k in range(n_estimators)}
         thresholds = sorted(thresholds)
         calls = []
-        rank_features = pipeline.rank_features
+        rank_split = pipeline.rank_split
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "rank_features",
-                       lambda *a, **kw: calls.append(1) or rank_features(
+            mp.setattr(pipeline, "rank_split",
+                       lambda *a, **kw: calls.append(1) or rank_split(
                            *a, **kw))
             out = list(generate_modified_datasets(
                 ds, estimates, thresholds, modes=(ROAR, KAR),
