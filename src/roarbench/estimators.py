@@ -46,18 +46,43 @@ def estimate_gb(model: Model, x: np.ndarray, targets) -> np.ndarray:
 def estimate_ig(model: Model, x: np.ndarray, targets, steps: int,
                 reference: np.ndarray | None = None) -> np.ndarray:
     """Riemann approximation, in `steps` steps, of the path integral from
-    the reference (all-zeros by default) to each row of x; one batched
-    gradient pass per step."""
+    the reference (all-zeros by default) to each row of x.
+
+    Along the straight path the first affine's output is affine in the step
+    fraction a_j = j / steps: h_j = a_j A + B, with A = (x - ref) W1 and
+    B = ref W1 + b1. So W1 is applied once each way per path: every step's
+    rectified h_j goes through the layers above it in one batched gradient
+    pass, and the masked gradients, summed over steps, go back through W1
+    once. A one-affine model has the constant gradient W1[:, target].
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"input of shape {x.shape}; expected (n, d) rows")
     ref = np.zeros(x.shape[1:]) if reference is None else np.asarray(
         reference, dtype=np.float64)
     if ref.shape != x.shape[1:]:
         raise ValueError(f"reference shape {ref.shape} != sample shape "
                          f"{x.shape[1:]}")
-    total = np.zeros_like(x)
-    for j in range(1, steps + 1):
-        total += input_gradient(model, ref + (j / steps) * (x - ref), targets)
-    return (x - ref) * total / steps
+    targets = np.asarray(targets)
+    if targets.shape != (len(x),):  # checked before the path tiles them
+        raise ValueError(f"{targets.shape} targets for {len(x)} rows")
+    delta = x - ref
+    first, upper = model.layers[0], model.layers[1:]
+    if not upper:
+        return delta * input_gradient(model, x, targets)
+    fractions = np.arange(1, steps + 1)[:, None, None] / steps
+    h = fractions * (delta @ first.weight)  # (steps, n, h1)
+    h += ref @ first.weight + first.bias
+    path_shape = h.shape
+    h = np.maximum(h, 0.0, out=h).reshape(-1, path_shape[2])
+    # Row j * n + i is step j + 1 of row i; a rectified unit passes the
+    # gradient where it is positive, as its input is.
+    g = input_gradient(Model(upper), h, np.tile(targets, steps))
+    g *= h > 0.0
+    return delta * (g.reshape(path_shape).sum(axis=0)
+                    @ first.weight.T) / steps
 
 
 def ensemble_moments(base: Callable[[Model, np.ndarray, np.ndarray],
@@ -75,6 +100,8 @@ def ensemble_moments(base: Callable[[Model, np.ndarray, np.ndarray],
     """
     x = np.asarray(x, dtype=np.float64)
     samples, stddev = settings.ensemble_samples, settings.noise_stddev
+    if samples < 1:
+        raise ValueError(f"ensemble_samples must be >= 1, got {samples}")
     if stddev == 0.0:
         # Every draw is x itself: one pass gives the moments exactly.
         scores = base(model, x, targets)

@@ -138,25 +138,43 @@ def top_positions(scores: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-def modify_rows(x: np.ndarray, scores: np.ndarray,
-                spec: ModificationSpec) -> np.ndarray:
+def modify_rows(x: np.ndarray, scores: np.ndarray, spec: ModificationSpec,
+                top: np.ndarray | None = None) -> np.ndarray:
     """Replace the top-scored positions of every row of x with the
     replacement values.
 
     `scores` are per-position scores from `rank_split`: (n, P), one row per
     row of x, or (1, P), shared by all rows. ROAR replaces each row's top
     ceil(t*P) positions (`top_positions`); KAR replaces everything except
-    those. Untouched values are bit-identical to the input.
+    those. Untouched values are bit-identical to the input. A caller that
+    builds both cells of a threshold selects once and passes that
+    `top_positions(scores, ceil(t*P))` mask as `top`.
     """
     p, c = spec.replacement.shape
     if scores.shape[1] != p:
         raise ValueError(f"scores for {scores.shape[1]} positions; the "
                          f"replacement has {p}")
-    top = top_positions(scores, n_modified(spec.threshold, p))
+    if top is None:
+        top = top_positions(scores, n_modified(spec.threshold, p))
     replaced = top if spec.mode == ROAR else ~top
     rows = np.asarray(x, dtype=np.float64).reshape(len(x), p, c)
     return np.where(replaced[:, :, None], spec.replacement,
                     rows).reshape(len(x), p * c)
+
+
+def _split_modifier(x: np.ndarray, scores: np.ndarray):
+    """`modify_rows` of one split, by spec, that keeps the top positions it
+    selected last: the ROAR and the KAR cell of a threshold, built one after
+    the other, share one selection."""
+    last = {}  # k -> the top_positions mask of the last k asked for
+
+    def modify(spec: ModificationSpec) -> np.ndarray:
+        k = n_modified(spec.threshold, scores.shape[1])
+        if k not in last:
+            last.clear()
+            last[k] = top_positions(scores, k)
+        return modify_rows(x, scores, spec, last[k])
+    return modify
 
 
 @dataclass
@@ -229,22 +247,23 @@ def generate_modified_datasets(dataset: ArrayDataset,
                                ) -> Iterator[ModifiedDataset]:
     """Yield one ModifiedDataset per (estimator, threshold, mode), one at a
     time, so callers can persist each before the next is built. Each
-    split's scores are checked once per estimator (`rank_split`); `seed` is
-    the config seed provenance records."""
+    split's scores are checked once per estimator (`rank_split`), and its
+    top positions selected once per threshold (`_split_modifier`); `seed`
+    is the config seed provenance records."""
     replacement = replacement_matrix(dataset)
     shape = dataset.image_shape
     for estimator_id, (train_scores, test_scores) in estimates.items():
         train_scores = rank_split(train_scores, dataset.train_x, shape,
                                   "train")
         test_scores = rank_split(test_scores, dataset.test_x, shape, "test")
+        train_cell = _split_modifier(dataset.train_x, train_scores)
+        test_cell = _split_modifier(dataset.test_x, test_scores)
         for threshold in thresholds:
             for mode in modes:
                 spec = ModificationSpec(threshold, mode, replacement)
                 yield ModifiedDataset(
-                    modify_rows(dataset.train_x, train_scores, spec),
-                    dataset.train_y.copy(),
-                    modify_rows(dataset.test_x, test_scores, spec),
-                    dataset.test_y.copy(), shape,
+                    train_cell(spec), dataset.train_y.copy(),
+                    test_cell(spec), dataset.test_y.copy(), shape,
                     provenance=Provenance(estimator_id, threshold, mode, seed,
                                           source_id))
 
@@ -369,9 +388,10 @@ def run_roar(dataset: ArrayDataset,
     Per estimator, each split's scores are checked once (`rank_split`), and
     each `cell_key` not yet trained goes to the trainer in one DatasetStack
     per STACK_BYTES of train splits, which modifies a cell's splits as it
-    builds them. Rank-free keys
-    train once per `shared` dict, which holds their results: a caller that
-    splits one grid over several calls passes each the same dict.
+    builds them (`_split_modifier`: a threshold's ROAR and KAR cells share
+    one selection per split). Rank-free keys train once per `shared` dict,
+    which holds their results: a caller that splits one grid over several
+    calls passes each the same dict.
 
     Diverged runs are recorded as failures and the grid run continues.
     """
@@ -388,6 +408,8 @@ def run_roar(dataset: ArrayDataset,
         train_scores = rank_split(train_scores, dataset.train_x, shape,
                                   "train")
         test_scores = rank_split(test_scores, dataset.test_x, shape, "test")
+        train_cell = _split_modifier(dataset.train_x, train_scores)
+        test_cell = _split_modifier(dataset.test_x, test_scores)
         keys = [cell_key(estimator_id, t, mode, len(replacement))
                 for t, mode in cells]
         pending = {}  # key -> the spec of its first cell, in cell order
@@ -400,12 +422,8 @@ def run_roar(dataset: ArrayDataset,
             chunk = todo[start:start + per_call]
             stack = DatasetStack(
                 len(chunk), dataset.n_features,
-                lambda c: modify_rows(dataset.train_x, train_scores,
-                                      chunk[c][1]),
-                dataset.train_y,
-                lambda c: modify_rows(dataset.test_x, test_scores,
-                                      chunk[c][1]),
-                dataset.test_y)
+                lambda c: train_cell(chunk[c][1]), dataset.train_y,
+                lambda c: test_cell(chunk[c][1]), dataset.test_y)
             trained.update(zip([key for key, _ in chunk], trainer(stack, [
                 run_seeds(base_seed, key, runs_per_point)
                 for key, _ in chunk])))

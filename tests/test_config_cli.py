@@ -629,9 +629,10 @@ class TestCli:
         out = str(tmp_path / "out")
         assert run_cli("estimate", "--config", str(config),
                        "--output", out) == 0
-        # Per block: grad, gb and 25 ig steps once, shared by `<b>-sq`,
-        # and 15 noisy copies of each, shared by sg, sg_sq and var.
-        assert len(calls) == 3 * (27 + 15 * 27) == 1296
+        # Per block: one pass each of grad, gb and ig (all 25 ig steps go
+        # through one call), shared by `<b>-sq`, and 15 noisy copies of
+        # each, shared by sg, sg_sq and var.
+        assert len(calls) == 3 * (3 + 15 * 3) == 144
         ctx = experiment.build_context(parse_config(BARS_ESTIMATE))
         saved = experiment.load_estimates(
             ctx, os.path.join(out, "estimates"))
@@ -639,7 +640,8 @@ class TestCli:
         settings = experiment.estimator_settings(ctx)
         calls.clear()
         # Scoring each id on its own, with no passes shared, runs every
-        # pass again.
+        # pass again: per block, 3 base passes for the bases and again for
+        # `<b>-sq`, and 15 noisy copies of each for each of sg, sg_sq, var.
         for estimator_id in ctx.config.estimators.ids:
             for got, (x, y) in zip(saved[estimator_id],
                                    ((ctx.dataset.train_x, ctx.dataset.train_y),
@@ -647,7 +649,7 @@ class TestCli:
                 [(_, fresh)] = experiment.score_split(settings, model, x, y,
                                                       [estimator_id])
                 assert got.tobytes() == fresh.tobytes(), estimator_id
-        assert len(calls) == 3807
+        assert len(calls) == 3 * (3 + 3 + 3 * 15 * 3) == 423
 
     def test_run_runs_each_family_pass_once(self, tmp_path, monkeypatch,
                                             capsys):
@@ -663,7 +665,7 @@ class TestCli:
                 *args, **kwargs))
         out = str(tmp_path / "out")
         assert run_cli("run", "--config", str(config), "--output", out) == 0
-        assert len(calls) == 3 * (27 + 15 * 27) == 1296
+        assert len(calls) == 3 * (3 + 15 * 3) == 144
         with open(os.path.join(out, "results.csv"), "rb") as f:
             full = f.read()
         # Logged, and written, in family order: `<b>-sq` right after `<b>`.

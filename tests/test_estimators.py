@@ -69,7 +69,42 @@ class TestGuidedBackprop:
                                       estimate_grad(model, x[None], [0]))
 
 
+def per_step_ig(model, x, targets, steps, reference=None):
+    """Integrated gradients as one gradient pass per path step, summed in
+    input space: the reference the batched path is checked against."""
+    ref = np.zeros(x.shape[1:]) if reference is None else reference
+    total = np.zeros_like(x)
+    for j in range(1, steps + 1):
+        total += nn.input_gradient(model, ref + (j / steps) * (x - ref),
+                                   targets)
+    return (x - ref) * total / steps
+
+
 class TestIntegratedGradients:
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(1, 9), min_size=0, max_size=2),
+           st.booleans(), st.integers(1, 30),
+           st.integers(1, 2 * ROW_BLOCK + 3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_step_oracle(self, seed, hidden, zero_ref, steps, n):
+        # The batched path sums the steps' masked gradients before W1, so
+        # only float order differs from one pass per step.
+        rng = np.random.default_rng(seed)
+        model = nn.init_mlp([5, *hidden, 3], rng)
+        x = rng.standard_normal((n, 5))
+        targets = rng.integers(0, 3, n)
+        ref = None if zero_ref else rng.standard_normal(5)
+        want = per_step_ig(model, x, targets, steps, ref)
+        got = estimate_ig(model, x, targets, steps, reference=ref)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_are_refused(self, rng, steps):
+        model = nn.init_mlp([4, 6, 2], rng)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            estimate_ig(model, np.ones((2, 4)), [0, 1], steps)
+
     def test_input_at_reference_gives_zeros(self, rng):
         model = nn.init_mlp([4, 6, 2], rng)
         x = rng.standard_normal(4)
@@ -102,6 +137,12 @@ class TestIntegratedGradients:
         model = nn.init_mlp([4, 2], rng)
         with pytest.raises(ValueError, match="reference shape"):
             estimate_ig(model, np.ones((1, 4)), [0], 5, reference=np.ones(3))
+
+    @pytest.mark.parametrize("sizes", [[4, 2], [4, 6, 2]])
+    def test_target_count_mismatch_names_the_rows(self, rng, sizes):
+        model = nn.init_mlp(sizes, rng)
+        with pytest.raises(ValueError, match=r"\(2,\) targets for 3 rows"):
+            estimate_ig(model, np.ones((3, 4)), [0, 1], 25)
 
 
 def reduced_ensemble(base, mode, model, x, targets, cfg, first_row=0):
@@ -144,6 +185,13 @@ class TestEnsemble:
         sg_sq = registry_ensemble(SG_SQ, model, x, cfg)
         var = registry_ensemble(VAR, model, x, cfg)
         np.testing.assert_allclose(var, sg_sq - sg ** 2, atol=1e-10)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_samples_below_one_are_refused(self, setup, noise):
+        model, x = setup
+        cfg = EstimatorSettings(ensemble_samples=0, noise_stddev=noise)
+        with pytest.raises(ValueError, match="ensemble_samples must be >= 1"):
+            ensemble_moments(estimate_grad, model, x, [0], cfg)
 
     def test_linear_model_sg_equals_grad_and_var_vanishes(self, rng):
         model = affine_model(rng.standard_normal((4, 2)))

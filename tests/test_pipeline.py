@@ -270,8 +270,9 @@ class TestGenerateModifiedDatasets:
     @settings(max_examples=40, deadline=None)
     def test_equals_make_modified_dataset_per_cell(
             self, seed, n_estimators, image_shape, shared, thresholds):
-        # Each split's scores are checked once per estimator, yet every cell
-        # must equal the one-cell reference. Coarse scores force ties.
+        # Each split's scores are checked once per estimator, and its top
+        # positions selected once per threshold for both modes, yet every
+        # cell must equal the one-cell reference. Coarse scores force ties.
         rng = np.random.default_rng(seed)
         d = 6 if image_shape is None else int(np.prod(image_shape))
         ds = tiny_dataset(rng, d=d, image_shape=image_shape)
@@ -282,16 +283,23 @@ class TestGenerateModifiedDatasets:
                 for split, x in enumerate((ds.train_x, ds.test_x)))
             for k in range(n_estimators)}
         thresholds = sorted(thresholds)
-        calls = []
+        calls, selections = [], []
         rank_split = pipeline.rank_split
+        top_positions = pipeline.top_positions
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "rank_split",
                        lambda *a, **kw: calls.append(1) or rank_split(
                            *a, **kw))
+            mp.setattr(pipeline, "top_positions",
+                       lambda *a: selections.append(1) or top_positions(*a))
             out = list(generate_modified_datasets(
                 ds, estimates, thresholds, modes=(ROAR, KAR),
                 source_id="src"))
         assert len(calls) == 2 * n_estimators
+        # Sorted thresholds with the same replaced count share one, too.
+        counts = {n_modified(t, len(replacement_matrix(ds)))
+                  for t in thresholds}
+        assert len(selections) == 2 * n_estimators * len(counts)
         cells = [(e, t, m) for e in estimates for t in thresholds
                  for m in (ROAR, KAR)]
         assert len(out) == len(cells)
@@ -403,6 +411,40 @@ class TestRunRoar:
                         np.testing.assert_array_equal(la.weight, lb.weight)
                         np.testing.assert_array_equal(la.bias, lb.bias)
         assert next(entries, None) is None
+
+    @pytest.mark.parametrize("stack_bytes", [pipeline.STACK_BYTES, 1,
+                                             TWO_CELLS])
+    def test_roar_and_kar_cells_share_one_selection(self, rng, monkeypatch,
+                                                    stack_bytes):
+        """Each split's top positions are selected once per threshold for
+        both modes, however the stack is split, and every cell the trainer
+        sees equals the one-cell reference. Coarse scores force ties."""
+        monkeypatch.setattr(pipeline, "STACK_BYTES", stack_bytes)
+        ds = tiny_dataset(rng, n=40, m=20)
+        train_scores = rng.integers(0, 3, (40, 6)).astype(float)
+        test_scores = rng.integers(0, 3, 6).astype(float)
+        selections, seen = [], []
+        top_positions = pipeline.top_positions
+        monkeypatch.setattr(pipeline, "top_positions",
+                            lambda *a: selections.append(1) or top_positions(
+                                *a))
+
+        def recording_trainer(stack, seeds):
+            seen.extend((stack.train_x(c), stack.test_x(c))
+                        for c in range(stack.size))
+            return [[(None, 0.5)] * len(s) for s in seeds]
+
+        thresholds, modes = (0.2, 0.5, 0.8), (ROAR, KAR)
+        run_roar(ds, {"e": (train_scores, test_scores)}, thresholds,
+                 recording_trainer, runs_per_point=1, modes=modes)
+        assert len(selections) == 2 * len(thresholds)
+        cells = [(t, mode) for t in thresholds for mode in modes]
+        assert len(seen) == len(cells)
+        for (train_x, test_x), (t, mode) in zip(seen, cells):
+            want = make_modified_dataset(ds, train_scores, test_scores, "e",
+                                         t, mode)
+            np.testing.assert_array_equal(train_x, want.train_x)
+            np.testing.assert_array_equal(test_x, want.test_x)
 
 
 
