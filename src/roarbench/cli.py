@@ -66,7 +66,10 @@ def cmd_toy_validate(args) -> int:
 
 
 def _context(args) -> "experiment.ExperimentContext":
-    return experiment.build_context(_load_config(args))
+    """Load the config, check or stamp `config.ini`, build the dataset."""
+    cfg = _load_config(args)
+    experiment.check_output_config(cfg, cfg.output, stamp=True)
+    return experiment.build_context(cfg)
 
 
 def _baseline(ctx):
@@ -84,7 +87,6 @@ def _baseline(ctx):
 
 def cmd_estimate(args) -> int:
     ctx = _context(args)
-    experiment.check_output_config(ctx.config, ctx.config.output, stamp=True)
     estimates = experiment.compute_all_estimates(ctx, _baseline(ctx))
     experiment.save_estimates(estimates,
                               os.path.join(ctx.config.output, "estimates"))
@@ -95,7 +97,6 @@ def cmd_modify(args) -> int:
     ctx = _context(args)
     cfg = ctx.config
     modified_dir = os.path.join(cfg.output, "modified")
-    experiment.check_output_config(cfg, cfg.output, stamp=True)
     if os.path.isdir(modified_dir):
         pipeline.refuse_old_parts(modified_dir)
     estimates_dir = os.path.join(cfg.output, "estimates")
@@ -116,14 +117,16 @@ def cmd_modify(args) -> int:
 
 def cmd_run(args) -> int:
     ctx = _context(args)
-    experiment.check_output_config(ctx.config, ctx.config.output, stamp=True)
     experiment.run_grid(ctx, _baseline(ctx), ctx.config.output)
-    return cmd_report(args)
+    return _report(ctx.config)
 
 
 def cmd_report(args) -> int:
+    return _report(_load_config(args))
+
+
+def _report(cfg) -> int:
     """The report of the grid's fragments; no dataset is built or read."""
-    cfg = _load_config(args)
     experiment.check_output_config(cfg, cfg.output)
     grid = experiment.collect_grid(cfg, cfg.output)
     experiment.write_report(cfg, grid, cfg.output)
@@ -132,7 +135,6 @@ def cmd_report(args) -> int:
 
 def cmd_deletion_metric(args) -> int:
     ctx = _context(args)
-    experiment.check_output_config(ctx.config, ctx.config.output, stamp=True)
     model = _baseline(ctx)
     grid = pipeline.run_deletion_metric(
         ctx.dataset, model, experiment.deletion_estimates(ctx, model),

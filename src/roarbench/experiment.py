@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import os
 import sys
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,24 +131,34 @@ def save_baseline(cfg: ExperimentConfig, model: nn.Model, baseline_acc: float,
     os.replace(tmp, path)
 
 
+def _read_npz(path: str) -> dict[str, np.ndarray]:
+    """Every array of an npz file, or a ProvenanceError naming the file."""
+    try:
+        with np.load(path) as data:
+            return {name: data[name] for name in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise pipeline.ProvenanceError(
+            f"cannot read {path}: {type(err).__name__}: {err}") from None
+
+
 def load_baseline(cfg: ExperimentConfig, path: str
                   ) -> tuple[nn.Model, float]:
-    """The baseline `save_baseline` wrote; a file of another config, or one
-    missing an array, is refused by name."""
-    with np.load(path) as data:
-        if ("config_sha256" not in data.files
-                or str(data["config_sha256"]) != config_sha256(cfg)):
-            raise pipeline.ProvenanceError(
-                f"{path} holds a baseline of another config; use a fresh "
-                f"output directory")
-        n = sum(name.startswith("weight_") for name in data.files)
-        try:
-            affines = [nn.Affine(data[f"weight_{i}"], data[f"bias_{i}"])
-                       for i in range(max(1, n))]
-            baseline_acc = float(data["accuracy"])
-        except KeyError as err:
-            raise pipeline.ProvenanceError(
-                f"{path} is incomplete: {err}") from None
+    """The baseline `save_baseline` wrote; a file of another config, one
+    missing an array, or one numpy cannot read, is refused by name."""
+    data = _read_npz(path)
+    if ("config_sha256" not in data
+            or str(data["config_sha256"]) != config_sha256(cfg)):
+        raise pipeline.ProvenanceError(
+            f"{path} holds a baseline of another config; use a fresh "
+            f"output directory")
+    n = sum(name.startswith("weight_") for name in data)
+    try:
+        affines = [nn.Affine(data[f"weight_{i}"], data[f"bias_{i}"])
+                   for i in range(max(1, n))]
+        baseline_acc = float(data["accuracy"])
+    except KeyError as err:
+        raise pipeline.ProvenanceError(
+            f"{path} is incomplete: {err}") from None
     return nn.Model(affines), baseline_acc
 
 
@@ -169,24 +180,22 @@ def load_estimates(ctx: ExperimentContext, directory: str):
         path = os.path.join(directory, f"{estimator_id}.npz")
         if not os.path.exists(path):
             raise pipeline.ProvenanceError(f"missing estimate file {path}")
-        with np.load(path) as data:
-            scores = []
-            for split, x in (("train", ctx.dataset.train_x),
-                             ("test", ctx.dataset.test_x)):
-                if split not in data.files:
-                    raise pipeline.ProvenanceError(
-                        f"{path} holds no {split} scores")
-                array = data[split]
-                if array.shape not in ((len(x), d), (d,)):
-                    raise pipeline.ProvenanceError(
-                        f"{path} holds {split} scores of shape "
-                        f"{array.shape}; the config needs ({len(x)}, {d}) "
-                        f"or ({d},)")
-                if not np.all(np.isfinite(array)):
-                    raise pipeline.ProvenanceError(
-                        f"{path} holds non-finite {split} scores")
-                scores.append(array)
-        out[estimator_id] = tuple(scores)
+        data = _read_npz(path)
+        for split, x in (("train", ctx.dataset.train_x),
+                         ("test", ctx.dataset.test_x)):
+            if split not in data:
+                raise pipeline.ProvenanceError(
+                    f"{path} holds no {split} scores")
+            array = data[split]
+            if array.shape not in ((len(x), d), (d,)):
+                raise pipeline.ProvenanceError(
+                    f"{path} holds {split} scores of shape "
+                    f"{array.shape}; the config needs ({len(x)}, {d}) "
+                    f"or ({d},)")
+            if not np.all(np.isfinite(array)):
+                raise pipeline.ProvenanceError(
+                    f"{path} holds non-finite {split} scores")
+        out[estimator_id] = (data["train"], data["test"])
     return out
 
 

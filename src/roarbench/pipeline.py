@@ -146,9 +146,8 @@ def modify_rows(x: np.ndarray, scores: np.ndarray, spec: ModificationSpec,
     `scores` are per-position scores from `rank_split`: (n, P), one row per
     row of x, or (1, P), shared by all rows. ROAR replaces each row's top
     ceil(t*P) positions (`top_positions`); KAR replaces everything except
-    those. Untouched values are bit-identical to the input. A caller that
-    builds both cells of a threshold selects once and passes that
-    `top_positions(scores, ceil(t*P))` mask as `top`.
+    those. Untouched values are bit-identical to the input. `split_cells`
+    passes the `top_positions` mask it already selected as `top`.
     """
     p, c = spec.replacement.shape
     if scores.shape[1] != p:
@@ -160,21 +159,6 @@ def modify_rows(x: np.ndarray, scores: np.ndarray, spec: ModificationSpec,
     rows = np.asarray(x, dtype=np.float64).reshape(len(x), p, c)
     return np.where(replaced[:, :, None], spec.replacement,
                     rows).reshape(len(x), p * c)
-
-
-def _split_modifier(x: np.ndarray, scores: np.ndarray):
-    """`modify_rows` of one split, by spec, that keeps the top positions it
-    selected last: the ROAR and the KAR cell of a threshold, built one after
-    the other, share one selection."""
-    last = {}  # k -> the top_positions mask of the last k asked for
-
-    def modify(spec: ModificationSpec) -> np.ndarray:
-        k = n_modified(spec.threshold, scores.shape[1])
-        if k not in last:
-            last.clear()
-            last[k] = top_positions(scores, k)
-        return modify_rows(x, scores, spec, last[k])
-    return modify
 
 
 @dataclass
@@ -219,6 +203,25 @@ def rank_split(scores: np.ndarray, x: np.ndarray, image_shape,
     return scores
 
 
+def split_cells(dataset: ArrayDataset, split: str, scores: np.ndarray,
+                replacement: np.ndarray):
+    """`cell(threshold, mode)`: the rows of one split ("train" or "test")
+    modified at that cell under one estimator's scores, checked once
+    (`rank_split`). Cells asked for in a row that replace the same count
+    share one `top_positions` selection."""
+    x = getattr(dataset, f"{split}_x")
+    scores = rank_split(scores, x, dataset.image_shape, split)
+    last = [None, None]  # the count selected last, and its mask
+
+    def cell(threshold: float, mode: str) -> np.ndarray:
+        spec = ModificationSpec(threshold, mode, replacement)
+        k = n_modified(threshold, len(replacement))
+        if k != last[0]:
+            last[:] = k, top_positions(scores, k)
+        return modify_rows(x, scores, spec, last[1])
+    return cell
+
+
 def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
                           test_scores: np.ndarray, estimator_id: str,
                           threshold: float, mode: str, seed: int = 0,
@@ -246,24 +249,19 @@ def generate_modified_datasets(dataset: ArrayDataset,
                                source_id: str = "dataset", seed: int = 0
                                ) -> Iterator[ModifiedDataset]:
     """Yield one ModifiedDataset per (estimator, threshold, mode), one at a
-    time, so callers can persist each before the next is built. Each
-    split's scores are checked once per estimator (`rank_split`), and its
-    top positions selected once per threshold (`_split_modifier`); `seed`
-    is the config seed provenance records."""
+    time, so callers can persist each before the next is built, each
+    split modified through `split_cells`; `seed` is the config seed
+    provenance records."""
     replacement = replacement_matrix(dataset)
-    shape = dataset.image_shape
     for estimator_id, (train_scores, test_scores) in estimates.items():
-        train_scores = rank_split(train_scores, dataset.train_x, shape,
-                                  "train")
-        test_scores = rank_split(test_scores, dataset.test_x, shape, "test")
-        train_cell = _split_modifier(dataset.train_x, train_scores)
-        test_cell = _split_modifier(dataset.test_x, test_scores)
+        train_cell = split_cells(dataset, "train", train_scores, replacement)
+        test_cell = split_cells(dataset, "test", test_scores, replacement)
         for threshold in thresholds:
             for mode in modes:
-                spec = ModificationSpec(threshold, mode, replacement)
                 yield ModifiedDataset(
-                    train_cell(spec), dataset.train_y.copy(),
-                    test_cell(spec), dataset.test_y.copy(), shape,
+                    train_cell(threshold, mode), dataset.train_y.copy(),
+                    test_cell(threshold, mode), dataset.test_y.copy(),
+                    dataset.image_shape,
                     provenance=Provenance(estimator_id, threshold, mode, seed,
                                           source_id))
 
@@ -385,13 +383,12 @@ def run_roar(dataset: ArrayDataset,
     """Retrain `runs_per_point` fresh models per grid cell on modified data;
     the grid holds the runs in grid order (estimator, threshold, mode, run).
 
-    Per estimator, each split's scores are checked once (`rank_split`), and
-    each `cell_key` not yet trained goes to the trainer in one DatasetStack
-    per STACK_BYTES of train splits, which modifies a cell's splits as it
-    builds them (`_split_modifier`: a threshold's ROAR and KAR cells share
-    one selection per split). Rank-free keys train once per `shared` dict,
-    which holds their results: a caller that splits one grid over several
-    calls passes each the same dict.
+    Per estimator, each split is modified through `split_cells`, and each
+    `cell_key` not yet trained goes to the trainer in one DatasetStack per
+    STACK_BYTES of train splits, which modifies a cell's splits as it builds
+    them. Rank-free keys train once per `shared` dict, which holds their
+    results: a caller that splits one grid over several calls passes each
+    the same dict.
 
     Diverged runs are recorded as failures and the grid run continues.
     """
@@ -403,35 +400,27 @@ def run_roar(dataset: ArrayDataset,
     cells = [(t, mode) for t in thresholds for mode in modes]
     split_bytes = np.dtype(TRAIN_DTYPE).itemsize * dataset.train_x.size
     per_call = max(1, STACK_BYTES // max(1, split_bytes))
-    shape = dataset.image_shape
     for estimator_id, (train_scores, test_scores) in estimates.items():
-        train_scores = rank_split(train_scores, dataset.train_x, shape,
-                                  "train")
-        test_scores = rank_split(test_scores, dataset.test_x, shape, "test")
-        train_cell = _split_modifier(dataset.train_x, train_scores)
-        test_cell = _split_modifier(dataset.test_x, test_scores)
+        train_cell = split_cells(dataset, "train", train_scores, replacement)
+        test_cell = split_cells(dataset, "test", test_scores, replacement)
         keys = [cell_key(estimator_id, t, mode, len(replacement))
                 for t, mode in cells]
-        pending = {}  # key -> the spec of its first cell, in cell order
-        for key, (t, mode) in zip(keys, cells):
-            if key not in shared:
-                pending.setdefault(key, ModificationSpec(t, mode, replacement))
-        todo = list(pending.items())
-        trained = {}
+        results = {key: shared[key] for key in keys if key in shared}
+        todo = [(key, cell) for i, (key, cell) in enumerate(zip(keys, cells))
+                if key not in results and keys.index(key) == i]
         for start in range(0, len(todo), per_call):
             chunk = todo[start:start + per_call]
             stack = DatasetStack(
                 len(chunk), dataset.n_features,
-                lambda c: train_cell(chunk[c][1]), dataset.train_y,
-                lambda c: test_cell(chunk[c][1]), dataset.test_y)
-            trained.update(zip([key for key, _ in chunk], trainer(stack, [
+                lambda c: train_cell(*chunk[c][1]), dataset.train_y,
+                lambda c: test_cell(*chunk[c][1]), dataset.test_y)
+            results.update(zip([key for key, _ in chunk], trainer(stack, [
                 run_seeds(base_seed, key, runs_per_point)
                 for key, _ in chunk])))
-        shared.update((key, results) for key, results in trained.items()
-                      if key in (NONE_REPLACED, ALL_REPLACED))
+        shared.update((key, results[key]) for key in
+                      (NONE_REPLACED, ALL_REPLACED) if key in results)
         for (threshold, mode), key in zip(cells, keys):
-            results = trained[key] if key in trained else shared[key]
-            for run, result in enumerate(results):
+            for run, result in enumerate(results[key]):
                 entry = (estimator_id, threshold, mode, run)
                 grid.add(CellFailure(*entry, f"failed:{result.step}")
                          if isinstance(result, TrainingDivergedError)
@@ -442,18 +431,17 @@ def run_roar(dataset: ArrayDataset,
 def run_deletion_metric(dataset: ArrayDataset, original_model: Model,
                         test_estimates: Iterable[tuple[str, np.ndarray]],
                         thresholds) -> ResultGrid:
-    """Score removal-modified TEST sets with the frozen original model, from
-    (estimator_id, test-split scores) pairs; a generator of pairs lets the
-    caller score one estimator at a time."""
+    """Score removal-modified TEST sets, modified through `split_cells`,
+    with the frozen original model, from (estimator_id, test-split scores)
+    pairs; a generator of pairs lets the caller score one estimator at a
+    time."""
     grid = ResultGrid()
     replacement = replacement_matrix(dataset)
     for estimator_id, test_scores in test_estimates:
-        test_scores = rank_split(test_scores, dataset.test_x,
-                                 dataset.image_shape, "test")
+        test_cell = split_cells(dataset, "test", test_scores, replacement)
         for threshold in thresholds:
-            spec = ModificationSpec(threshold, ROAR, replacement)
-            test_x = modify_rows(dataset.test_x, test_scores, spec)
-            acc = accuracy(original_model, test_x, dataset.test_y)
+            acc = accuracy(original_model, test_cell(threshold, ROAR),
+                           dataset.test_y)
             grid.add(Record(estimator_id, threshold, ROAR, 0, acc))
     return grid
 

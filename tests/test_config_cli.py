@@ -930,6 +930,44 @@ class TestOutputConfig:
                        "--output", out) == 0
         assert self.tree(out) == before
 
+    @pytest.mark.parametrize("command", ["estimate", "modify", "run",
+                                         "deletion-metric"])
+    def test_another_config_is_refused_before_the_dataset_is_built(
+            self, tmp_path, monkeypatch, capsys, command):
+        out = str(tmp_path / "out")
+        experiment.check_output_config(
+            parse_config(BARS.replace("steps = 120", "steps = 10")), out,
+            stamp=True)
+        config = tmp_path / "long.ini"
+        config.write_text(BARS.replace("steps = 120", "steps = 50"))
+        built = []
+        monkeypatch.setattr(experiment, "build_context", built.append)
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(config),
+                       "--output", out) == 3
+        assert "config.ini records another config" in capsys.readouterr().err
+        assert built == []
+        assert os.listdir(out) == ["config.ini"]
+
+    def test_run_reports_from_the_config_it_ran(self, bars_config, tmp_path,
+                                                monkeypatch):
+        # The config file changes on disk while the grid runs; the report
+        # is written from the config the grid ran.
+        run_grid = experiment.run_grid
+
+        def run_then_edit(ctx, model, output_dir):
+            run_grid(ctx, model, output_dir)
+            with open(bars_config, "w") as f:
+                f.write(BARS.replace("steps = 120", "steps = 50"))
+
+        monkeypatch.setattr(experiment, "run_grid", run_then_edit)
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", bars_config, "--output", out) == 0
+        assert "steps = 120\n" in (tmp_path / "out" / "config.ini").read_text()
+        grid = experiment.collect_grid(parse_config(BARS), out)
+        with open(os.path.join(out, "results.csv")) as f:
+            assert len(f.read().splitlines()) == 1 + len(grid.records)
+
     def test_report_builds_no_dataset(self, bars_config, tmp_path,
                                       monkeypatch):
         out = str(tmp_path / "out")
@@ -1145,6 +1183,25 @@ class TestBaselineCache:
         assert "ProvenanceError" in err and "baseline.npz" in err
         assert TestOutputConfig.tree(b) == before
 
+    @pytest.mark.parametrize("damage", ["truncated", "empty"])
+    def test_unreadable_baseline_is_refused_by_name(self, bars_config,
+                                                    tmp_path, capsys, damage):
+        out = str(tmp_path / "out")
+        assert run_cli("deletion-metric", "--config", bars_config,
+                       "--output", out) == 0
+        path = os.path.join(out, "baseline.npz")
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(data[:len(data) // 2] if damage == "truncated" else b"")
+        with pytest.raises(pipeline.ProvenanceError, match=re.escape(path)):
+            experiment.load_baseline(parse_config(BARS), path)
+        capsys.readouterr()
+        assert run_cli("deletion-metric", "--config", bars_config,
+                       "--output", out) == 3
+        err = capsys.readouterr().err
+        assert "ProvenanceError" in err and path in err
+
 
 class TestModifyProvenance:
     def test_manifests_record_the_config_seed(self, tmp_path):
@@ -1323,6 +1380,22 @@ class TestLoadEstimates:
             experiment.load_estimates(ctx, directory)
         assert run_cli("modify", "--config", bars_config,
                        "--output", out) == 3
+        assert not os.path.exists(os.path.join(out, "modified"))
+
+    @pytest.mark.parametrize("content", [b"junk", b"", b"PK\x03\x04"],
+                             ids=["junk", "empty", "zip_header"])
+    def test_unreadable_file_is_refused_by_name(self, cached, bars_config,
+                                                capsys, content):
+        ctx, out, directory = cached
+        path = os.path.join(directory, "grad.npz")
+        with open(path, "wb") as f:
+            f.write(content)
+        with pytest.raises(pipeline.ProvenanceError, match=re.escape(path)):
+            experiment.load_estimates(ctx, directory)
+        capsys.readouterr()
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", out) == 3
+        assert path in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "modified"))
 
     def test_shared_row_is_accepted(self, cached, bars_config):

@@ -557,6 +557,36 @@ class TestDeletionMetric:
                                                        ds.test_y)
         assert grid.records[0].run_index == 0
 
+    def test_shares_one_selection_per_replaced_count(self, rng,
+                                                     monkeypatch):
+        """Each estimator's test scores are checked once, and consecutive
+        thresholds that replace the same count share one selection, yet
+        every scored set equals the one-cell reference. Coarse scores force
+        ties."""
+        ds = tiny_dataset(rng, n=40, m=20)
+        estimates = [("e0", rng.integers(0, 3, (20, 6)).astype(float)),
+                     ("e1", rng.integers(0, 3, 6).astype(float))]
+        thresholds = (0.0, 0.1, 0.15, 0.4, 0.5, 1.0)  # counts 0, 1, 1, 3, 3, 6
+        calls, selections, seen = [], [], []
+        rank_split = pipeline.rank_split
+        top_positions = pipeline.top_positions
+        monkeypatch.setattr(pipeline, "rank_split",
+                            lambda *a: calls.append(1) or rank_split(*a))
+        monkeypatch.setattr(pipeline, "top_positions",
+                            lambda *a: selections.append(1) or top_positions(
+                                *a))
+        monkeypatch.setattr(pipeline, "accuracy",
+                            lambda model, x, y: seen.append(x) or 1.0)
+        run_deletion_metric(ds, None, estimates, thresholds)
+        assert len(calls) == len(estimates)
+        assert len(selections) == 4 * len(estimates)
+        cells = [(scores, t) for _, scores in estimates for t in thresholds]
+        assert len(seen) == len(cells)
+        for test_x, (scores, t) in zip(seen, cells):
+            want = make_modified_dataset(ds, np.zeros(6), scores, "e", t,
+                                         ROAR)
+            np.testing.assert_array_equal(test_x, want.test_x)
+
 
 class TestResultGrid:
     def test_aggregate_matches_hand_statistics(self):
