@@ -96,21 +96,19 @@ def cmd_estimate(args) -> int:
 def cmd_modify(args) -> int:
     ctx = _context(args)
     cfg = ctx.config
-    modified_dir = os.path.join(cfg.output, "modified")
-    if os.path.isdir(modified_dir):
-        pipeline.refuse_old_parts(modified_dir)
     estimates_dir = os.path.join(cfg.output, "estimates")
     if os.path.isdir(estimates_dir):
         estimates = experiment.load_estimates(ctx, estimates_dir)
-    else:
+    else:  # saved, since every saved cell is rebuilt from them
         estimates = experiment.compute_all_estimates(ctx, _baseline(ctx))
-    # Each dataset is saved as it is built; none is kept in memory after.
+        experiment.save_estimates(estimates, estimates_dir)
+    # Each cell's manifest is saved as it is built; no cell is kept after.
     for m in pipeline.generate_modified_datasets(
             ctx.dataset, estimates, cfg.thresholds, modes=cfg.modes,
             source_id=cfg.dataset.kind, seed=cfg.seed):
         p = m.provenance
         pipeline.save_modified_dataset(m, os.path.join(
-            modified_dir,
+            cfg.output, "modified",
             pipeline.cell_name(p.estimator_id, p.threshold, p.mode)))
     return EXIT_OK
 

@@ -172,31 +172,33 @@ def save_estimates(estimates, directory: str):
 
 
 def load_estimates(ctx: ExperimentContext, directory: str):
-    """Cached scores of every configured estimator. Each split's scores must
+    """Cached scores of every configured estimator (`load_estimate`)."""
+    return {estimator_id: load_estimate(ctx, directory, estimator_id)
+            for estimator_id in ctx.config.estimators.ids}
+
+
+def load_estimate(ctx: ExperimentContext, directory: str, estimator_id: str
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One estimator's cached (train, test) scores. Each split's scores must
     be finite, one row per sample of the context's split or one shared row."""
     d = ctx.dataset.n_features
-    out = {}
-    for estimator_id in ctx.config.estimators.ids:
-        path = os.path.join(directory, f"{estimator_id}.npz")
-        if not os.path.exists(path):
-            raise pipeline.ProvenanceError(f"missing estimate file {path}")
-        data = _read_npz(path)
-        for split, x in (("train", ctx.dataset.train_x),
-                         ("test", ctx.dataset.test_x)):
-            if split not in data:
-                raise pipeline.ProvenanceError(
-                    f"{path} holds no {split} scores")
-            array = data[split]
-            if array.shape not in ((len(x), d), (d,)):
-                raise pipeline.ProvenanceError(
-                    f"{path} holds {split} scores of shape "
-                    f"{array.shape}; the config needs ({len(x)}, {d}) "
-                    f"or ({d},)")
-            if not np.all(np.isfinite(array)):
-                raise pipeline.ProvenanceError(
-                    f"{path} holds non-finite {split} scores")
-        out[estimator_id] = (data["train"], data["test"])
-    return out
+    path = os.path.join(directory, f"{estimator_id}.npz")
+    if not os.path.exists(path):
+        raise pipeline.ProvenanceError(f"missing estimate file {path}")
+    data = _read_npz(path)
+    for split, x in (("train", ctx.dataset.train_x),
+                     ("test", ctx.dataset.test_x)):
+        if split not in data:
+            raise pipeline.ProvenanceError(f"{path} holds no {split} scores")
+        array = data[split]
+        if array.shape not in ((len(x), d), (d,)):
+            raise pipeline.ProvenanceError(
+                f"{path} holds {split} scores of shape {array.shape}; the "
+                f"config needs ({len(x)}, {d}) or ({d},)")
+        if not np.all(np.isfinite(array)):
+            raise pipeline.ProvenanceError(
+                f"{path} holds non-finite {split} scores")
+    return data["train"], data["test"]
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +308,18 @@ def collect_grid(cfg: ExperimentConfig, output_dir: str) -> pipeline.ResultGrid:
 
 def write_report(cfg: ExperimentConfig, grid: pipeline.ResultGrid,
                  output_dir: str):
-    """Per-record and aggregated CSVs plus per-estimator plot data with the
-    retain-and-remove curves on shared axes."""
+    """Per-record and aggregated CSVs of the records, `failures.csv` with
+    the diverged runs, and per-estimator plot data with the retain-and-remove
+    curves on shared axes."""
     grid.to_csv(os.path.join(output_dir, "results.csv"))
     grid.aggregated_to_csv(os.path.join(output_dir, "aggregated.csv"))
+    failures = grid.failures  # in grid order
+    pipeline._atomic_write_text(
+        os.path.join(output_dir, "failures.csv"),
+        "\n".join(["estimator,threshold,mode,run,reason",
+                   *map(pipeline.record_row, failures)]) + "\n")
+    if failures:
+        print(f"failed runs={len(failures)}", file=sys.stderr)
     aggregated = grid.aggregate()  # sorted by (estimator, t, mode)
     for estimator_id in cfg.estimators.ids:
         lines = ["threshold,mode,mean_accuracy,std_accuracy"]

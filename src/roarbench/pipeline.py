@@ -447,67 +447,33 @@ def run_deletion_metric(dataset: ArrayDataset, original_model: Model,
 
 
 # ---------------------------------------------------------------------------
-# Modified-dataset persistence: one data file, `data.bin`, holding the train
-# features (little-endian float32), train labels (int64), test features and
-# test labels, in that order, and a plain-text manifest with provenance,
-# shapes and the data file's checksum, from which the offsets follow.
+# Modified-dataset persistence: a cell is saved as its recipe, a plain-text
+# manifest with its provenance, shapes and the sha256 of the cell as built.
+# The config and estimates of its output directory rebuild it.
 
-DATA_FILE = "data.bin"
-# The part files of the four-file layout that the data file replaced.
-OLD_PARTS = ("train_features.f32", "train_labels.i64", "test_features.f32",
-             "test_labels.i64")
-
-
-def refuse_old_parts(modified_dir: str):
-    """Refuse a `modified/` directory whose cells hold part files of the
-    four-file layout, which writing a data file next to them would leave
-    behind."""
-    with os.scandir(modified_dir) as cells:
-        for cell in cells:
-            if cell.is_dir() and any(
-                    os.path.exists(os.path.join(cell.path, part))
-                    for part in OLD_PARTS):
-                raise ProvenanceError(
-                    f"{cell.path} holds part files of the four-file layout; "
-                    f"use a fresh output directory")
-
-
-def _split_layout(n_train: int, n_test: int, d_train: int, d_test: int):
-    """(dtype, shape) of each array of the data file, in file order."""
-    return [("<f4", (n_train, d_train)), ("<i8", (n_train,)),
-            ("<f4", (n_test, d_test)), ("<i8", (n_test,))]
+def _manifest(modified: ModifiedDataset) -> dict[str, str]:
+    """The manifest of a built cell, key by key in file order."""
+    p = modified.provenance
+    shape = modified.image_shape
+    digest = hashlib.sha256()
+    for array, dtype in ((modified.train_x, "<f8"), (modified.train_y, "<i8"),
+                         (modified.test_x, "<f8"), (modified.test_y, "<i8")):
+        digest.update(np.ascontiguousarray(array, dtype=dtype))
+    return {"estimator_id": p.estimator_id,
+            "threshold": threshold_text(p.threshold), "mode": p.mode,
+            "seed": str(p.seed), "source_id": p.source_id,
+            "train_shape": "{}x{}".format(*modified.train_x.shape),
+            "test_shape": "{}x{}".format(*modified.test_x.shape),
+            "image_shape": ("none" if shape is None
+                            else "x".join(map(str, shape))),
+            "sha256_cell": digest.hexdigest()}
 
 
 def save_modified_dataset(modified: ModifiedDataset, directory: str):
-    """Write the data file, then the manifest, each through a temporary
-    file and a rename, so a manifest names only complete data."""
+    """Write the cell's manifest, through a temporary file and a rename."""
     os.makedirs(directory, exist_ok=True)
-    arrays = [modified.train_x, modified.train_y, modified.test_x,
-              modified.test_y]
-    layout = _split_layout(len(modified.train_x), len(modified.test_x),
-                           modified.train_x.shape[1], modified.test_x.shape[1])
-    digest = hashlib.sha256()
-    path = os.path.join(directory, DATA_FILE)
-    with open(path + ".tmp", "wb") as f:
-        for array, (dtype, _) in zip(arrays, layout):
-            data = np.ascontiguousarray(array, dtype=dtype)
-            digest.update(data)
-            f.write(data)
-    os.replace(path + ".tmp", path)
-    p = modified.provenance
-    shape = modified.image_shape
-    lines = [f"estimator_id={p.estimator_id}",
-             f"threshold={threshold_text(p.threshold)}",
-             f"mode={p.mode}",
-             f"seed={p.seed}",
-             f"source_id={p.source_id}",
-             "train_shape={}x{}".format(*modified.train_x.shape),
-             "test_shape={}x{}".format(*modified.test_x.shape),
-             "image_shape=" + ("none" if shape is None
-                               else "x".join(map(str, shape))),
-             f"sha256_{DATA_FILE}={digest.hexdigest()}"]
-    _atomic_write_text(os.path.join(directory, "manifest.txt"),
-                       "\n".join(lines) + "\n")
+    _atomic_write_text(os.path.join(directory, "manifest.txt"), "".join(
+        f"{key}={value}\n" for key, value in _manifest(modified).items()))
 
 
 # The form of each value a manifest must hold.
@@ -516,12 +482,17 @@ _MANIFEST_FORMS = {
     "mode": f"{ROAR}|{KAR}", "seed": r"\d+", "source_id": r".+",
     "train_shape": r"\d+x\d+", "test_shape": r"\d+x\d+",
     "image_shape": r"none|[1-9]\d*x[1-9]\d*x[1-9]\d*",
-    f"sha256_{DATA_FILE}": r"[0-9a-f]{64}"}
+    "sha256_cell": r"[0-9a-f]{64}"}
 
 
 def load_modified_dataset(directory: str) -> ModifiedDataset:
-    """Read a saved dataset back; a manifest or data file that does not
-    match what the manifest records is refused by name."""
+    """Rebuild a saved cell from `<directory>/../../config.ini` and that
+    output directory's `estimates/<estimator_id>.npz`. A malformed manifest,
+    a missing or unparsable config, and a manifest value that differs from
+    the rebuilt cell's (another seed, shape or digest) are refused by name.
+    The cell comes back as built, with float64 features."""
+    from . import config, experiment  # both import this module
+
     manifest_path = os.path.join(directory, "manifest.txt")
     if not os.path.exists(manifest_path):
         raise ProvenanceError(f"missing manifest in {directory}")
@@ -530,43 +501,38 @@ def load_modified_dataset(directory: str) -> ModifiedDataset:
         for line in f:
             key, _, value = line.strip().partition("=")
             meta[key] = value
-    # A directory of the four-file layout has no data-file checksum; any
-    # other missing or malformed value is refused by name.
+    # A manifest of an earlier layout has no sha256_cell; any other missing
+    # or malformed value is refused by name.
     for key, form in _MANIFEST_FORMS.items():
         if key not in meta:
             raise ProvenanceError(f"manifest in {directory} has no {key}")
         if not re.fullmatch(form, meta[key]):
             raise ProvenanceError(f"manifest in {directory}: {key} is "
                                   f"{meta[key]!r}, not of the form {form}")
-    n_train, d_train = map(int, meta["train_shape"].split("x"))
-    n_test, d_test = map(int, meta["test_shape"].split("x"))
-    layout = _split_layout(n_train, n_test, d_train, d_test)
-    path = os.path.join(directory, DATA_FILE)
-    with open(path, "rb") as f:
-        data = f.read()
-    sizes = [np.dtype(dtype).itemsize * math.prod(shape)
-             for dtype, shape in layout]
-    if len(data) != sum(sizes):
+    output = os.path.normpath(os.path.join(directory, os.pardir, os.pardir))
+    config_path = os.path.join(output, "config.ini")
+    try:
+        with open(config_path) as f:
+            cfg = config.parse_config(f.read())
+    except (OSError, config.ConfigError) as err:
         raise ProvenanceError(
-            f"{path} holds {len(data)} bytes; the manifest's train_shape and "
-            f"test_shape need {sum(sizes)}")
-    if meta[f"sha256_{DATA_FILE}"] != hashlib.sha256(data).hexdigest():
-        raise ProvenanceError(f"checksum mismatch for {path}")
-    offsets = np.cumsum([0, *sizes[:-1]])
-    train_x, train_y, test_x, test_y = (
-        np.frombuffer(data, dtype, math.prod(shape), offset).reshape(shape)
-        for (dtype, shape), offset in zip(layout, offsets.tolist()))
-    return ModifiedDataset(
-        train_x=train_x.astype(np.float64),
-        train_y=train_y.astype(np.int64),
-        test_x=test_x.astype(np.float64),
-        test_y=test_y.astype(np.int64),
-        provenance=Provenance(meta["estimator_id"], float(meta["threshold"]),
-                              meta["mode"], int(meta["seed"]),
-                              meta["source_id"]),
-        image_shape=(None if meta["image_shape"] == "none" else
-                     tuple(map(int, meta["image_shape"].split("x")))),
-    )
+            f"cannot rebuild {directory} from {config_path}: "
+            f"{type(err).__name__}: {err}") from None
+    ctx = experiment.build_context(cfg)
+    scores = experiment.load_estimate(
+        ctx, os.path.join(output, "estimates"), meta["estimator_id"])
+    threshold = {threshold_text(t): t for t in cfg.thresholds}.get(
+        meta["threshold"], float(meta["threshold"]))
+    cell = make_modified_dataset(ctx.dataset, *scores, meta["estimator_id"],
+                                 threshold, meta["mode"], cfg.seed,
+                                 cfg.dataset.kind)
+    for key, value in _manifest(cell).items():
+        if meta[key] != value:
+            raise ProvenanceError(
+                f"manifest in {directory}: {key} is {meta[key]!r}, but the "
+                f"cell rebuilt from {output}'s config and estimates has "
+                f"{value!r}")
+    return cell
 
 
 def ranking_to_scores(order: np.ndarray) -> np.ndarray:

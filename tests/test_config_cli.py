@@ -974,7 +974,8 @@ class TestOutputConfig:
         assert run_cli("run", "--config", bars_config, "--output", out) == 0
         before = self.tree(out)
         reports = [name for name in os.listdir(out) if name.endswith(".csv")]
-        assert len(reports) == 4  # results, aggregated, one plot per id
+        # results, aggregated, failures, one plot per id
+        assert len(reports) == 5
         for name in reports:
             os.remove(os.path.join(out, name))
 
@@ -1216,32 +1217,6 @@ class TestModifyProvenance:
             assert pipeline.load_modified_dataset(
                 os.path.join(modified, name)).provenance.seed == 5
 
-    @pytest.mark.parametrize("part", pipeline.OLD_PARTS)
-    def test_old_part_files_are_refused_by_directory(self, bars_config,
-                                                     tmp_path, capsys, part):
-        out = str(tmp_path / "out")
-        assert run_cli("modify", "--config", bars_config, "--output", out) == 0
-        cell = os.path.join(out, "modified",
-                            pipeline.cell_name("random", 0.5, "roar"))
-        with open(os.path.join(cell, part), "wb") as f:
-            f.write(b"\0" * 8)
-        before = TestOutputConfig.tree(out)
-        capsys.readouterr()
-        assert run_cli("modify", "--config", bars_config, "--output", out) == 3
-        err = capsys.readouterr().err
-        assert "ProvenanceError" in err and cell in err
-        assert TestOutputConfig.tree(out) == before
-
-    def test_fresh_output_is_not_scanned(self, bars_config, tmp_path,
-                                         monkeypatch):
-        scanned = []
-        monkeypatch.setattr(pipeline, "refuse_old_parts", scanned.append)
-        out = str(tmp_path / "out")
-        assert run_cli("modify", "--config", bars_config, "--output", out) == 0
-        assert scanned == []
-        assert run_cli("modify", "--config", bars_config, "--output", out) == 0
-        assert scanned == [os.path.join(out, "modified")]
-
 
 class TestFailures:
     """A diverged run is the same failure, reason included, whether the
@@ -1284,6 +1259,30 @@ class TestFailures:
         with open(os.path.join(out, "results.csv"), "rb") as f1, \
                 open(expected, "rb") as f2:
             assert f1.read() == f2.read()
+
+
+    def test_report_lists_failed_runs(self, bars_config, tmp_path,
+                                      monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "make_trainer",
+                            self.diverging(experiment.make_trainer))
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", bars_config, "--output", out) == 0
+        grid = experiment.collect_grid(parse_config(BARS), out)
+        assert grid.failures
+        with open(os.path.join(out, "failures.csv")) as f:
+            assert f.read().splitlines() == [
+                "estimator,threshold,mode,run,reason",
+                *map(pipeline.record_row, grid.failures)]
+        assert f"failed runs={len(grid.failures)}\n" in \
+            capsys.readouterr().err
+
+    def test_report_without_failures_writes_the_header(self, bars_config,
+                                                       tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert run_cli("run", "--config", bars_config, "--output", out) == 0
+        with open(os.path.join(out, "failures.csv")) as f:
+            assert f.read() == "estimator,threshold,mode,run,reason\n"
+        assert "failed runs" not in capsys.readouterr().err
 
 
 class TestIdxRun:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roarbench import datasets, nn, pipeline
+from roarbench import cli, datasets, experiment, nn, pipeline
+from roarbench.config import parse_config
 from roarbench.pipeline import (KAR, ROAR, ModificationSpec,
                                 ProvenanceError, Record, ResultGrid,
                                 derive_seed, generate_modified_datasets,
@@ -611,107 +612,139 @@ class TestResultGrid:
             "estimator,threshold,mode,mean_accuracy,std_accuracy"
 
 
+# Tiny configs whose `estimate` and `modify` write real output directories:
+# a saved cell is rebuilt from its directory's config and estimates.
+TINY_BARS = """
+[experiment]
+seed = 3
+runs_per_point = 1
+thresholds = 0,0.5,1
+modes = roar,kar
+
+[dataset]
+kind = bars
+n_train = 20
+n_test = 8
+size = 4
+
+[estimators]
+ids = grad, random, sobel
+
+[train]
+model = mlp
+hidden = 4
+steps = 10
+batch_size = 8
+"""
+
+TINY_TOY = """
+[experiment]
+seed = 3
+runs_per_point = 1
+thresholds = 0,0.3,0.5
+modes = roar,kar
+
+[dataset]
+kind = toy
+n_train = 20
+n_test = 8
+dim = 6
+
+[estimators]
+ids = grad, ig, random
+
+[train]
+model = least_squares
+"""
+
+
+def modified_output(tmp_path, text, commands=("estimate", "modify")):
+    """The output directory of `commands` run on a config text."""
+    tmp_path.mkdir(exist_ok=True)
+    config = tmp_path / "experiment.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    for command in commands:
+        assert cli.main([command, "--config", str(config),
+                         "--output", str(out)]) == 0
+    return out
+
+
 class TestPersistence:
-    def test_save_load_round_trip(self, rng, tmp_path):
-        ds = tiny_dataset(rng)
-        scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
-        [modified] = generate_modified_datasets(ds, {"e": scores}, [0.5])
-        save_modified_dataset(modified, str(tmp_path / "cell"))
-        loaded = load_modified_dataset(str(tmp_path / "cell"))
-        # float32 on disk by contract
-        np.testing.assert_allclose(loaded.train_x, modified.train_x,
-                                   atol=1e-6)
+    def test_save_load_round_trip(self, tmp_path):
+        out = modified_output(tmp_path, TINY_BARS)
+        ctx = experiment.build_context(
+            parse_config((out / "config.ini").read_text()))
+        estimates = experiment.load_estimates(ctx, str(out / "estimates"))
+        loaded = load_modified_dataset(
+            str(out / "modified" / pipeline.cell_name("grad", 0.5, ROAR)))
+        modified = make_modified_dataset(ctx.dataset, *estimates["grad"],
+                                         "grad", 0.5, ROAR, 3, "bars")
+        # The cell as built: float64 features, not a float32 copy.
+        assert loaded.train_x.dtype == np.float64
+        np.testing.assert_array_equal(loaded.train_x, modified.train_x)
         np.testing.assert_array_equal(loaded.train_y, modified.train_y)
         assert loaded.provenance == modified.provenance
 
     def test_image_shape_survives_round_trip(self, tmp_path):
-        ds = datasets.generate_bars(40, 10, size=4, seed=1)
-        # float32-exact features, so the float32 files hold them exactly.
-        ds.train_x = ds.train_x.astype(np.float32).astype(np.float64)
-        scores = np.arange(ds.n_features, dtype=np.float64)
-        [modified] = generate_modified_datasets(ds, {"e": (scores, scores)},
-                                                [0.0])
-        save_modified_dataset(modified, str(tmp_path / "cell"))
-        loaded = load_modified_dataset(str(tmp_path / "cell"))
+        out = modified_output(tmp_path, TINY_BARS)
+        ds = experiment.build_context(
+            parse_config((out / "config.ini").read_text())).dataset
+        loaded = load_modified_dataset(
+            str(out / "modified" / pipeline.cell_name("grad", 0.0, ROAR)))
         assert loaded.image_shape == ds.image_shape == (4, 4, 1)
         np.testing.assert_array_equal(replacement_matrix(loaded),
                                       replacement_matrix(ds))
         assert loaded.train_y.dtype == loaded.test_y.dtype == np.int64
 
-    def test_flat_image_shape_round_trips_as_none(self, rng, tmp_path):
-        ds = tiny_dataset(rng)
-        scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
-        [modified] = generate_modified_datasets(ds, {"e": scores}, [0.5])
-        save_modified_dataset(modified, str(tmp_path / "cell"))
-        manifest = (tmp_path / "cell" / "manifest.txt").read_text()
+    def test_flat_image_shape_round_trips_as_none(self, tmp_path):
+        out = modified_output(tmp_path, TINY_TOY)
+        cell = out / "modified" / pipeline.cell_name("grad", 0.5, ROAR)
+        manifest = (cell / "manifest.txt").read_text()
         assert "image_shape=none\n" in manifest
-        assert load_modified_dataset(str(tmp_path / "cell")).image_shape \
-            is None
+        assert load_modified_dataset(str(cell)).image_shape is None
 
-    def test_manifest_without_image_shape_is_refused(self, rng, tmp_path):
-        ds = tiny_dataset(rng)
-        scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
-        [modified] = generate_modified_datasets(ds, {"e": scores}, [0.5])
-        save_modified_dataset(modified, str(tmp_path / "cell"))
-        manifest = tmp_path / "cell" / "manifest.txt"
+    def test_manifest_without_image_shape_is_refused(self, tmp_path):
+        _, cell = self.saved(None, tmp_path)
+        manifest = cell / "manifest.txt"
         manifest.write_text("".join(
             line for line in manifest.read_text().splitlines(keepends=True)
             if not line.startswith("image_shape=")))
         with pytest.raises(ProvenanceError, match="image_shape"):
-            load_modified_dataset(str(tmp_path / "cell"))
-
-    def saved(self, rng, tmp_path):
-        ds = tiny_dataset(rng)
-        scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
-        [modified] = generate_modified_datasets(ds, {"e": scores}, [0.5])
-        save_modified_dataset(modified, str(tmp_path / "cell"))
-        return modified, tmp_path / "cell"
-
-    def test_one_data_file_in_manifest_order(self, rng, tmp_path):
-        modified, cell = self.saved(rng, tmp_path)
-        assert sorted(p.name for p in cell.iterdir()) == \
-            ["data.bin", "manifest.txt"]
-        assert (cell / "data.bin").read_bytes() == b"".join([
-            modified.train_x.astype("<f4").tobytes(),
-            modified.train_y.astype("<i8").tobytes(),
-            modified.test_x.astype("<f4").tobytes(),
-            modified.test_y.astype("<i8").tobytes()])
-        loaded = load_modified_dataset(str(cell))
-        for name in ("train_x", "train_y", "test_x", "test_y"):
-            expected = getattr(modified, name)
-            np.testing.assert_array_equal(
-                getattr(loaded, name),
-                expected.astype(np.float32) if name.endswith("x")
-                else expected)
-
-    def test_checksum_mismatch_detected(self, rng, tmp_path):
-        _, cell = self.saved(rng, tmp_path)
-        path = cell / "data.bin"
-        data = bytearray(path.read_bytes())
-        data[0] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(ProvenanceError, match="checksum"):
             load_modified_dataset(str(cell))
 
-    def test_four_file_layout_is_refused_by_name(self, rng, tmp_path):
-        _, cell = self.saved(rng, tmp_path)
-        data = (cell / "data.bin").read_bytes()
-        (cell / "data.bin").unlink()
+    def saved(self, _rng, tmp_path):
+        """The output directory of the tiny bars config, and one cell; no
+        draw is needed, since the config makes the cell."""
+        out = modified_output(tmp_path, TINY_BARS)
+        return out, out / "modified" / pipeline.cell_name("grad", 0.5, ROAR)
+
+    def test_checksum_mismatch_detected(self, tmp_path):
+        # Estimates rewritten after `modify`, finite and of the right shape,
+        # rebuild another cell than the one saved.
+        out, cell = self.saved(None, tmp_path)
+        path = out / "estimates" / "grad.npz"
+        with np.load(path) as data:
+            train, test = data["train"], data["test"]
+        np.savez(path, train=train[::-1].copy(), test=test)
+        with pytest.raises(ProvenanceError,
+                           match=f"manifest in {re.escape(str(cell))}: "
+                                 f"sha256_cell is"):
+            load_modified_dataset(str(cell))
+
+    def test_four_file_layout_is_refused_by_name(self, tmp_path):
+        # The data-file layout's checksum line, and the four-file layout's.
+        _, cell = self.saved(None, tmp_path)
         manifest = cell / "manifest.txt"
         lines = [line for line in manifest.read_text().splitlines()
                  if not line.startswith("sha256_")]
-        offset = 0
-        for name, size in (("train_features.f32", 4 * 20 * 6),
-                           ("train_labels.i64", 8 * 20),
-                           ("test_features.f32", 4 * 8 * 6),
-                           ("test_labels.i64", 8 * 8)):
-            part = data[offset:offset + size]
-            offset += size
-            (cell / name).write_bytes(part)
-            lines.append(f"sha256_{name}={hashlib.sha256(part).hexdigest()}")
-        manifest.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ProvenanceError, match="has no sha256_data.bin"):
-            load_modified_dataset(str(cell))
+        for parts in (["data.bin"], ["train_features.f32", "train_labels.i64",
+                                     "test_features.f32", "test_labels.i64"]):
+            manifest.write_text("\n".join(lines + [
+                f"sha256_{part}={hashlib.sha256(part.encode()).hexdigest()}"
+                for part in parts]) + "\n")
+            with pytest.raises(ProvenanceError, match="has no sha256_cell"):
+                load_modified_dataset(str(cell))
 
     @pytest.mark.parametrize("key,value", [
         ("train_shape", None), ("test_shape", None), ("train_shape", "20"),
@@ -759,12 +792,8 @@ class TestPersistence:
 
     def test_loaded_dataset_stacks_and_keeps_its_image_shape(self,
                                                              tmp_path):
-        ds = datasets.generate_bars(40, 10, size=4, seed=1)
-        scores = np.arange(ds.n_features, dtype=np.float64)
-        [modified] = generate_modified_datasets(ds, {"e": (scores, scores)},
-                                                [0.5])
-        save_modified_dataset(modified, str(tmp_path / "cell"))
-        loaded = load_modified_dataset(str(tmp_path / "cell"))
+        _, cell = self.saved(None, tmp_path)
+        loaded = load_modified_dataset(str(cell))
         assert isinstance(loaded, nn.ArrayDataset)
         assert loaded.image_shape == (4, 4, 1)
         stack = nn.DatasetStack.of([loaded])
@@ -776,16 +805,101 @@ class TestPersistence:
         assert model.layers[0].weight.shape == (16, 4)
 
     @pytest.mark.parametrize("change", ["truncated", "shape"])
-    def test_data_length_must_match_shapes(self, rng, tmp_path, change):
-        _, cell = self.saved(rng, tmp_path)
-        if change == "truncated":
-            path = cell / "data.bin"
-            path.write_bytes(path.read_bytes()[:-8])
-        else:  # a shape that disagrees with the data
+    def test_data_length_must_match_shapes(self, tmp_path, change):
+        # A manifest shape the rebuilt cell does not have: fewer train rows,
+        # or test rows of another width.
+        _, cell = self.saved(None, tmp_path)
+        key, old, new = (("train_shape", "20x16", "10x16")
+                         if change == "truncated" else
+                         ("test_shape", "8x16", "8x15"))
+        manifest = cell / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(
+            f"{key}={old}\n", f"{key}={new}\n"))
+        with pytest.raises(ProvenanceError, match=(
+                f"manifest in {re.escape(str(cell))}: {key} is '{new}', but "
+                f"the cell rebuilt .* has '{old}'")):
+            load_modified_dataset(str(cell))
+
+
+class TestRecipe:
+    """A saved cell is its manifest; loading it rebuilds the cell from its
+    output directory's config.ini and estimates."""
+
+    @pytest.mark.parametrize("text", [TINY_BARS, TINY_TOY],
+                             ids=["bars", "toy"])
+    def test_every_cell_loads_as_built(self, tmp_path, text):
+        out = modified_output(tmp_path, text)
+        cfg = parse_config(text)
+        ctx = experiment.build_context(cfg)
+        estimates = experiment.load_estimates(ctx, str(out / "estimates"))
+        names = sorted(p.name for p in (out / "modified").iterdir())
+        assert len(names) == (len(cfg.estimators.ids) * len(cfg.thresholds)
+                              * len(cfg.modes))
+        for estimator_id in cfg.estimators.ids:
+            for t in cfg.thresholds:
+                for mode in cfg.modes:
+                    cell = out / "modified" / pipeline.cell_name(
+                        estimator_id, t, mode)
+                    assert [p.name for p in cell.iterdir()] == \
+                        ["manifest.txt"]
+                    loaded = load_modified_dataset(str(cell))
+                    built = make_modified_dataset(
+                        ctx.dataset, *estimates[estimator_id], estimator_id,
+                        t, mode, cfg.seed, cfg.dataset.kind)
+                    for name in ("train_x", "train_y", "test_x", "test_y"):
+                        got, want = getattr(loaded, name), getattr(built,
+                                                                   name)
+                        assert got.dtype == want.dtype
+                        np.testing.assert_array_equal(got, want)
+                    assert loaded.provenance == built.provenance
+                    assert loaded.image_shape == built.image_shape
+
+    def test_modify_alone_saves_its_estimates(self, tmp_path):
+        alone = modified_output(tmp_path / "alone", TINY_BARS, ("modify",))
+        both = modified_output(tmp_path / "both", TINY_BARS)
+        for estimator_id in ("grad", "random", "sobel"):
+            with np.load(alone / "estimates" / f"{estimator_id}.npz") as a, \
+                    np.load(both / "estimates" / f"{estimator_id}.npz") as b:
+                for split in ("train", "test"):
+                    np.testing.assert_array_equal(a[split], b[split])
+        for cell in (alone / "modified").iterdir():
+            assert (cell / "manifest.txt").read_text() == (
+                both / "modified" / cell.name / "manifest.txt").read_text()
+            load_modified_dataset(str(cell))
+
+    def test_threshold_past_six_decimals_rebuilds_its_cell(self, tmp_path):
+        # The manifest writes 0.500000; rebuilt at 0.5, the cell would
+        # replace one of the two positions instead of both.
+        text = TINY_TOY.replace("thresholds = 0,0.3,0.5",
+                                "thresholds = 0.5000004").replace(
+            "dim = 6", "dim = 2\nn_informative = 1")
+        out = modified_output(tmp_path, text)
+        loaded = load_modified_dataset(
+            str(out / "modified" / pipeline.cell_name("grad", 0.5, ROAR)))
+        assert loaded.provenance.threshold == 0.5000004
+        source = experiment.build_context(parse_config(text)).dataset
+        np.testing.assert_array_equal(
+            loaded.train_x, np.tile(replacement_matrix(source).T, (20, 1)))
+
+    @pytest.mark.parametrize("damage,message", [
+        ("no config", "cannot rebuild .*config.ini: FileNotFoundError"),
+        ("bad config", "cannot rebuild .*config.ini: ConfigError"),
+        ("no estimates", "missing estimate file .*grad.npz"),
+        ("seed", "seed is '4', but the cell rebuilt .* has '3'")])
+    def test_recipe_refusals(self, tmp_path, damage, message):
+        out = modified_output(tmp_path, TINY_BARS)
+        cell = out / "modified" / pipeline.cell_name("grad", 0.5, KAR)
+        if damage == "no config":
+            (out / "config.ini").unlink()
+        elif damage == "bad config":
+            (out / "config.ini").write_text("[experiment]\nseed = soon\n")
+        elif damage == "no estimates":
+            (out / "estimates" / "grad.npz").unlink()
+        else:
             manifest = cell / "manifest.txt"
             manifest.write_text(manifest.read_text().replace(
-                "train_shape=20x6", "train_shape=10x6"))
-        with pytest.raises(ProvenanceError, match="data.bin holds .* bytes"):
+                "seed=3\n", "seed=4\n"))
+        with pytest.raises(ProvenanceError, match=message):
             load_modified_dataset(str(cell))
 
 
