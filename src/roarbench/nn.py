@@ -236,17 +236,19 @@ def train(layer_sizes: Sequence[int], stack: DatasetStack, config: TrainConfig,
     result list per dataset: per seed, (model, test accuracy), or the
     TrainingDivergedError of a run whose loss turned non-finite.
 
-    The C train splits are copied into one (C * n, d) TRAIN_DTYPE array,
-    next to a (C * n, classes) one-hot table of their labels. Weights are
-    stacked as (R, d_in, d_out) and biases as (R, 1, d_out) over all R runs,
-    in TRAIN_DTYPE, and each step is one batched forward and backward pass
-    over (R, batch, d) rows, gathered from that array, and their one-hot
-    rows from the table, with one `take` each. The bias adds, rectifier,
-    learning-rate scaling and updates write into arrays the step already
-    holds. Run r initializes from, then draws all its batch indices from,
-    its own `default_rng(seed_r)` stream. numpy runs one product per
-    stacked slice, so every run replays training its seed alone on its
-    dataset bit for bit.
+    The C train splits are copied into one (C * n, d + 1) TRAIN_DTYPE array
+    whose last column is ones, next to a (C * n, classes) one-hot table of
+    their labels. Weights are stacked as (R, d_in, d_out) and biases as
+    (R, 1, d_out) over all R runs, in TRAIN_DTYPE, except that the first
+    affine's bias is the last row of its (R, d + 1, h) weight, so the ones
+    column adds it in the product and its gradient comes with the weight's.
+    Each step is one batched forward and backward pass over (R, batch, d + 1)
+    rows, gathered from that array, and their one-hot rows from the table,
+    with one `take` each. The learning rate scales the output gradient once,
+    so every product yields its update as it is. Run r initializes from,
+    then draws all its batch indices from, its own `default_rng(seed_r)`
+    stream. numpy runs one product per stacked slice, so every run replays
+    training its seed alone on its dataset bit for bit.
     A run whose loss turns non-finite leaves the stack at that step, before
     its update; the others go on. Each trained run's layers come back as
     float64 arrays of their own, so scoring and ranking stay in float64.
@@ -263,68 +265,80 @@ def train(layer_sizes: Sequence[int], stack: DatasetStack, config: TrainConfig,
         raise ValueError(f"output dim {layer_sizes[-1]} < {stack.n_classes} "
                          f"classes")
 
-    models, rows = [], []
+    models = []
+    # Run r's batch rows at each step, filled run by run so that the table
+    # is held once; after a run leaves the stack, the live runs' columns
+    # are picked from it step by step instead of copying it.
+    rows = np.empty((config.steps, sum(map(len, seeds)), config.batch_size),
+                    np.int64)
     for c, cell_seeds in enumerate(seeds):
         for seed in cell_seeds:
             rng = np.random.default_rng(np.uint64(seed))
             models.append(init_mlp(layer_sizes, rng))
-            rows.append(c * n + rng.integers(
-                0, n, size=(config.steps, config.batch_size)))
+            np.add(rng.integers(0, n, size=(config.steps, config.batch_size)),
+                   c * n, out=rows[:, len(models) - 1])
     if not models:
         return [[] for _ in seeds]
     # Row c * n + i of train_x and onehot is row i of dataset c.
-    train_x = np.empty((stack.size * n, stack.n_features), TRAIN_DTYPE)
+    d = stack.n_features
+    train_x = np.empty((stack.size * n, d + 1), TRAIN_DTYPE)
     for c in range(stack.size):
-        train_x[c * n:(c + 1) * n] = stack.train_x(c)
+        train_x[c * n:(c + 1) * n, :d] = stack.train_x(c)
+    train_x[:, d] = 1.0
     onehot = np.tile(np.eye(layer_sizes[-1], dtype=TRAIN_DTYPE)[stack.train_y],
                      (stack.size, 1))
-    rows = np.stack(rows, axis=1)  # (steps, R, batch)
-    params = [(np.stack([a.weight for a in affines], dtype=TRAIN_DTYPE),
-               np.stack([a.bias[None] for a in affines], dtype=TRAIN_DTYPE))
-              for affines in zip(*(m.layers for m in models))]
+    first, *rest = zip(*(m.layers for m in models))
+    weights = [np.stack([np.vstack([a.weight, a.bias]) for a in first],
+                        dtype=TRAIN_DTYPE)]
+    weights += [np.stack([a.weight for a in affines], dtype=TRAIN_DTYPE)
+                for affines in rest]
+    # biases[i - 1] is the bias of affine i > 0.
+    biases = [np.stack([a.bias[None] for a in affines], dtype=TRAIN_DTYPE)
+              for affines in rest]
     results: list = [None] * len(models)
     live = np.arange(len(models))
+    columns = slice(None)  # the columns of `rows` of the live runs
     lr = TRAIN_DTYPE(config.learning_rate)
     ones = np.ones((1, config.batch_size), TRAIN_DTYPE)
     for step in range(config.steps):
-        idx = rows[step]
+        idx = rows[step, columns]
         # xs[i] is the input of affine i; its positive entries are the
         # units the rectifier before it passed.
         xs = [train_x.take(idx, axis=0)]
-        for w, b in params[:-1]:
+        h = xs[0] @ weights[0]
+        for w, b in zip(weights[1:], biases):
+            xs.append(np.maximum(h, 0.0, out=h))
             h = xs[-1] @ w
             h += b
-            xs.append(np.maximum(h, 0.0, out=h))
-        w, b = params[-1]
-        logits = xs[-1] @ w
-        logits += b
-        loss, g = _loss_and_output_grad(logits, onehot.take(idx, axis=0),
+        loss, g = _loss_and_output_grad(h, onehot.take(idx, axis=0),
                                         config.loss)
         finite = np.isfinite(loss)
         if not finite.all():
             for run in live[~finite]:
                 results[run] = TrainingDivergedError(step)
-            live, rows, g = live[finite], rows[:, finite], g[finite]
+            live, g = live[finite], g[finite]
+            columns = live
             xs = [x[finite] for x in xs]
-            params = [(w[finite], b[finite]) for w, b in params]
+            weights = [w[finite] for w in weights]
+            biases = [b[finite] for b in biases]
             if not len(live):
                 break
-        for i in reversed(range(len(params))):
-            w, b = params[i]
+        g *= lr
+        for i in reversed(range(len(weights))):
             grad_w = xs[i].transpose(0, 2, 1) @ g
-            grad_w *= lr
-            grad_b = ones @ g
-            grad_b *= lr
             if i > 0:
-                g = g @ w.transpose(0, 2, 1)
+                biases[i - 1] -= ones @ g
+                g = g @ weights[i].transpose(0, 2, 1)
                 g *= xs[i] > 0.0
-            w -= grad_w
-            b -= grad_b
+            weights[i] -= grad_w
     del train_x, onehot  # before any test split is built
+    # The first affine's bias is split back out of its weight's last row.
+    params = [(weights[0][:, :d], weights[0][:, d]),
+              *((w, b[:, 0]) for w, b in zip(weights[1:], biases))]
     for k, run in enumerate(live):
         for layer, (w, b) in zip(models[run].layers, params):
             layer.weight = w[k].astype(np.float64)
-            layer.bias = b[k, 0].astype(np.float64)
+            layer.bias = b[k].astype(np.float64)
     bounds = np.cumsum([0, *map(len, seeds)])
     out = []
     for c in range(stack.size):

@@ -488,7 +488,8 @@ _MANIFEST_FORMS = {
 def load_modified_dataset(directory: str) -> ModifiedDataset:
     """Rebuild a saved cell from `<directory>/../../config.ini` and that
     output directory's `estimates/<estimator_id>.npz`. A malformed manifest,
-    a missing or unparsable config, and a manifest value that differs from
+    a missing or unparsable config, an (estimator id, threshold, mode) that
+    is not a cell of that config, and a manifest value that differs from
     the rebuilt cell's (another seed, shape or digest) are refused by name.
     The cell comes back as built, with float64 features."""
     from . import config, experiment  # both import this module
@@ -518,14 +519,19 @@ def load_modified_dataset(directory: str) -> ModifiedDataset:
         raise ProvenanceError(
             f"cannot rebuild {directory} from {config_path}: "
             f"{type(err).__name__}: {err}") from None
+    thresholds = {threshold_text(t): t for t in cfg.thresholds}
+    for key, cells in (("estimator_id", cfg.estimators.ids),
+                       ("threshold", thresholds), ("mode", cfg.modes)):
+        if meta[key] not in cells:
+            raise ProvenanceError(
+                f"manifest in {directory}: {key} {meta[key]!r} names no "
+                f"cell of {config_path}")
     ctx = experiment.build_context(cfg)
     scores = experiment.load_estimate(
         ctx, os.path.join(output, "estimates"), meta["estimator_id"])
-    threshold = {threshold_text(t): t for t in cfg.thresholds}.get(
-        meta["threshold"], float(meta["threshold"]))
     cell = make_modified_dataset(ctx.dataset, *scores, meta["estimator_id"],
-                                 threshold, meta["mode"], cfg.seed,
-                                 cfg.dataset.kind)
+                                 thresholds[meta["threshold"]], meta["mode"],
+                                 cfg.seed, cfg.dataset.kind)
     for key, value in _manifest(cell).items():
         if meta[key] != value:
             raise ProvenanceError(

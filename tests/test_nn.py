@@ -395,6 +395,98 @@ class TestStackedTrain:
         np.testing.assert_array_equal(bulk, np.stack(per_step))
 
 
+def reference_sgd_step(model, x, y, learning_rate, loss):
+    """`model` after one float64 SGD step on the batch (x, y), by hand."""
+    inputs, h = [], x
+    for i, layer in enumerate(model.layers):
+        if i > 0:
+            h = np.maximum(h, 0.0)
+        inputs.append(h)
+        h = h @ layer.weight + layer.bias
+    b, c = h.shape
+    onehot = np.eye(c)[y]
+    if loss == "softmax_cross_entropy":
+        p = np.exp(h - h.max(axis=1, keepdims=True))
+        g = (p / p.sum(axis=1, keepdims=True) - onehot) / b
+    else:
+        g = 2.0 * (h - onehot) / (b * c)
+    layers = []
+    for layer, a in zip(reversed(model.layers), reversed(inputs)):
+        layers.append(nn.Affine(layer.weight - learning_rate * (a.T @ g),
+                                layer.bias - learning_rate * g.sum(axis=0)))
+        g = (g @ layer.weight.T) * (a > 0.0)
+    return nn.Model(layers[::-1])
+
+
+class TestOneStep:
+    """One SGD step of `train`, against a float64 step by hand: pins where
+    the first bias and the learning rate enter the stacked step."""
+
+    @pytest.mark.parametrize("loss", ["softmax_cross_entropy",
+                                      "mean_squared_error"])
+    @pytest.mark.parametrize("hidden", [[5], [4, 3]], ids=["1", "2"])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_one_step_equals_float64_oracle(self, loss, hidden, n_classes):
+        rng = np.random.default_rng(8)
+        n, d, batch, lr = 40, 6, 16, 0.5
+        x = rng.standard_normal((n, d)).astype(np.float32).astype(np.float64)
+        y = np.arange(n) % n_classes
+        ds = nn.ArrayDataset(x, y, x, y)
+        sizes = [d, *hidden, n_classes]
+        cfg = nn.TrainConfig(learning_rate=lr, steps=1, batch_size=batch,
+                             loss=loss)
+        seeds = [3, 11]
+        for seed, (model, _) in zip(seeds, train_on(sizes, ds, cfg, seeds),
+                                    strict=True):
+            # The run's init, then its batch, from its own stream; training
+            # starts from the init rounded to float32.
+            run_rng = np.random.default_rng(np.uint64(seed))
+            init = nn.init_mlp(sizes, run_rng)
+            [idx] = run_rng.integers(0, n, size=(1, batch))
+            for layer in init.layers:
+                layer.weight = layer.weight.astype(np.float32).astype(float)
+                layer.bias = layer.bias.astype(np.float32).astype(float)
+            want = reference_sgd_step(init, x[idx], y[idx], lr, loss)
+            for got, ref, start in zip(model.layers, want.layers,
+                                       init.layers, strict=True):
+                # The step moves every layer by more than the tolerance.
+                assert np.abs(ref.weight - start.weight).max() > 1e-3
+                np.testing.assert_allclose(got.weight, ref.weight,
+                                           rtol=1e-5, atol=1e-6)
+                np.testing.assert_allclose(got.bias, ref.bias, rtol=1e-5,
+                                           atol=1e-6)
+
+
+class TestScoring:
+    """Each run's returned accuracy must be the one `accuracy` gives the
+    model `train` returns for it, its first bias split back out."""
+
+    @given(n_datasets=st.integers(1, 3), data=st.data(),
+           hidden=st.lists(st.integers(1, 6), max_size=2),
+           n_classes=st.integers(1, 4), extra_outputs=st.integers(0, 1),
+           steps=st.integers(0, 15))
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_each_run_scores_as_accuracy(self, n_datasets, data, hidden,
+                                         n_classes, extra_outputs, steps):
+        # One class leaves labels all 0, so a one-output model thresholds.
+        base = relabelled(separable_blobs(n=20, seed=7), n_classes)
+        datasets = [base, *(TestStackedTrain.mixed(base, k)
+                            for k in range(1, n_datasets))]
+        seeds = [data.draw(st.lists(st.integers(0, 2 ** 64 - 1), max_size=3))
+                 for _ in datasets]
+        sizes = [2, *hidden, n_classes + extra_outputs]
+        cfg = nn.TrainConfig(learning_rate=0.3, steps=steps, batch_size=8,
+                             loss="mean_squared_error")
+        stacked = nn.train(sizes, nn.DatasetStack.of(datasets), cfg, seeds)
+        for ds, results in zip(datasets, stacked, strict=True):
+            for result in results:
+                if isinstance(result, nn.TrainingDivergedError):
+                    continue
+                model, acc = result
+                assert acc == nn.accuracy(model, ds.test_x, ds.test_y)
+
+
 class TestLeastSquares:
     @staticmethod
     def dataset(x, y):

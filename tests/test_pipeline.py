@@ -1,5 +1,6 @@
 import hashlib
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -901,6 +902,25 @@ class TestRecipe:
                 "seed=3\n", "seed=4\n"))
         with pytest.raises(ProvenanceError, match=message):
             load_modified_dataset(str(cell))
+
+    @pytest.mark.parametrize("edit,cell,message", [
+        (("thresholds = 0,0.5,1", "thresholds = 0,1"), ("grad", 0.5, ROAR),
+         "threshold '0.500000' names no cell"),
+        (("modes = roar,kar", "modes = roar"), ("grad", 0.5, KAR),
+         "mode 'kar' names no cell"),
+        (("ids = grad, random, sobel", "ids = grad, random"),
+         ("sobel", 0.5, ROAR), "estimator_id 'sobel' names no cell")])
+    def test_cell_of_another_config_is_refused(self, tmp_path, edit, cell,
+                                               message):
+        # Copied in from a directory whose config has the cell, it would
+        # rebuild from this directory's estimates, or fail to find them.
+        source = modified_output(tmp_path / "source", TINY_BARS)
+        target = modified_output(tmp_path / "target", TINY_BARS.replace(*edit))
+        name = pipeline.cell_name(*cell)
+        shutil.copytree(source / "modified" / name, target / "modified" / name)
+        with pytest.raises(ProvenanceError,
+                           match=f"{name}: {message} of .*config.ini"):
+            load_modified_dataset(str(target / "modified" / name))
 
 
 class TestSeeds:
