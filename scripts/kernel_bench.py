@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""In-process timings of the three kernels the benchmark's stages are built
-from, on fixed bars shapes (12x12 images, d = 144, hidden 32, batch 32, two
+"""In-process timings of the kernels the benchmark's stages are built from,
+on fixed bars shapes (12x12 images, d = 144, hidden 32, batch 32, two
 classes). Each figure is the min over --repeats runs:
 
   sgd_step_us_r5, sgd_step_us_r50  one stacked SGD step of nn.train at R = 5
@@ -8,6 +8,8 @@ classes). Each figure is the min over --repeats runs:
                                    time of S steps) / S, so setup, init and
                                    scoring cancel;
   input_gradient_us                nn.input_gradient on a 64-row block;
+  ensemble_noise_us                estimators.ensemble_noise for a 64-row
+                                   block at S = 5 noisy copies;
   split_cell_us                    one pipeline.split_cells cell: the
                                    split's score check, its top-k selection
                                    and the modified rows, ROAR at t = 0.5.
@@ -24,9 +26,10 @@ import time
 
 import numpy as np
 
-from roarbench import datasets, nn, pipeline
+from roarbench import datasets, estimators, nn, pipeline
 
 SIZE, HIDDEN, BATCH, N_TRAIN, N_TEST, BLOCK = 12, 32, 32, 300, 64, 64
+SAMPLES = 5  # the bars-grid workload's ensemble_samples
 
 
 def best_of(repeats: int, fn) -> float:
@@ -64,6 +67,9 @@ def measure(steps: int, repeats: int) -> dict:
         "sgd_step_us_r50": sgd_step_us(dataset, 50, steps, repeats),
         "input_gradient_us": 1e6 * best_of(
             repeats, lambda: nn.input_gradient(model, block, targets)),
+        "ensemble_noise_us": 1e6 * best_of(
+            repeats, lambda: estimators.ensemble_noise(
+                0, BLOCK, BLOCK, SAMPLES * dataset.n_features)),
         "split_cell_us": 1e6 * best_of(repeats, lambda: pipeline.split_cells(
             dataset, "train", scores, replacement)(0.5, pipeline.ROAR)),
     }

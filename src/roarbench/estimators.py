@@ -85,6 +85,31 @@ def estimate_ig(model: Model, x: np.ndarray, targets, steps: int,
                     @ first.weight.T) / steps
 
 
+def ensemble_noise(seed: int, first_row: int, rows: int, count: int
+                   ) -> np.ndarray:
+    """`count` float32 standard normals for each of rows
+    [first_row, first_row + rows), as a (rows, count) array.
+
+    One PCG64 stream of `seed` holds every row: row r reads the m float32
+    uniforms at offset r * m, m being `count` padded to an even number.
+    Box-Muller turns uniform j of the first half and uniform j of the second
+    into the row's values j (cosine) and m / 2 + j (sine). A row's values
+    depend on its index alone, not on the rows drawn with it. Uniforms and
+    trig are float32 (float64 trig costs several times as much);
+    1 - u >= 2**-24 bounds every value at sqrt(48 ln 2) ~ 5.77.
+    """
+    pairs = -(-count // 2)
+    bits = np.random.PCG64(seed)
+    bits.advance(first_row * pairs)  # one 64-bit output per float32 pair
+    u = np.random.Generator(bits).random((rows, 2, pairs), dtype=np.float32)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0]))
+    angle = np.float32(2.0 * np.pi) * u[:, 1]
+    np.cos(angle, out=u[:, 0])
+    np.sin(angle, out=u[:, 1])
+    u *= radius[:, None]
+    return u.reshape(rows, 2 * pairs)[:, :count]
+
+
 def ensemble_moments(base: Callable[[Model, np.ndarray, np.ndarray],
                                      np.ndarray],
                      model: Model, x: np.ndarray, targets,
@@ -94,9 +119,9 @@ def ensemble_moments(base: Callable[[Model, np.ndarray, np.ndarray],
     `settings.ensemble_samples` noisy copies of x, from which SG, SG-SQ and
     VAR are reductions.
 
-    Row i draws its noise from the stream _mix_seed(settings.seed,
-    first_row + i), so a row's scores do not depend on the rows batched
-    with it.
+    Row i's noise is row first_row + i of `ensemble_noise(settings.seed,
+    ...)`, scaled by the stddev in float64, so a row's scores do not depend
+    on the rows batched with it.
     """
     x = np.asarray(x, dtype=np.float64)
     samples, stddev = settings.ensemble_samples, settings.noise_stddev
@@ -106,15 +131,15 @@ def ensemble_moments(base: Callable[[Model, np.ndarray, np.ndarray],
         # Every draw is x itself: one pass gives the moments exactly.
         scores = base(model, x, targets)
         return scores, scores ** 2
-    noise = np.empty((samples, *x.shape))  # (S, n, d)
-    for i in range(len(x)):
-        rng = np.random.default_rng(np.uint64(_mix_seed(settings.seed,
-                                                        first_row + i)))
-        noise[:, i] = rng.normal(0.0, stddev, size=(samples, x.shape[1]))
+    n, d = x.shape
+    noise = ensemble_noise(settings.seed, first_row, n,
+                           samples * d).reshape(n, samples, d)
     acc = np.zeros_like(x)
     acc_sq = np.zeros_like(x)
-    for draw in noise:
-        scores = base(model, x + draw, targets)
+    for sample in range(samples):
+        noisy = np.multiply(noise[:, sample], stddev, dtype=np.float64)
+        noisy += x
+        scores = base(model, noisy, targets)
         acc += scores
         acc_sq += scores ** 2
     return acc / samples, acc_sq / samples
@@ -173,12 +198,6 @@ def all_estimator_ids() -> list[str]:
     return ids
 
 
-def _mix_seed(seed: int, sample_index: int) -> int:
-    # Private per-sample stream; SplitMix-style odd-constant mixing.
-    return (seed * 0x9E3779B97F4A7C15 + sample_index * 0xBF58476D1CE4E5B9
-            + 0x94D049BB133111EB) % (1 << 64)
-
-
 def pass_family(estimator_id: str) -> str:
     """Name of the passes an estimator reduces: `<b>` and `<b>-sq` share the
     base passes `<b>`, and `sg-<b>`, `sg_sq-<b>` and `var-<b>` share the
@@ -193,8 +212,9 @@ def compute_estimates(estimator_id: str, settings: EstimatorSettings,
     """Score every row of a feature matrix with a registry estimator;
     returns (n, d) scores.
 
-    Rows are scored ROW_BLOCK at a time. Ensemble row i draws its noise from
-    _mix_seed(seed, i), i being its index in x, so the blocks change nothing.
+    Rows are scored ROW_BLOCK at a time. Ensemble row i draws its noise at
+    row i of `ensemble_noise(seed, ...)`, i being its index in x, so the
+    blocks change nothing.
 
     `passes`, owned by the caller for one (model, x), keeps each row block's
     base pass or noisy-pass moments under the estimator's `pass_family`, so

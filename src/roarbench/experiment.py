@@ -9,7 +9,7 @@ import itertools
 import os
 import sys
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,12 +82,17 @@ def _targets(model: nn.Model, labels: np.ndarray) -> np.ndarray:
 
 
 def score_split(settings: EstimatorSettings, model: nn.Model, x: np.ndarray,
-                y: np.ndarray, estimator_ids):
+                y: np.ndarray, estimator_ids, split: str):
     """Yield (estimator_id, scores) for one split, family by family: the ids
     that reduce the same passes (`estimators.pass_family`), grouped in order
     of first appearance, share one `passes` dict, dropped when the family is
-    done; an id alone in its family keeps none."""
+    done; an id alone in its family keeps none.
+
+    Ensemble noise is keyed by `split` ("train" or "test") as well as the
+    seed, so train row i and test row i draw different noise. The `random`
+    control keeps the unkeyed seed: one ranking shared by both splits."""
     targets = _targets(model, y)
+    keyed = replace(settings, seed=pipeline.derive_seed(settings.seed, split))
     families: dict[str, list[str]] = {}
     for estimator_id in estimator_ids:
         families.setdefault(pass_family(estimator_id), []).append(
@@ -96,7 +101,8 @@ def score_split(settings: EstimatorSettings, model: nn.Model, x: np.ndarray,
         passes = {} if len(family) > 1 else None
         for estimator_id in family:
             yield estimator_id, compute_estimates(
-                estimator_id, settings, model, x, targets, passes=passes)
+                estimator_id, settings if estimator_id == "random" else keyed,
+                model, x, targets, passes=passes)
 
 
 def compute_all_estimates(ctx: ExperimentContext, model: nn.Model
@@ -104,8 +110,10 @@ def compute_all_estimates(ctx: ExperimentContext, model: nn.Model
     settings = estimator_settings(ctx)
     ids = ctx.config.estimators.ids
     ds = ctx.dataset
-    train = dict(score_split(settings, model, ds.train_x, ds.train_y, ids))
-    test = dict(score_split(settings, model, ds.test_x, ds.test_y, ids))
+    train = dict(score_split(settings, model, ds.train_x, ds.train_y, ids,
+                             "train"))
+    test = dict(score_split(settings, model, ds.test_x, ds.test_y, ids,
+                            "test"))
     return {estimator_id: (train[estimator_id], test[estimator_id])
             for estimator_id in ids}
 
@@ -114,7 +122,7 @@ def deletion_estimates(ctx: ExperimentContext, model: nn.Model):
     """Yield (estimator_id, test-split scores) per configured estimator,
     scoring each only when it is asked for: all the deletion metric needs."""
     return score_split(estimator_settings(ctx), model, ctx.dataset.test_x,
-                       ctx.dataset.test_y, ctx.config.estimators.ids)
+                       ctx.dataset.test_y, ctx.config.estimators.ids, "test")
 
 
 def save_baseline(cfg: ExperimentConfig, model: nn.Model, baseline_acc: float,
@@ -266,8 +274,10 @@ def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
     settings = estimator_settings(ctx)
     shared = {}
     for (estimator_id, train_scores), (_, test_scores) in zip(
-            score_split(settings, model, ds.train_x, ds.train_y, pending),
-            score_split(settings, model, ds.test_x, ds.test_y, pending)):
+            score_split(settings, model, ds.train_x, ds.train_y, pending,
+                        "train"),
+            score_split(settings, model, ds.test_x, ds.test_y, pending,
+                        "test")):
         grid = pipeline.run_roar(
             ds, {estimator_id: (train_scores, test_scores)}, cfg.thresholds,
             trainer, cfg.runs_per_point, cfg.modes, cfg.seed, shared)

@@ -642,12 +642,14 @@ class TestCli:
         # Scoring each id on its own, with no passes shared, runs every
         # pass again: per block, 3 base passes for the bases and again for
         # `<b>-sq`, and 15 noisy copies of each for each of sg, sg_sq, var.
+        ds = ctx.dataset
         for estimator_id in ctx.config.estimators.ids:
-            for got, (x, y) in zip(saved[estimator_id],
-                                   ((ctx.dataset.train_x, ctx.dataset.train_y),
-                                    (ctx.dataset.test_x, ctx.dataset.test_y))):
+            for got, (x, y, split) in zip(
+                    saved[estimator_id],
+                    ((ds.train_x, ds.train_y, "train"),
+                     (ds.test_x, ds.test_y, "test"))):
                 [(_, fresh)] = experiment.score_split(settings, model, x, y,
-                                                      [estimator_id])
+                                                      [estimator_id], split)
                 assert got.tobytes() == fresh.tobytes(), estimator_id
         assert len(calls) == 3 * (3 + 3 + 3 * 15 * 3) == 423
 
@@ -1423,6 +1425,32 @@ class TestEstimatorSettings:
                 settings.noise_stddev) == (7, 4, 0.25)
         assert settings.seed == pipeline.derive_seed(11, "ensemble")
         assert settings.image_shape == ctx.dataset.image_shape == (6, 6, 1)
+
+    def test_run_and_deletion_metric_score_the_test_split_alike(
+            self, monkeypatch, tmp_path):
+        # `estimate`, `run` and `deletion-metric` draw one test-split noise;
+        # the train split draws its own.
+        ctx = experiment.build_context(parse_config(BARS.replace(
+            "ids = grad, random",
+            "ids = sg-grad, var-grad, random\nensemble_samples = 3")))
+        model, _ = experiment.train_baseline(ctx)
+        estimated = experiment.compute_all_estimates(ctx, model)
+        deletion = dict(experiment.deletion_estimates(ctx, model))
+        ran = {}
+
+        def record(ds, scores, *args):
+            ran.update(scores)
+            return pipeline.ResultGrid()
+
+        monkeypatch.setattr(pipeline, "run_roar", record)
+        experiment.run_grid(ctx, model, str(tmp_path))
+        for estimator_id, (train, test) in estimated.items():
+            assert test.tobytes() == deletion[estimator_id].tobytes()
+            assert [a.tobytes() for a in ran[estimator_id]] == [
+                train.tobytes(), test.tobytes()]
+        n = min(len(ctx.dataset.train_x), len(ctx.dataset.test_x))
+        train, test = estimated["sg-grad"]
+        assert not np.array_equal(train[:n], test[:n])
 
     def test_auto_noise_is_0_15_of_the_train_range(self):
         # Unbounded toy features: the train and test ranges differ.

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -6,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from roarbench import experiment, nn
+from roarbench import estimators, experiment, nn
 from roarbench.estimators import (ENSEMBLE_MODES, ROW_BLOCK,
                                   EstimatorSettings, SG, SG_SQ, VAR,
                                   all_estimator_ids, compute_estimates,
                                   control_random, control_sobel,
-                                  ensemble_moments, estimate_gb,
-                                  estimate_grad, estimate_ig)
-from roarbench.pipeline import n_modified, rank_features
+                                  ensemble_moments, ensemble_noise,
+                                  estimate_gb, estimate_grad, estimate_ig)
+from roarbench.pipeline import derive_seed, n_modified, rank_features
 from conftest import finite_difference, sample_away_from_kinks
 
 
@@ -216,6 +217,43 @@ class TestEnsemble:
             reduced_ensemble(estimate_gb, VAR, model, x, [0], cfg))
 
 
+class TestEnsembleNoise:
+    # Row counts of 7, 715 and 2,160 values: odd and even S * d.
+    @pytest.mark.parametrize("count", [7, 715, 2160])
+    @pytest.mark.parametrize("first, n", [(0, 1), (5, 3), (60, 10),
+                                          (63, 70), (127, 2)])
+    def test_sub_range_matches_longer_draw(self, count, first, n):
+        full = ensemble_noise(31, 0, 2 * ROW_BLOCK + 8, count)
+        np.testing.assert_array_equal(ensemble_noise(31, first, n, count),
+                                      full[first:first + n])
+
+    def test_standard_normal_at_a_fixed_seed(self):
+        z = ensemble_noise(20, 0, 100, 2160).astype(np.float64).ravel()
+        tolerance = 5 / np.sqrt(z.size)
+        assert z.size >= 10 ** 5
+        assert np.all(np.isfinite(z))
+        assert abs(z.mean()) < tolerance
+        assert abs(z.var() - 1.0) < tolerance
+        # 1 - u >= 2**-24 bounds the Box-Muller radius.
+        assert np.abs(z).max() <= np.sqrt(48 * np.log(2)) + 1e-5
+
+    def test_one_generator_per_call(self, monkeypatch, rng):
+        built = []
+
+        def counted(name):
+            make = getattr(np.random, name)
+            return lambda *args, **kwargs: built.append(name) or make(
+                *args, **kwargs)
+
+        for name in ("default_rng", "Generator", "PCG64", "Philox"):
+            monkeypatch.setattr(np.random, name, counted(name))
+        model = nn.init_mlp([5, 4, 2], rng)
+        x = rng.standard_normal((2 * ROW_BLOCK + 3, 5))
+        cfg = EstimatorSettings(ensemble_samples=3, noise_stddev=0.2, seed=4)
+        ensemble_moments(estimate_grad, model, x, np.zeros(len(x), int), cfg)
+        assert sorted(built) == ["Generator", "PCG64"]
+
+
 class TestSquare:
     @staticmethod
     def squared(scores):
@@ -350,11 +388,40 @@ class TestComputeEstimates:
         settings = EstimatorSettings(
             ig_steps=3, ensemble_samples=2, noise_stddev=noise,
             seed=int(rng.integers(2 ** 32)), image_shape=(2, 2, 3))
-        shared = list(experiment.score_split(settings, model, x, y, ids))
+        shared = list(experiment.score_split(settings, model, x, y, ids,
+                                             "train"))
         assert sorted(e for e, _ in shared) == sorted(ids)
+        # Every id but the random control draws from the split's key.
+        keyed = replace(settings, seed=derive_seed(settings.seed, "train"))
         for estimator_id, scores in shared:
-            fresh = compute_estimates(estimator_id, settings, model, x, y)
+            fresh = compute_estimates(
+                estimator_id, settings if estimator_id == "random" else keyed,
+                model, x, y)
             assert scores.tobytes() == fresh.tobytes(), estimator_id
+
+    def test_splits_draw_apart_and_share_the_random_ranking(self, rng,
+                                                            monkeypatch):
+        # The same rows scored as "train" and as "test": every ensemble row
+        # differs, the bases do not, and `random` is the one shared draw. A
+        # base that returns its input shows the noise itself.
+        monkeypatch.setattr(estimators, "estimate_grad",
+                            lambda model, x, targets: x.copy())
+        model = nn.init_mlp([6, 5, 2], rng)
+        x = rng.standard_normal((ROW_BLOCK + 6, 6))
+        y = rng.integers(0, 2, len(x))
+        settings = EstimatorSettings(ensemble_samples=3, noise_stddev=0.3,
+                                     seed=17)
+        ids = ["sg-grad", "var-grad", "grad", "random"]
+        train, test = (dict(experiment.score_split(settings, model, x, y, ids,
+                                                   split))
+                       for split in ("train", "test"))
+        for estimator_id in ("sg-grad", "var-grad"):
+            assert np.all(np.any(train[estimator_id] != test[estimator_id],
+                                 axis=1)), estimator_id
+        assert train["grad"].tobytes() == test["grad"].tobytes()
+        shared = np.tile(control_random(6, settings.seed), (len(x), 1))
+        assert train["random"].tobytes() == shared.tobytes()
+        assert test["random"].tobytes() == shared.tobytes()
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown estimator"):
