@@ -12,7 +12,12 @@ classes). Each figure is the min over --repeats runs:
                                    block at S = 5 noisy copies;
   split_cell_us                    one pipeline.split_cells cell: the
                                    split's score check, its top-k selection
-                                   and the modified rows, ROAR at t = 0.5.
+                                   and the modified rows, ROAR at t = 0.5;
+  split_grid_us                    one split's six cells, t in {0, 0.5,
+                                   0.9} x {roar, kar}, from a single
+                                   pipeline.split_cells call in the order
+                                   run_roar asks for them, so a threshold's
+                                   two cells share one selection.
 
 Prints one JSON line. Pin one BLAS thread to compare two checkouts:
 
@@ -55,6 +60,13 @@ def sgd_step_us(dataset, runs: int, steps: int, repeats: int) -> float:
     return 1e6 * (train(2 * steps) - train(steps)) / steps
 
 
+def split_grid(dataset, scores, replacement):
+    cell = pipeline.split_cells(dataset, "train", scores, replacement)
+    for threshold in (0.0, 0.5, 0.9):
+        for mode in (pipeline.ROAR, pipeline.KAR):
+            cell(threshold, mode)
+
+
 def measure(steps: int, repeats: int) -> dict:
     dataset = datasets.generate_bars(N_TRAIN, N_TEST, size=SIZE, seed=0)
     model = nn.init_mlp([dataset.n_features, HIDDEN, 2],
@@ -72,6 +84,8 @@ def measure(steps: int, repeats: int) -> dict:
                 0, BLOCK, BLOCK, SAMPLES * dataset.n_features)),
         "split_cell_us": 1e6 * best_of(repeats, lambda: pipeline.split_cells(
             dataset, "train", scores, replacement)(0.5, pipeline.ROAR)),
+        "split_grid_us": 1e6 * best_of(
+            repeats, lambda: split_grid(dataset, scores, replacement)),
     }
 
 

@@ -6,7 +6,7 @@ from .nn import (ArrayDataset, Model, TrainConfig, fit_least_squares,
 from .estimators import (EstimatorSettings, compute_estimates,
                          control_random, control_sobel, estimate_gb,
                          estimate_grad, estimate_ig)
-from .pipeline import (ModificationSpec, ModifiedDataset, ResultGrid,
+from .pipeline import (ModifiedDataset, ResultGrid,
                        generate_modified_datasets, rank_features,
                        run_deletion_metric, run_roar)
 from .toydata import ToyConfig, ToyDataset, generate_toy, ground_truth_ranking
@@ -15,7 +15,7 @@ __all__ = [
     "ArrayDataset", "Model", "TrainConfig", "fit_least_squares", "forward",
     "input_gradient", "train", "EstimatorSettings", "compute_estimates",
     "control_random", "control_sobel", "estimate_gb", "estimate_grad",
-    "estimate_ig", "ModificationSpec", "ModifiedDataset", "ResultGrid",
+    "estimate_ig", "ModifiedDataset", "ResultGrid",
     "generate_modified_datasets", "rank_features", "run_deletion_metric",
     "run_roar", "ToyConfig", "ToyDataset", "generate_toy",
     "ground_truth_ranking",

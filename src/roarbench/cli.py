@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: validate-config, toy-validate, estimate, modify, run, report,
-deletion-metric. Exit codes: 0 success, 1 validation error, 2 acceptance
-failure, 3 runtime error.
+Commands: validate-config, toy-validate, estimate, modify, run, report,
+deletion-metric; each takes --config, --output and --seed. Exit codes: 0
+success, 1 validation error, 2 acceptance failure, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -158,13 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roarbench",
         description="Remove-and-retrain feature-importance benchmark")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="experiment config file")
-        p.add_argument("--output", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="base seed (overrides config)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="experiment config file")
+    parser.add_argument("--output", help="output directory (overrides config)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="base seed (overrides config)")
     return parser
 
 

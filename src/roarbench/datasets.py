@@ -100,20 +100,13 @@ def generate_bars(n_train: int, n_test: int, size: int = 12,
         labels = rng.integers(0, 2, size=n)
         positions = rng.integers(0, size, size=n)
         intensity = rng.uniform(0.6, 1.0, size=n)
-        for i in range(n):
-            if labels[i] == 0:
-                images[i, positions[i], :] = intensity[i]
-            else:
-                images[i, :, positions[i]] = intensity[i]
+        rows, cols = labels == 0, labels == 1
+        images[rows, positions[rows], :] = intensity[rows, None]
+        images[cols, :, positions[cols]] = intensity[cols, None]
         images = np.clip(images + rng.normal(0, noise, images.shape), 0, 1)
-        return images, labels.astype(np.int64)
+        return images.reshape(n, size * size), labels.astype(np.int64)
 
-    train_images, train_labels = batch(n_train)
-    test_images, test_labels = batch(n_test)
-    return ArrayDataset(
-        train_x=train_images.reshape(n_train, -1),
-        train_y=train_labels,
-        test_x=test_images.reshape(n_test, -1),
-        test_y=test_labels,
-        image_shape=(size, size, 1),
-    )
+    train_x, train_y = batch(n_train)
+    test_x, test_y = batch(n_test)
+    return ArrayDataset(train_x, train_y, test_x, test_y,
+                        image_shape=(size, size, 1))

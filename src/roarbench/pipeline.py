@@ -44,8 +44,8 @@ def rank_features(scores: np.ndarray,
     break by ascending index.
 
     Given an image_shape, scores are summed over channels per pixel first.
-    The reference order: the modification paths select its first k
-    positions with `top_positions` instead of sorting.
+    The reference order: `split_cells` selects its first k positions with
+    `top_positions` instead of sorting.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if image_shape is not None:
@@ -81,21 +81,6 @@ def cell_key(estimator_id: str, threshold: float, mode: str,
         return ALL_REPLACED if (k == n_positions) == (mode == ROAR) \
             else NONE_REPLACED
     return (estimator_id, threshold_text(threshold), mode)
-
-
-@dataclass
-class ModificationSpec:
-    threshold: float
-    mode: str  # ROAR | KAR
-    replacement: np.ndarray  # (P, C) replacement values
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold {self.threshold} outside [0, 1]")
-        if self.mode not in (ROAR, KAR):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not np.all(np.isfinite(self.replacement)):
-            raise ValueError("non-finite replacement values")
 
 
 def replacement_matrix(dataset: ArrayDataset) -> np.ndarray:
@@ -138,26 +123,19 @@ def top_positions(scores: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-def modify_rows(x: np.ndarray, scores: np.ndarray, spec: ModificationSpec,
-                top: np.ndarray | None = None) -> np.ndarray:
-    """Replace the top-scored positions of every row of x with the
-    replacement values.
+def modify_rows(x: np.ndarray, top: np.ndarray, mode: str,
+                replacement: np.ndarray) -> np.ndarray:
+    """Replace the `top` positions of every row of x with the (P, C)
+    replacement values (ROAR), or every position but those (KAR).
 
-    `scores` are per-position scores from `rank_split`: (n, P), one row per
-    row of x, or (1, P), shared by all rows. ROAR replaces each row's top
-    ceil(t*P) positions (`top_positions`); KAR replaces everything except
-    those. Untouched values are bit-identical to the input. `split_cells`
-    passes the `top_positions` mask it already selected as `top`.
+    `top` is a `top_positions` mask: (n, P), one row per row of x, or
+    (1, P), shared by all rows. Untouched values are bit-identical to the
+    input.
     """
-    p, c = spec.replacement.shape
-    if scores.shape[1] != p:
-        raise ValueError(f"scores for {scores.shape[1]} positions; the "
-                         f"replacement has {p}")
-    if top is None:
-        top = top_positions(scores, n_modified(spec.threshold, p))
-    replaced = top if spec.mode == ROAR else ~top
+    p, c = replacement.shape
+    replaced = top if mode == ROAR else ~top
     rows = np.asarray(x, dtype=np.float64).reshape(len(x), p, c)
-    return np.where(replaced[:, :, None], spec.replacement,
+    return np.where(replaced[:, :, None], replacement,
                     rows).reshape(len(x), p * c)
 
 
@@ -206,41 +184,31 @@ def rank_split(scores: np.ndarray, x: np.ndarray, image_shape,
 def split_cells(dataset: ArrayDataset, split: str, scores: np.ndarray,
                 replacement: np.ndarray):
     """`cell(threshold, mode)`: the rows of one split ("train" or "test")
-    modified at that cell under one estimator's scores, checked once
-    (`rank_split`). Cells asked for in a row that replace the same count
-    share one `top_positions` selection."""
+    modified at that cell under one estimator's scores. Every modified
+    split is built here: the scores are checked once (`rank_split`), the
+    replacement once (finite, one row per position), and each cell's
+    threshold and mode as it is asked for. Cells asked for in a row that
+    replace the same count share one `top_positions` selection."""
     x = getattr(dataset, f"{split}_x")
     scores = rank_split(scores, x, dataset.image_shape, split)
+    p = len(replacement)
+    if scores.shape[1] != p:
+        raise ValueError(f"scores for {scores.shape[1]} positions; the "
+                         f"replacement has {p}")
+    if not np.all(np.isfinite(replacement)):
+        raise ValueError("non-finite replacement values")
     last = [None, None]  # the count selected last, and its mask
 
     def cell(threshold: float, mode: str) -> np.ndarray:
-        spec = ModificationSpec(threshold, mode, replacement)
-        k = n_modified(threshold, len(replacement))
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold {threshold} outside [0, 1]")
+        if mode not in (ROAR, KAR):
+            raise ValueError(f"unknown mode {mode!r}")
+        k = n_modified(threshold, p)
         if k != last[0]:
             last[:] = k, top_positions(scores, k)
-        return modify_rows(x, scores, spec, last[1])
+        return modify_rows(x, last[1], mode, replacement)
     return cell
-
-
-def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
-                          test_scores: np.ndarray, estimator_id: str,
-                          threshold: float, mode: str, seed: int = 0,
-                          source_id: str = "dataset") -> ModifiedDataset:
-    """Modify both train and test splits at one (estimator, t, mode) cell."""
-    spec = ModificationSpec(threshold, mode, replacement_matrix(dataset))
-
-    def modify(x, scores, split):
-        return modify_rows(
-            x, rank_split(scores, x, dataset.image_shape, split), spec)
-
-    return ModifiedDataset(
-        train_x=modify(dataset.train_x, train_scores, "train"),
-        train_y=dataset.train_y.copy(),
-        test_x=modify(dataset.test_x, test_scores, "test"),
-        test_y=dataset.test_y.copy(),
-        provenance=Provenance(estimator_id, threshold, mode, seed, source_id),
-        image_shape=dataset.image_shape,
-    )
 
 
 def generate_modified_datasets(dataset: ArrayDataset,
@@ -264,6 +232,17 @@ def generate_modified_datasets(dataset: ArrayDataset,
                     dataset.image_shape,
                     provenance=Provenance(estimator_id, threshold, mode, seed,
                                           source_id))
+
+
+def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
+                          test_scores: np.ndarray, estimator_id: str,
+                          threshold: float, mode: str, seed: int = 0,
+                          source_id: str = "dataset") -> ModifiedDataset:
+    """Modify both train and test splits at one (estimator, t, mode) cell:
+    the one-cell grid of `generate_modified_datasets`."""
+    return next(generate_modified_datasets(
+        dataset, {estimator_id: (train_scores, test_scores)}, [threshold],
+        (mode,), source_id, seed))
 
 
 def cell_name(estimator_id: str, threshold: float, mode: str) -> str:

@@ -163,30 +163,28 @@ class TestCriterion6ModificationInvariants:
         ok = True
         details = []
 
-        def scores_of(order):
-            # One row of per-position scores ranked in `order`.
-            return pipeline.ranking_to_scores(order)[None]
+        def modified(order, t, mode):
+            # x modified at one cell, its positions ranked in `order`.
+            labels = np.zeros(1, dtype=np.int64)
+            ds = nn.ArrayDataset(x[None], labels, x[None], labels)
+            return pipeline.split_cells(
+                ds, "train", pipeline.ranking_to_scores(order)[None],
+                replacement)(t, mode)[0]
 
         for t in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-            spec = pipeline.ModificationSpec(t, pipeline.ROAR, replacement)
             order = rng.permutation(p)
-            out = pipeline.modify_rows(x[None], scores_of(order), spec)[0]
+            out = modified(order, t, pipeline.ROAR)
             count = int((out == 0.125).sum())
             if count != pipeline.n_modified(t, p):
                 ok = False
                 details.append(f"count mismatch at t={t}")
 
-        spec0 = pipeline.ModificationSpec(0.0, pipeline.ROAR, replacement)
         if not np.array_equal(
-                pipeline.modify_rows(x[None], scores_of(np.arange(p)),
-                                     spec0)[0],
-                x):
+                modified(np.arange(p), 0.0, pipeline.ROAR), x):
             ok = False
             details.append("t=0 not identity")
-        spec1 = pipeline.ModificationSpec(1.0, pipeline.ROAR, replacement)
         if not np.array_equal(
-                pipeline.modify_rows(x[None], scores_of(np.arange(p)),
-                                     spec1)[0],
+                modified(np.arange(p), 1.0, pipeline.ROAR),
                 np.full(p, 0.125)):
             ok = False
             details.append("t=1 not all-replacement")
@@ -196,12 +194,8 @@ class TestCriterion6ModificationInvariants:
         for numerator in range(p + 1):
             t = numerator / p
             order = rng.permutation(p)
-            removed = pipeline.modify_rows(
-                x[None], scores_of(order),
-                pipeline.ModificationSpec(t, pipeline.ROAR, replacement))[0]
-            kept = pipeline.modify_rows(
-                x[None], scores_of(order),
-                pipeline.ModificationSpec(t, pipeline.KAR, replacement))[0]
+            removed = modified(order, t, pipeline.ROAR)
+            kept = modified(order, t, pipeline.KAR)
             touched_r = set(np.nonzero(removed != x)[0])
             touched_k = set(np.nonzero(kept != x)[0])
             if touched_r | touched_k != set(range(p)) or touched_r & touched_k:

@@ -359,6 +359,19 @@ def bars_config(tmp_path):
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["none", "bogus"])
+    def test_missing_or_unknown_command_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_command_takes_the_three_options(self, command):
+        args = cli.build_parser().parse_args(
+            [command, "--config", "c", "--output", "o", "--seed", "3"])
+        assert (args.command, args.config, args.output, args.seed) == (
+            command, "c", "o", 3)
+
     def test_validate_config_ok(self, bars_config, capsys):
         assert run_cli("validate-config", "--config", bars_config) == 0
         assert "runs_per_point = 2" in capsys.readouterr().out

@@ -153,6 +153,32 @@ class TestBars:
         np.testing.assert_array_equal(a.train_x, b.train_x)
         np.testing.assert_array_equal(a.test_y, b.test_y)
 
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    @pytest.mark.parametrize("size", [2, 12])
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 40 + 3])
+    def test_images_match_a_per_image_loop(self, n, size, seed):
+        # Oracle: the same draws, each bar painted one image at a time.
+        rng = np.random.default_rng(np.uint64(seed))
+
+        def batch(count):
+            images = np.zeros((count, size, size))
+            labels = rng.integers(0, 2, size=count)
+            positions = rng.integers(0, size, size=count)
+            intensity = rng.uniform(0.6, 1.0, size=count)
+            for i in range(count):
+                if labels[i] == 0:
+                    images[i, positions[i], :] = intensity[i]
+                else:
+                    images[i, :, positions[i]] = intensity[i]
+            images = np.clip(images + rng.normal(0, 0.1, images.shape), 0, 1)
+            return images.reshape(count, size * size), labels
+
+        train, test = batch(n), batch(n // 2)
+        ds = datasets.generate_bars(n, n // 2, size=size, seed=seed)
+        for got, want in ((ds.train_x, train[0]), (ds.train_y, train[1]),
+                          (ds.test_x, test[0]), (ds.test_y, test[1])):
+            assert got.tobytes() == want.tobytes()
+
     def test_classes_are_learnable(self):
         from roarbench import nn
         image = datasets.generate_bars(400, 100, size=8, seed=2)

@@ -15,6 +15,7 @@ def test_kernel_bench_prints_one_json_line_of_kernel_times(capsys):
     times = json.loads(line)
     assert sorted(times) == ["ensemble_noise_us", "input_gradient_us",
                              "sgd_step_us_r5", "sgd_step_us_r50",
-                             "split_cell_us"]
+                             "split_cell_us", "split_grid_us"]
     assert all(isinstance(v, float) for v in times.values())
-    assert all(times[k] > 0 for k in ("input_gradient_us", "split_cell_us"))
+    assert all(times[k] > 0 for k in ("input_gradient_us", "split_cell_us",
+                                     "split_grid_us"))

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from roarbench import cli, datasets, experiment, nn, pipeline
 from roarbench.config import parse_config
-from roarbench.pipeline import (KAR, ROAR, ModificationSpec,
-                                ProvenanceError, Record, ResultGrid,
+from roarbench.pipeline import (KAR, ROAR, ProvenanceError, Record, ResultGrid,
                                 derive_seed, generate_modified_datasets,
                                 load_modified_dataset, make_modified_dataset,
                                 modify_rows, n_modified, rank_features,
@@ -59,9 +58,14 @@ class TestRankFeatures:
                 order, rank_features(row, image_shape))
 
 
-def spec_for(x, threshold, mode):
-    replacement = np.full((len(x), 1), 0.25)
-    return ModificationSpec(threshold, mode, replacement)
+def cells_of(x, scores):
+    """The `split_cells` cells of the (n, P) rows x (the train split of a
+    dataset) under per-position scores, replacing each position with
+    0.25."""
+    labels = np.zeros(len(x), dtype=np.int64)
+    return pipeline.split_cells(nn.ArrayDataset(x, labels, x, labels),
+                                "train", scores,
+                                np.full((x.shape[1], 1), 0.25))
 
 
 def order_scores(orders):
@@ -73,14 +77,12 @@ def order_scores(orders):
 class TestModifySample:
     def test_threshold_zero_is_identity(self, rng):
         x = rng.standard_normal(10)
-        out = modify_rows(x[None], order_scores([np.arange(10)]),
-                          spec_for(x, 0.0, ROAR))[0]
+        out = cells_of(x[None], order_scores([np.arange(10)]))(0.0, ROAR)[0]
         np.testing.assert_array_equal(out, x)
 
     def test_threshold_one_is_all_replacement(self, rng):
         x = rng.standard_normal(10)
-        out = modify_rows(x[None], order_scores([np.arange(10)]),
-                          spec_for(x, 1.0, ROAR))[0]
+        out = cells_of(x[None], order_scores([np.arange(10)]))(1.0, ROAR)[0]
         np.testing.assert_array_equal(out, np.full(10, 0.25))
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 15))
@@ -94,12 +96,10 @@ class TestModifySample:
         x = rng.standard_normal(p)
         order = rng.permutation(p)
         removed = set(np.nonzero(
-            modify_rows(x[None], order_scores([order]),
-                        spec_for(x, t, ROAR))[0]
+            cells_of(x[None], order_scores([order]))(t, ROAR)[0]
             != x)[0])
         kept_mode = set(np.nonzero(
-            modify_rows(x[None], order_scores([order]),
-                        spec_for(x, t, KAR))[0]
+            cells_of(x[None], order_scores([order]))(t, KAR)[0]
             != x)[0])
         # Replacement collisions with original values are measure-zero for
         # continuous draws; the touched sets partition the positions.
@@ -114,10 +114,9 @@ class TestModifySample:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(12)
         order = rng.permutation(12)
-        spec = spec_for(x, t, mode)
-        once = modify_rows(x[None], order_scores([order]), spec)[0]
+        once = cells_of(x[None], order_scores([order]))(t, mode)[0]
         np.testing.assert_array_equal(
-            modify_rows(once[None], order_scores([order]), spec)[0], once)
+            cells_of(once[None], order_scores([order]))(t, mode)[0], once)
 
     def test_modified_count_is_ceil(self):
         for p in (10, 16, 28 * 28):
@@ -127,8 +126,7 @@ class TestModifySample:
     def test_length_mismatch(self):
         x = np.zeros(5)
         with pytest.raises(ValueError, match="scores for 4 positions"):
-            modify_rows(x[None], order_scores([np.arange(4)]),
-                        spec_for(x, 0.5, ROAR))
+            cells_of(x[None], order_scores([np.arange(4)]))(0.5, ROAR)
 
 
 class TestModifyRows:
@@ -142,14 +140,14 @@ class TestModifyRows:
         n, p, c = 7, 6, 2
         x = rng.standard_normal((n, p * c))
         rankings = np.argsort(rng.standard_normal((1 if shared else n, p)))
-        spec = ModificationSpec(t, mode, rng.standard_normal((p, c)))
+        replacement = rng.standard_normal((p, c))
         k = n_modified(t, p)
-        for i, row in enumerate(modify_rows(x, order_scores(rankings),
-                                            spec)):
+        top = pipeline.top_positions(order_scores(rankings), k)
+        for i, row in enumerate(modify_rows(x, top, mode, replacement)):
             order = rankings[0 if shared else i]
             selected = order[:k] if mode == ROAR else order[k:]
             expected = x[i].reshape(p, c).copy()
-            expected[selected] = spec.replacement[selected]
+            expected[selected] = replacement[selected]
             np.testing.assert_array_equal(row, expected.ravel())
 
     @pytest.mark.parametrize("image_shape", [None, (2, 3, 2)],
@@ -319,6 +317,82 @@ class TestGenerateModifiedDatasets:
         with pytest.raises(ProvenanceError, match="sample"):
             list(generate_modified_datasets(ds, {"e": (short, short)},
                                             [0.5]))
+
+
+class TestOneBuilder:
+    """Every path that builds a modified split builds it through
+    `split_cells`, which alone checks a cell's threshold, mode and
+    replacement."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The splits, in call order, that `split_cells` is asked for."""
+        splits = []
+        split_cells = pipeline.split_cells
+        monkeypatch.setattr(pipeline, "split_cells", lambda ds, split, *a: (
+            splits.append(split) or split_cells(ds, split, *a)))
+        return splits
+
+    PATHS = {
+        "make_modified_dataset": (lambda ds, est: make_modified_dataset(
+            ds, *est["a"], "a", 0.5, KAR), ["train", "test"]),
+        "generate_modified_datasets": (
+            lambda ds, est: list(generate_modified_datasets(
+                ds, est, [0.3, 0.5], (ROAR, KAR))),
+            ["train", "test"] * 2),
+        "run_roar": (lambda ds, est: run_roar(
+            ds, est, [0.3, 0.5], nn.least_squares_trainer(
+                nn.TrainConfig(ridge=1e-6)), 1, (ROAR, KAR)),
+            ["train", "test"] * 2),
+        "run_deletion_metric": (lambda ds, est: run_deletion_metric(
+            ds, nn.fit_least_squares(ds, ridge=1e-6, fit_bias=True),
+            [(e, test) for e, (_, test) in est.items()], [0.3, 0.5]),
+            ["test"] * 2),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_path_builds_through_split_cells(self, rng, built, path):
+        ds = tiny_dataset(rng)
+        estimates = {e: (rng.standard_normal((20, 6)),
+                         rng.standard_normal((8, 6))) for e in "ab"}
+        build, splits = self.PATHS[path]
+        build(ds, estimates)
+        assert built == splits
+
+    def test_load_modified_dataset_builds_through_split_cells(
+            self, tmp_path, built):
+        out = modified_output(tmp_path, TINY_BARS)
+        built.clear()
+        load_modified_dataset(
+            str(out / "modified" / pipeline.cell_name("grad", 0.5, KAR)))
+        assert built == ["train", "test"]
+
+    @pytest.mark.parametrize("threshold,mode,replacement,message", [
+        (-0.1, ROAR, None, r"threshold -0\.1 outside \[0, 1\]"),
+        (1.5, KAR, None, r"threshold 1\.5 outside \[0, 1\]"),
+        (np.nan, ROAR, None, r"threshold nan outside \[0, 1\]"),
+        (0.5, "drop", None, "unknown mode 'drop'"),
+        (0.5, ROAR, np.full((6, 1), np.nan), "non-finite replacement values"),
+        (0.5, KAR, np.array([[0.0]] * 5 + [[np.inf]]),
+         "non-finite replacement values"),
+        (0.5, ROAR, np.zeros((5, 1)),
+         "scores for 6 positions; the replacement has 5"),
+    ], ids=["below", "above", "nan", "mode", "nan-replacement",
+            "inf-replacement", "short-replacement"])
+    def test_refused_with_its_message(self, rng, threshold, mode,
+                                      replacement, message):
+        # The replacement is checked once per split, the threshold and the
+        # mode once per cell.
+        ds = tiny_dataset(rng)
+        scores = rng.standard_normal(ds.train_x.shape)
+        if replacement is not None:
+            with pytest.raises(ValueError, match=message):
+                pipeline.split_cells(ds, "train", scores, replacement)
+            return
+        cell = pipeline.split_cells(ds, "train", scores,
+                                    replacement_matrix(ds))
+        with pytest.raises(ValueError, match=message):
+            cell(threshold, mode)
 
 
 # Two cells' train splits of a 40 x 6 dataset in the float32 training dtype.
