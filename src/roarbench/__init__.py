@@ -9,7 +9,7 @@ from .estimators import (EstimatorSettings, compute_estimates,
 from .pipeline import (ModifiedDataset, ResultGrid,
                        generate_modified_datasets, rank_features,
                        run_deletion_metric, run_roar)
-from .toydata import ToyConfig, ToyDataset, generate_toy, ground_truth_ranking
+from .toydata import ToyDataset, generate_toy, ground_truth_ranking
 
 __all__ = [
     "ArrayDataset", "Model", "TrainConfig", "fit_least_squares", "forward",
@@ -17,6 +17,5 @@ __all__ = [
     "control_random", "control_sobel", "estimate_gb", "estimate_grad",
     "estimate_ig", "ModifiedDataset", "ResultGrid",
     "generate_modified_datasets", "rank_features", "run_deletion_metric",
-    "run_roar", "ToyConfig", "ToyDataset", "generate_toy",
-    "ground_truth_ranking",
+    "run_roar", "ToyDataset", "generate_toy", "ground_truth_ranking",
 ]

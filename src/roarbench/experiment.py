@@ -27,12 +27,10 @@ class ExperimentContext:
 
 def build_context(cfg: ExperimentConfig) -> ExperimentContext:
     spec = cfg.dataset
-    if spec.kind == "toy":
-        toy = toydata.generate_toy(toydata.ToyConfig(
-            n_samples=spec.n_train + spec.n_test, dim=spec.dim,
-            n_informative=spec.n_informative,
-            seed=pipeline.derive_seed(cfg.seed, "dataset")))
-        return ExperimentContext(cfg, toy.split(spec.n_train))
+    if spec.kind == "toy":  # the config seed itself; bars derives its own
+        return ExperimentContext(cfg, toydata.generate_toy(
+            spec.n_train, spec.n_test, dim=spec.dim,
+            n_informative=spec.n_informative, seed=cfg.seed))
     if spec.kind == "bars":
         return ExperimentContext(cfg, ds_io.generate_bars(
             spec.n_train, spec.n_test, size=spec.size, noise=spec.noise,
@@ -142,7 +140,7 @@ def save_baseline(cfg: ExperimentConfig, model: nn.Model, baseline_acc: float,
 def _read_npz(path: str) -> dict[str, np.ndarray]:
     """Every array of an npz file, or a ProvenanceError naming the file."""
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as f, np.load(f) as data:
             return {name: data[name] for name in data.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
         raise pipeline.ProvenanceError(

@@ -156,15 +156,17 @@ class ModifiedDataset(ArrayDataset):
     provenance: Provenance = field(kw_only=True)
 
 
-def rank_split(scores: np.ndarray, x: np.ndarray, image_shape,
-               split: str) -> np.ndarray:
-    """Per-position scores of one split, the one place an estimator's scores
-    are checked: per-sample score rows give one row per row of x, and a
-    single shared score vector (uniform ranking) gives one (1, P) row that
-    broadcasts over the rows. Given an image shape, each pixel's channel
-    scores are summed, as `rank_features` sums them; with one channel the
-    scores come back as they are. Non-finite scores, which no ranking
-    orders, are refused naming the split and the first such sample."""
+def rank_split(dataset: ArrayDataset, split: str,
+               scores: np.ndarray) -> np.ndarray:
+    """Per-position scores of one split ("train" or "test") of dataset, the
+    one place an estimator's scores are checked: per-sample score rows give
+    one row per row of the split, and a single shared score vector (uniform
+    ranking) gives one (1, P) row that broadcasts over the rows. Given an
+    image dataset, each pixel's channel scores are summed, as
+    `rank_features` sums them; with one channel the scores come back as
+    they are. Non-finite scores, which no ranking orders, are refused naming
+    the split and the first such sample."""
+    x, image_shape = getattr(dataset, f"{split}_x"), dataset.image_shape
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim == 1:
         scores = scores[None]
@@ -190,7 +192,7 @@ def split_cells(dataset: ArrayDataset, split: str, scores: np.ndarray,
     threshold and mode as it is asked for. Cells asked for in a row that
     replace the same count share one `top_positions` selection."""
     x = getattr(dataset, f"{split}_x")
-    scores = rank_split(scores, x, dataset.image_shape, split)
+    scores = rank_split(dataset, split, scores)
     p = len(replacement)
     if scores.shape[1] != p:
         raise ValueError(f"scores for {scores.shape[1]} positions; the "

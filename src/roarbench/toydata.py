@@ -4,7 +4,7 @@ retrain-based evaluation against the no-retrain deletion metric."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,51 +16,36 @@ RANDOM = "random"
 
 
 @dataclass
-class ToyConfig:
-    n_samples: int = 12_000
-    dim: int = 16
-    n_informative: int = 4
-    seed: int = 0
+class ToyDataset(ArrayDataset):
+    """A toy draw and the coefficient vectors it was drawn with."""
 
-    def __post_init__(self):
-        if self.n_informative > self.dim:
-            raise ValueError("n_informative exceeds dim")
+    # (dim,) each; signal_coeffs is zero past the informative block.
+    signal_coeffs: np.ndarray = field(kw_only=True)
+    confound_coeffs: np.ndarray = field(kw_only=True)
 
 
-@dataclass
-class ToyDataset:
-    features: np.ndarray  # (n, dim)
-    labels: np.ndarray  # (n,) in {0, 1}
-    signal_coeffs: np.ndarray  # (dim,), zero past the informative block
-    confound_coeffs: np.ndarray  # (dim,)
-
-    def split(self, n_train: int) -> ArrayDataset:
-        return ArrayDataset(
-            train_x=self.features[:n_train],
-            train_y=self.labels[:n_train],
-            test_x=self.features[n_train:],
-            test_y=self.labels[n_train:],
-        )
-
-
-def generate_toy(cfg: ToyConfig) -> ToyDataset:
+def generate_toy(n_train: int = 10_000, n_test: int = 2_000, dim: int = 16,
+                 n_informative: int = 4, seed: int = 0) -> ToyDataset:
     """x = a*z/10 + d*eta + eps/10 with y = (z > 0).
 
     The coefficient vectors a (informative block only) and d are drawn once
     per dataset; z, eta (scalars) and eps (vector) are drawn per sample, all
-    standard normal.
+    standard normal. The first n_train samples are the train split.
     """
-    rng = np.random.default_rng(np.uint64(cfg.seed))
-    a = rng.standard_normal(cfg.dim)
-    a[cfg.n_informative:] = 0.0
-    d = rng.standard_normal(cfg.dim)
-    z = rng.standard_normal(cfg.n_samples)
-    eta = rng.standard_normal(cfg.n_samples)
-    eps = rng.standard_normal((cfg.n_samples, cfg.dim))
+    if n_informative > dim:
+        raise ValueError("n_informative exceeds dim")
+    n = n_train + n_test
+    rng = np.random.default_rng(np.uint64(seed))
+    a = rng.standard_normal(dim)
+    a[n_informative:] = 0.0
+    d = rng.standard_normal(dim)
+    z = rng.standard_normal(n)
+    eta = rng.standard_normal(n)
+    eps = rng.standard_normal((n, dim))
     x = np.outer(z, a) / 10.0 + np.outer(eta, d) + eps / 10.0
     y = (z > 0.0).astype(np.int64)
-    return ToyDataset(features=x, labels=y, signal_coeffs=a,
-                      confound_coeffs=d)
+    return ToyDataset(x[:n_train], y[:n_train], x[n_train:], y[n_train:],
+                      signal_coeffs=a, confound_coeffs=d)
 
 
 def ground_truth_ranking(dataset: ToyDataset, variant: str,

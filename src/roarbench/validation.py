@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import nn, pipeline, toydata
-from .config import ExperimentConfig
+from . import experiment, nn, pipeline, toydata
+from .config import ConfigError, ExperimentConfig
 
 TOY_THRESHOLDS = (0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0)
 
@@ -46,28 +46,23 @@ class ToyValidationResult:
 
 def run_toy_validation(cfg: ExperimentConfig) -> ToyValidationResult:
     """The toy contrast at TOY_THRESHOLDS, read from cfg's toy dataset keys,
-    seed, runs_per_point and ridge; the toy data is drawn from the config
-    seed itself."""
-    seed, spec = cfg.seed, cfg.dataset
-    toy = toydata.generate_toy(toydata.ToyConfig(
-        n_samples=spec.n_train + spec.n_test, dim=spec.dim,
-        n_informative=spec.n_informative, seed=seed))
-    dataset = toy.split(spec.n_train)
-
-    rankings = {
-        toydata.GROUND_TRUTH: toydata.ground_truth_ranking(
-            toy, toydata.GROUND_TRUTH),
-        toydata.INVERTED: toydata.ground_truth_ranking(toy, toydata.INVERTED),
-        toydata.RANDOM: toydata.ground_truth_ranking(
-            toy, toydata.RANDOM, seed=pipeline.derive_seed(seed, "ranking")),
-    }
-    scores = {name: pipeline.ranking_to_scores(order)
-              for name, order in rankings.items()}
+    seed, runs_per_point and ridge, on the dataset `build_context` draws
+    for cfg; a config of another dataset kind is refused."""
+    if cfg.dataset.kind != "toy":
+        raise ConfigError(
+            f"toy validation needs dataset kind 'toy', not "
+            f"{cfg.dataset.kind!r}")
+    dataset = experiment.build_context(cfg).dataset
+    scores = {variant: pipeline.ranking_to_scores(toydata.ground_truth_ranking(
+                  dataset, variant,
+                  seed=pipeline.derive_seed(cfg.seed, "ranking")))
+              for variant in (toydata.GROUND_TRUTH, toydata.INVERTED,
+                              toydata.RANDOM)}
 
     roar_grid = pipeline.run_roar(
         dataset, {name: (s, s) for name, s in scores.items()}, TOY_THRESHOLDS,
         nn.least_squares_trainer(cfg.train),
-        runs_per_point=cfg.runs_per_point, base_seed=seed)
+        runs_per_point=cfg.runs_per_point, base_seed=cfg.seed)
     baseline = nn.fit_least_squares(dataset, cfg.train.ridge, fit_bias=True)
     deletion_grid = pipeline.run_deletion_metric(
         dataset, baseline, scores.items(), TOY_THRESHOLDS)

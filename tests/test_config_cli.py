@@ -533,9 +533,9 @@ class TestCli:
             return compute_estimates(estimator_id, settings, model, x,
                                      targets, passes)
 
-        def ranking(scores, *args):
+        def ranking(dataset, split, scores):
             events.append(("rank", len(scores)))
-            return rank_split(scores, *args)
+            return rank_split(dataset, split, scores)
 
         monkeypatch.setattr(experiment, "compute_estimates", scoring)
         monkeypatch.setattr(pipeline, "rank_split", ranking)

@@ -190,8 +190,9 @@ class TestTopPositions:
         n = 5
         d = 6 if image_shape is None else int(np.prod(image_shape))
         scores = SCORE_KINDS[kind](rng, d if shared else (n, d))
-        positions = pipeline.rank_split(scores, np.zeros((n, d)),
-                                        image_shape, "train")
+        positions = pipeline.rank_split(
+            tiny_dataset(rng, n=n, d=d, image_shape=image_shape), "train",
+            scores)
         order = np.atleast_2d(rank_features(scores, image_shape))
         p = order.shape[1]
         assert positions.shape == (1 if shared else n, p)
@@ -204,8 +205,9 @@ class TestTopPositions:
     def test_one_channel_scores_are_not_copied(self, rng):
         scores = rng.standard_normal((4, 6))
         for image_shape in (None, (2, 3, 1)):
-            positions = pipeline.rank_split(scores, scores, image_shape,
-                                            "train")
+            ds = nn.ArrayDataset(scores, np.zeros(4, int), scores,
+                                 np.zeros(4, int), image_shape)
+            positions = pipeline.rank_split(ds, "train", scores)
             assert np.shares_memory(positions, scores)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
