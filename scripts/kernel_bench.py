@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process timings of the kernels the benchmark's stages are built from,
 on fixed bars shapes (12x12 images, d = 144, hidden 32, batch 32, two
-classes). Each figure is the min over --repeats runs:
+classes). Each time is the min over --repeats runs:
 
   sgd_step_us_r5, sgd_step_us_r50  one stacked SGD step of nn.train at R = 5
                                    and R = 50 runs, as (time of 2S steps -
@@ -17,7 +17,12 @@ classes). Each figure is the min over --repeats runs:
                                    0.9} x {roar, kar}, from a single
                                    pipeline.split_cells call in the order
                                    run_roar asks for them, so a threshold's
-                                   two cells share one selection.
+                                   two cells share one selection;
+  estimate_peak_mb                 the tracemalloc peak, in 10^6 bytes, of
+                                   experiment.save_estimates writing what
+                                   compute_all_estimates yields for the
+                                   scripts/bars_benchmark.py ids on both
+                                   splits; measured once.
 
 Prints one JSON line. Pin one BLAS thread to compare two checkouts:
 
@@ -27,14 +32,29 @@ Prints one JSON line. Pin one BLAS thread to compare two checkouts:
 import argparse
 import json
 import sys
+import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
-from roarbench import datasets, estimators, nn, pipeline
+from roarbench import datasets, estimators, experiment, nn, pipeline
+from roarbench.config import parse_config
 
 SIZE, HIDDEN, BATCH, N_TRAIN, N_TEST, BLOCK = 12, 32, 32, 300, 64, 64
 SAMPLES = 5  # the bars-grid workload's ensemble_samples
+ESTIMATE_CONFIG = f"""
+[dataset]
+kind = bars
+n_train = {N_TRAIN}
+n_test = {N_TEST}
+size = {SIZE}
+
+[estimators]
+ids = grad, gb, ig, sg-grad, sg_sq-grad, var-grad, grad-sq, random, sobel
+ig_steps = 10
+ensemble_samples = {SAMPLES}
+"""
 
 
 def best_of(repeats: int, fn) -> float:
@@ -67,6 +87,18 @@ def split_grid(dataset, scores, replacement):
             cell(threshold, mode)
 
 
+def estimate_peak_mb(dataset, model) -> float:
+    ctx = experiment.ExperimentContext(parse_config(ESTIMATE_CONFIG), dataset)
+    with tempfile.TemporaryDirectory() as directory:
+        tracemalloc.start()
+        try:
+            experiment.save_estimates(
+                experiment.compute_all_estimates(ctx, model), directory)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+
 def measure(steps: int, repeats: int) -> dict:
     dataset = datasets.generate_bars(N_TRAIN, N_TEST, size=SIZE, seed=0)
     model = nn.init_mlp([dataset.n_features, HIDDEN, 2],
@@ -86,6 +118,7 @@ def measure(steps: int, repeats: int) -> dict:
             dataset, "train", scores, replacement)(0.5, pipeline.ROAR)),
         "split_grid_us": 1e6 * best_of(
             repeats, lambda: split_grid(dataset, scores, replacement)),
+        "estimate_peak_mb": estimate_peak_mb(dataset, model),
     }
 
 

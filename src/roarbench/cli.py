@@ -87,9 +87,9 @@ def _baseline(ctx):
 
 def cmd_estimate(args) -> int:
     ctx = _context(args)
-    estimates = experiment.compute_all_estimates(ctx, _baseline(ctx))
-    experiment.save_estimates(estimates,
-                              os.path.join(ctx.config.output, "estimates"))
+    experiment.save_estimates(
+        experiment.compute_all_estimates(ctx, _baseline(ctx)),
+        os.path.join(ctx.config.output, "estimates"))
     return EXIT_OK
 
 
@@ -97,15 +97,16 @@ def cmd_modify(args) -> int:
     ctx = _context(args)
     cfg = ctx.config
     estimates_dir = os.path.join(cfg.output, "estimates")
-    if os.path.isdir(estimates_dir):
-        estimates = experiment.load_estimates(ctx, estimates_dir)
-    else:  # saved, since every saved cell is rebuilt from them
-        estimates = experiment.compute_all_estimates(ctx, _baseline(ctx))
-        experiment.save_estimates(estimates, estimates_dir)
-    # Each cell's manifest is saved as it is built; no cell is kept after.
+    if not os.path.isdir(estimates_dir):  # saved cells are rebuilt from them
+        experiment.save_estimates(
+            experiment.compute_all_estimates(ctx, _baseline(ctx)),
+            estimates_dir)
+    # One estimator's scores are read at a time, and each cell's manifest is
+    # saved as it is built; no cell is kept after.
     for m in pipeline.generate_modified_datasets(
-            ctx.dataset, estimates, cfg.thresholds, modes=cfg.modes,
-            source_id=cfg.dataset.kind, seed=cfg.seed):
+            ctx.dataset, experiment.load_estimates(ctx, estimates_dir),
+            cfg.thresholds, modes=cfg.modes, source_id=cfg.dataset.kind,
+            seed=cfg.seed):
         p = m.provenance
         pipeline.save_modified_dataset(m, os.path.join(
             cfg.output, "modified",

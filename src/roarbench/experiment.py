@@ -103,17 +103,22 @@ def score_split(settings: EstimatorSettings, model: nn.Model, x: np.ndarray,
                 model, x, targets, passes=passes)
 
 
-def compute_all_estimates(ctx: ExperimentContext, model: nn.Model
-                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def compute_all_estimates(ctx: ExperimentContext, model: nn.Model,
+                          ids=None):
+    """Yield (estimator_id, (train scores, test scores)) for `ids` (by
+    default every configured estimator), scored against `model` by one
+    `score_split` per split, advanced in lockstep: family by family, each
+    pair as soon as both its splits are scored. A consumer that keeps no
+    pair holds one family's passes and the scores of the estimator being
+    scored and the one before it, not the scores of every id."""
     settings = estimator_settings(ctx)
-    ids = ctx.config.estimators.ids
+    ids = ctx.config.estimators.ids if ids is None else ids
     ds = ctx.dataset
-    train = dict(score_split(settings, model, ds.train_x, ds.train_y, ids,
-                             "train"))
-    test = dict(score_split(settings, model, ds.test_x, ds.test_y, ids,
-                            "test"))
-    return {estimator_id: (train[estimator_id], test[estimator_id])
-            for estimator_id in ids}
+    for (estimator_id, train_scores), (_, test_scores) in zip(
+            score_split(settings, model, ds.train_x, ds.train_y, ids,
+                        "train"),
+            score_split(settings, model, ds.test_x, ds.test_y, ids, "test")):
+        yield estimator_id, (train_scores, test_scores)
 
 
 def deletion_estimates(ctx: ExperimentContext, model: nn.Model):
@@ -169,8 +174,12 @@ def load_baseline(cfg: ExperimentConfig, path: str
 
 
 def save_estimates(estimates, directory: str):
+    """Write each (estimator_id, (train scores, test scores)) pair of
+    `estimates` to `<directory>/<estimator_id>.npz`, through a temporary file
+    and a rename, before the next pair is pulled; so a generator of pairs
+    (`compute_all_estimates`) is saved one estimator at a time."""
     os.makedirs(directory, exist_ok=True)
-    for estimator_id, (train_scores, test_scores) in estimates.items():
+    for estimator_id, (train_scores, test_scores) in estimates:
         path = os.path.join(directory, f"{estimator_id}.npz")
         tmp = path + ".tmp.npz"  # suffix keeps savez from renaming it
         np.savez(tmp, train=train_scores, test=test_scores)
@@ -178,9 +187,10 @@ def save_estimates(estimates, directory: str):
 
 
 def load_estimates(ctx: ExperimentContext, directory: str):
-    """Cached scores of every configured estimator (`load_estimate`)."""
-    return {estimator_id: load_estimate(ctx, directory, estimator_id)
-            for estimator_id in ctx.config.estimators.ids}
+    """Yield (estimator_id, cached (train, test) scores) in config order,
+    each file read and checked (`load_estimate`) only when it is reached."""
+    for estimator_id in ctx.config.estimators.ids:
+        yield estimator_id, load_estimate(ctx, directory, estimator_id)
 
 
 def load_estimate(ctx: ExperimentContext, directory: str, estimator_id: str
@@ -248,15 +258,14 @@ def check_output_config(cfg: ExperimentConfig, output_dir: str,
 def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
     """Execute the estimate -> modify -> retrain grid with resumability.
     The unit of work is one estimator: an estimator whose fragment exists
-    is skipped; the others are scored against `model` by one `score_split`
-    per split, advanced in lockstep, so the ids of a pass family reduce one
-    set of passes, family by family. Each is retrained by
+    is skipped; the others are scored against `model` by
+    `compute_all_estimates`, so the ids of a pass family reduce one set of
+    passes, family by family. Each is retrained by
     `pipeline.run_roar` as soon as it is scored, and its rows are written
     to its fragment in grid order. A family's passes are dropped once its
     last member has retrained. The `run_roar` calls share one dict, so each
     rank-free cell trains once per grid."""
     cfg = ctx.config
-    ds = ctx.dataset
     os.makedirs(os.path.join(output_dir, "cells"), exist_ok=True)
     paths = {estimator_id: os.path.join(output_dir, "cells",
                                         f"{estimator_id}.csv")
@@ -269,16 +278,11 @@ def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
         else:
             pending.append(estimator_id)
     trainer = make_trainer(cfg)
-    settings = estimator_settings(ctx)
     shared = {}
-    for (estimator_id, train_scores), (_, test_scores) in zip(
-            score_split(settings, model, ds.train_x, ds.train_y, pending,
-                        "train"),
-            score_split(settings, model, ds.test_x, ds.test_y, pending,
-                        "test")):
+    for estimator_id, scores in compute_all_estimates(ctx, model, pending):
         grid = pipeline.run_roar(
-            ds, {estimator_id: (train_scores, test_scores)}, cfg.thresholds,
-            trainer, cfg.runs_per_point, cfg.modes, cfg.seed, shared)
+            ctx.dataset, {estimator_id: scores}, cfg.thresholds, trainer,
+            cfg.runs_per_point, cfg.modes, cfg.seed, shared)
         pipeline._atomic_write_text(paths[estimator_id], "\n".join(
             map(pipeline.record_row, grid.entries)) + "\n")
         print(f"estimator={estimator_id} status=done", file=sys.stderr,

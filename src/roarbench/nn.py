@@ -361,14 +361,19 @@ def fit_least_squares(dataset: ArrayDataset, ridge: float = 0.0,
     """
     x = dataset.train_x
     y = dataset.train_y.astype(np.float64)
+    gram, rhs = x.T @ x, x.T @ y
     if fit_bias:
-        x = np.hstack([x, np.ones((x.shape[0], 1))])
-    d = x.shape[1]
-    gram = x.T @ x + ridge * np.eye(d)
+        # The bias column is all ones, so its Gram row and column are the
+        # column sums and the row count: no copy of x with a ones column.
+        sums = x.sum(axis=0)
+        gram = np.block([[gram, sums[:, None]], [sums, float(len(x))]])
+        rhs = np.append(rhs, y.sum())
+    d = len(gram)
+    gram += ridge * np.eye(d)
     if ridge == 0.0 and np.linalg.matrix_rank(gram) < d:
         raise SingularMatrixError(
             "singular normal equations; use ridge > 0 or a full-rank design")
-    w = np.linalg.solve(gram, x.T @ y)
+    w = np.linalg.solve(gram, rhs)
     if fit_bias:
         weight, bias = w[:-1], w[-1:]
     else:

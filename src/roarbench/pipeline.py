@@ -213,17 +213,18 @@ def split_cells(dataset: ArrayDataset, split: str, scores: np.ndarray,
     return cell
 
 
-def generate_modified_datasets(dataset: ArrayDataset,
-                               estimates: dict[str, tuple[np.ndarray, np.ndarray]],
-                               thresholds, modes=(ROAR,),
-                               source_id: str = "dataset", seed: int = 0
-                               ) -> Iterator[ModifiedDataset]:
+def generate_modified_datasets(
+        dataset: ArrayDataset,
+        estimates: Iterable[tuple[str, tuple[np.ndarray, np.ndarray]]],
+        thresholds, modes=(ROAR,), source_id: str = "dataset", seed: int = 0
+        ) -> Iterator[ModifiedDataset]:
     """Yield one ModifiedDataset per (estimator, threshold, mode), one at a
     time, so callers can persist each before the next is built, each
-    split modified through `split_cells`; `seed` is the config seed
-    provenance records."""
+    split modified through `split_cells`, from (estimator_id, (train scores,
+    test scores)) pairs; a generator of pairs lets the caller read or score
+    one estimator at a time. `seed` is the config seed provenance records."""
     replacement = replacement_matrix(dataset)
-    for estimator_id, (train_scores, test_scores) in estimates.items():
+    for estimator_id, (train_scores, test_scores) in estimates:
         train_cell = split_cells(dataset, "train", train_scores, replacement)
         test_cell = split_cells(dataset, "test", test_scores, replacement)
         for threshold in thresholds:
@@ -243,7 +244,7 @@ def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
     """Modify both train and test splits at one (estimator, t, mode) cell:
     the one-cell grid of `generate_modified_datasets`."""
     return next(generate_modified_datasets(
-        dataset, {estimator_id: (train_scores, test_scores)}, [threshold],
+        dataset, [(estimator_id, (train_scores, test_scores))], [threshold],
         (mode,), source_id, seed))
 
 
@@ -415,15 +416,21 @@ def run_deletion_metric(dataset: ArrayDataset, original_model: Model,
     """Score removal-modified TEST sets, modified through `split_cells`,
     with the frozen original model, from (estimator_id, test-split scores)
     pairs; a generator of pairs lets the caller score one estimator at a
-    time."""
+    time. Each `cell_key` is scored once, so a rank-free cell (t = 0 or
+    t = 1) is scored for the first estimator and its accuracy shared."""
     grid = ResultGrid()
     replacement = replacement_matrix(dataset)
+    accuracies = {}
     for estimator_id, test_scores in test_estimates:
         test_cell = split_cells(dataset, "test", test_scores, replacement)
         for threshold in thresholds:
-            acc = accuracy(original_model, test_cell(threshold, ROAR),
-                           dataset.test_y)
-            grid.add(Record(estimator_id, threshold, ROAR, 0, acc))
+            key = cell_key(estimator_id, threshold, ROAR, len(replacement))
+            if key not in accuracies:
+                accuracies[key] = accuracy(
+                    original_model, test_cell(threshold, ROAR),
+                    dataset.test_y)
+            grid.add(Record(estimator_id, threshold, ROAR, 0,
+                            accuracies[key]))
     return grid
 
 

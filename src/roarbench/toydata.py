@@ -42,7 +42,12 @@ def generate_toy(n_train: int = 10_000, n_test: int = 2_000, dim: int = 16,
     z = rng.standard_normal(n)
     eta = rng.standard_normal(n)
     eps = rng.standard_normal((n, dim))
-    x = np.outer(z, a) / 10.0 + np.outer(eta, d) + eps / 10.0
+    # a*z/10 + d*eta + eps/10 in place, in the same order: the same bits.
+    x = np.outer(z, a)
+    x /= 10.0
+    x += np.outer(eta, d)
+    eps /= 10.0
+    x += eps
     y = (z > 0.0).astype(np.int64)
     return ToyDataset(x[:n_train], y[:n_train], x[n_train:], y[n_train:],
                       signal_coeffs=a, confound_coeffs=d)

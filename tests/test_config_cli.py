@@ -2,6 +2,7 @@ import importlib.util
 import os
 import re
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -550,7 +551,7 @@ class TestCli:
         # Scoring both splits up front gives the same bytes.
         ctx = experiment.build_context(parse_config(BARS))
         model, _ = experiment.train_baseline(ctx)
-        estimates = experiment.compute_all_estimates(ctx, model)
+        estimates = dict(experiment.compute_all_estimates(ctx, model))
         expected = str(tmp_path / "expected.csv")
         pipeline.run_deletion_metric(
             ctx.dataset, model,
@@ -576,7 +577,7 @@ class TestCli:
                        "--output", out) == 0
         ctx = experiment.build_context(parse_config(BARS))
         model, _ = experiment.train_baseline(ctx)
-        estimates = experiment.compute_all_estimates(ctx, model)
+        estimates = dict(experiment.compute_all_estimates(ctx, model))
         cfg = ctx.config
         for estimator_id in cfg.estimators.ids:
             for threshold in cfg.thresholds:
@@ -647,8 +648,8 @@ class TestCli:
         # each, shared by sg, sg_sq and var.
         assert len(calls) == 3 * (3 + 15 * 3) == 144
         ctx = experiment.build_context(parse_config(BARS_ESTIMATE))
-        saved = experiment.load_estimates(
-            ctx, os.path.join(out, "estimates"))
+        saved = dict(experiment.load_estimates(
+            ctx, os.path.join(out, "estimates")))
         model, _ = experiment.train_baseline(ctx)
         settings = experiment.estimator_settings(ctx)
         calls.clear()
@@ -1117,7 +1118,7 @@ class TestRankFreeGrid:
         # version.
         ctx = experiment.build_context(parse_config(GRID))
         model, _ = experiment.train_baseline(ctx)
-        estimates = experiment.compute_all_estimates(ctx, model)
+        estimates = dict(experiment.compute_all_estimates(ctx, model))
         trainer = experiment.make_trainer(ctx.config)
         for e in ("grad", "random"):
             for mode in ("roar", "kar"):
@@ -1263,7 +1264,7 @@ class TestFailures:
         cfg = ctx.config
         model, _ = experiment.train_baseline(ctx)
         grid = pipeline.run_roar(
-            ctx.dataset, experiment.compute_all_estimates(ctx, model),
+            ctx.dataset, dict(experiment.compute_all_estimates(ctx, model)),
             cfg.thresholds, experiment.make_trainer(cfg), cfg.runs_per_point,
             cfg.modes, cfg.seed)
         assert grid.failures
@@ -1336,7 +1337,7 @@ class TestIdxRun:
 class TestLoadEstimates:
     """`modify` reuses `estimates/` only if every file holds finite scores,
     one row per sample of its split or one shared row; anything else is
-    refused by file name, and the CLI exits 3."""
+    refused by file name, when it is reached, and the CLI exits 3."""
 
     @pytest.fixture
     def cached(self, bars_config, tmp_path):
@@ -1348,7 +1349,7 @@ class TestLoadEstimates:
 
     def test_matching_files_load(self, cached):
         ctx, _, directory = cached
-        estimates = experiment.load_estimates(ctx, directory)
+        estimates = dict(experiment.load_estimates(ctx, directory))
         d = ctx.dataset.n_features
         for train, test in estimates.values():
             assert train.shape == (len(ctx.dataset.train_x), d)
@@ -1358,7 +1359,7 @@ class TestLoadEstimates:
         ctx, out, directory = cached
         os.remove(os.path.join(directory, "random.npz"))
         with pytest.raises(pipeline.ProvenanceError, match="random.npz"):
-            experiment.load_estimates(ctx, directory)
+            dict(experiment.load_estimates(ctx, directory))
         assert run_cli("modify", "--config", bars_config,
                        "--output", out) == 3
 
@@ -1375,7 +1376,7 @@ class TestLoadEstimates:
         np.savez(path, **arrays)
         with pytest.raises(pipeline.ProvenanceError,
                            match=f"grad.npz holds {split} scores of shape"):
-            experiment.load_estimates(ctx, directory)
+            dict(experiment.load_estimates(ctx, directory))
         assert run_cli("modify", "--config", bars_config,
                        "--output", out) == 3
 
@@ -1391,7 +1392,7 @@ class TestLoadEstimates:
         np.savez(path, **arrays)
         with pytest.raises(pipeline.ProvenanceError,
                            match=f"grad.npz holds non-finite {split} scores"):
-            experiment.load_estimates(ctx, directory)
+            dict(experiment.load_estimates(ctx, directory))
         assert run_cli("modify", "--config", bars_config,
                        "--output", out) == 3
         assert not os.path.exists(os.path.join(out, "modified"))
@@ -1405,22 +1406,117 @@ class TestLoadEstimates:
         with open(path, "wb") as f:
             f.write(content)
         with pytest.raises(pipeline.ProvenanceError, match=re.escape(path)):
-            experiment.load_estimates(ctx, directory)
+            dict(experiment.load_estimates(ctx, directory))
         capsys.readouterr()
         assert run_cli("modify", "--config", bars_config,
                        "--output", out) == 3
         assert path in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "modified"))
 
+    def test_corrupt_later_file_is_refused_after_earlier_cells(
+            self, cached, bars_config, capsys):
+        # The files are read one estimator at a time, so `random.npz`, the
+        # second, is refused after `grad`'s cells may have been written;
+        # each of those is a valid cell of this config.
+        _, out, directory = cached
+        path = os.path.join(directory, "random.npz")
+        with open(path, "wb") as f:
+            f.write(b"junk")
+        capsys.readouterr()
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", out) == 3
+        assert path in capsys.readouterr().err
+        modified = os.path.join(out, "modified")
+        names = os.listdir(modified) if os.path.isdir(modified) else []
+        for name in names:
+            cell = pipeline.load_modified_dataset(
+                os.path.join(modified, name))
+            assert cell.provenance.estimator_id == "grad"
+
     def test_shared_row_is_accepted(self, cached, bars_config):
         ctx, out, directory = cached
         d = ctx.dataset.n_features
         np.savez(os.path.join(directory, "grad.npz"),
                  train=np.arange(d, dtype=float), test=np.ones(d))
-        train, test = experiment.load_estimates(ctx, directory)["grad"]
+        train, test = dict(experiment.load_estimates(ctx, directory))["grad"]
         assert train.shape == test.shape == (d,)
         assert run_cli("modify", "--config", bars_config,
                        "--output", out) == 0
+
+
+# Twelve ids on 500 12 x 12 images: each id's scores take 0.58 MB, all
+# twelve 6.9 MB.
+STREAMED = """
+[experiment]
+seed = 5
+thresholds = 0,0.5
+modes = roar
+
+[dataset]
+kind = bars
+n_train = 400
+n_test = 100
+size = 12
+
+[estimators]
+ids = grad, gb, sg-grad, sg-gb, sg_sq-grad, sg_sq-gb, var-grad, var-gb, \
+grad-sq, gb-sq, random, sobel
+ensemble_samples = 2
+
+[train]
+model = mlp
+hidden = 8
+steps = 20
+batch_size = 16
+"""
+
+
+class TestStreamedEstimates:
+    """`estimate` saves each estimator's scores as soon as both splits are
+    scored, and `modify` reads them one estimator at a time, so neither
+    holds the scores of every configured id."""
+
+    def test_peak_memory_stays_below_every_ids_scores(self, tmp_path):
+        config = tmp_path / "config.ini"
+        config.write_text(STREAMED)
+        spec = parse_config(STREAMED)
+        n = spec.dataset.n_train + spec.dataset.n_test
+        every_id = len(spec.estimators.ids) * n * spec.dataset.size ** 2 * 8
+        out = str(tmp_path / "out")
+        peaks = {}
+        for command in ("estimate", "modify"):
+            tracemalloc.start()
+            try:
+                assert run_cli(command, "--config", str(config),
+                               "--output", out) == 0
+                peaks[command] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < every_id, (peaks, every_id)
+
+    def test_estimate_writes_each_file_before_scoring_the_next(
+            self, tmp_path, monkeypatch):
+        config = tmp_path / "config.ini"
+        config.write_text(BARS.replace(
+            "ids = grad, random",
+            "ids = sg-grad, grad, random, var-grad\nensemble_samples = 2"))
+        directory = tmp_path / "out" / "estimates"
+        seen = []
+        compute_estimates = experiment.compute_estimates
+
+        def recording(estimator_id, *args, **kwargs):
+            seen.append((estimator_id,
+                         sorted(p.name for p in directory.glob("*.npz"))))
+            return compute_estimates(estimator_id, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "compute_estimates", recording)
+        assert run_cli("estimate", "--config", str(config),
+                       "--output", str(tmp_path / "out")) == 0
+        # Family order: var-grad shares sg-grad's noisy passes.
+        order = ["sg-grad", "var-grad", "grad", "random"]
+        assert seen == [(e, sorted(f"{d}.npz" for d in order[:i]))
+                        for i, e in enumerate(order)
+                        for split in ("train", "test")]
 
 
 class TestEstimatorSettings:
@@ -1447,7 +1543,7 @@ class TestEstimatorSettings:
             "ids = grad, random",
             "ids = sg-grad, var-grad, random\nensemble_samples = 3")))
         model, _ = experiment.train_baseline(ctx)
-        estimated = experiment.compute_all_estimates(ctx, model)
+        estimated = dict(experiment.compute_all_estimates(ctx, model))
         deletion = dict(experiment.deletion_estimates(ctx, model))
         ran = {}
 

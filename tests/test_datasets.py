@@ -240,7 +240,8 @@ class TestPipelineReadsTheShape:
     def test_generate_modified_datasets(self, dataset):
         train_scores, test_scores = self.scores(dataset)
         out = list(pipeline.generate_modified_datasets(
-            dataset, {"e": (train_scores, test_scores)}, self.THRESHOLDS,
+            dataset, {"e": (train_scores, test_scores)}.items(),
+            self.THRESHOLDS,
             modes=(pipeline.ROAR, pipeline.KAR)))
         assert len(out) == len(self.cells())
         for m, (t, mode) in zip(out, self.cells()):

@@ -234,7 +234,8 @@ class TestGenerateModifiedDatasets:
     def test_zero_threshold_equals_source(self, rng):
         ds = tiny_dataset(rng)
         scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
-        out = list(generate_modified_datasets(ds, {"e": scores}, [0.0]))
+        out = list(generate_modified_datasets(ds, {"e": scores}.items(),
+                                              [0.0]))
         assert len(out) == 1
         np.testing.assert_array_equal(out[0].train_x, ds.train_x)
         np.testing.assert_array_equal(out[0].test_x, ds.test_x)
@@ -243,7 +244,7 @@ class TestGenerateModifiedDatasets:
         ds = tiny_dataset(rng)
         scores = rng.standard_normal((20, 6)), rng.standard_normal((8, 6))
         out = list(generate_modified_datasets(
-            ds, {"a": scores, "b": scores}, [0.0, 0.3, 0.5, 0.7, 0.9],
+            ds, {"a": scores, "b": scores}.items(), [0.0, 0.3, 0.5, 0.7, 0.9],
             modes=(ROAR, KAR)))
         assert len(out) == 20
         tuples = {(m.provenance.estimator_id, m.provenance.threshold,
@@ -295,7 +296,7 @@ class TestGenerateModifiedDatasets:
             mp.setattr(pipeline, "top_positions",
                        lambda *a: selections.append(1) or top_positions(*a))
             out = list(generate_modified_datasets(
-                ds, estimates, thresholds, modes=(ROAR, KAR),
+                ds, estimates.items(), thresholds, modes=(ROAR, KAR),
                 source_id="src"))
         assert len(calls) == 2 * n_estimators
         # Sorted thresholds with the same replaced count share one, too.
@@ -317,8 +318,8 @@ class TestGenerateModifiedDatasets:
         ds = tiny_dataset(rng)
         short = rng.standard_normal((5, 6))  # fewer rows than samples
         with pytest.raises(ProvenanceError, match="sample"):
-            list(generate_modified_datasets(ds, {"e": (short, short)},
-                                            [0.5]))
+            list(generate_modified_datasets(
+                ds, {"e": (short, short)}.items(), [0.5]))
 
 
 class TestOneBuilder:
@@ -340,7 +341,7 @@ class TestOneBuilder:
             ds, *est["a"], "a", 0.5, KAR), ["train", "test"]),
         "generate_modified_datasets": (
             lambda ds, est: list(generate_modified_datasets(
-                ds, est, [0.3, 0.5], (ROAR, KAR))),
+                ds, est.items(), [0.3, 0.5], (ROAR, KAR))),
             ["train", "test"] * 2),
         "run_roar": (lambda ds, est: run_roar(
             ds, est, [0.3, 0.5], nn.least_squares_trainer(
@@ -635,12 +636,31 @@ class TestDeletionMetric:
                                                        ds.test_y)
         assert grid.records[0].run_index == 0
 
+    def test_rank_free_cells_are_scored_once(self, rng, monkeypatch):
+        """t = 0 and t = 1 replace no position or every one, whatever the
+        ranking, so each is scored once for all estimators, with the
+        accuracy that scoring each estimator alone gives."""
+        ds = tiny_dataset(rng, n=60, m=30)
+        model = nn.fit_least_squares(ds, ridge=1e-6, fit_bias=True)
+        estimates = [(e, rng.standard_normal((30, 6))) for e in "abc"]
+        thresholds = (0.0, 0.5, 1.0)
+        alone = [record for pair in estimates for record in
+                 run_deletion_metric(ds, model, [pair], thresholds).records]
+        forwards = []
+        accuracy = pipeline.accuracy
+        monkeypatch.setattr(pipeline, "accuracy",
+                            lambda *a: forwards.append(1) or accuracy(*a))
+        grid = run_deletion_metric(ds, model, estimates, thresholds)
+        assert len(forwards) == 2 + len(estimates)
+        assert grid.records == alone
+
     def test_shares_one_selection_per_replaced_count(self, rng,
                                                      monkeypatch):
         """Each estimator's test scores are checked once, and consecutive
-        thresholds that replace the same count share one selection, yet
-        every scored set equals the one-cell reference. Coarse scores force
-        ties."""
+        thresholds that replace the same count share one selection, and the
+        rank-free cells (t = 0 and t = 1) are scored for the first estimator
+        only, yet every scored set equals the one-cell reference. Coarse
+        scores force ties."""
         ds = tiny_dataset(rng, n=40, m=20)
         estimates = [("e0", rng.integers(0, 3, (20, 6)).astype(float)),
                      ("e1", rng.integers(0, 3, 6).astype(float))]
@@ -657,8 +677,9 @@ class TestDeletionMetric:
                             lambda model, x, y: seen.append(x) or 1.0)
         run_deletion_metric(ds, None, estimates, thresholds)
         assert len(calls) == len(estimates)
-        assert len(selections) == 4 * len(estimates)
-        cells = [(scores, t) for _, scores in estimates for t in thresholds]
+        assert len(selections) == 4 + 2
+        cells = [(estimates[0][1], t) for t in thresholds] + [
+            (estimates[1][1], t) for t in thresholds[1:-1]]
         assert len(seen) == len(cells)
         for test_x, (scores, t) in zip(seen, cells):
             want = make_modified_dataset(ds, np.zeros(6), scores, "e", t,
@@ -752,7 +773,8 @@ class TestPersistence:
         out = modified_output(tmp_path, TINY_BARS)
         ctx = experiment.build_context(
             parse_config((out / "config.ini").read_text()))
-        estimates = experiment.load_estimates(ctx, str(out / "estimates"))
+        estimates = dict(experiment.load_estimates(
+            ctx, str(out / "estimates")))
         loaded = load_modified_dataset(
             str(out / "modified" / pipeline.cell_name("grad", 0.5, ROAR)))
         modified = make_modified_dataset(ctx.dataset, *estimates["grad"],
@@ -908,7 +930,8 @@ class TestRecipe:
         out = modified_output(tmp_path, text)
         cfg = parse_config(text)
         ctx = experiment.build_context(cfg)
-        estimates = experiment.load_estimates(ctx, str(out / "estimates"))
+        estimates = dict(experiment.load_estimates(
+            ctx, str(out / "estimates")))
         names = sorted(p.name for p in (out / "modified").iterdir())
         assert len(names) == (len(cfg.estimators.ids) * len(cfg.thresholds)
                               * len(cfg.modes))
