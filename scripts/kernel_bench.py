@@ -7,7 +7,11 @@ classes). Each time is the min over --repeats runs:
                                    and R = 50 runs, as (time of 2S steps -
                                    time of S steps) / S, so setup, init and
                                    scoring cancel;
-  input_gradient_us                nn.input_gradient on a 64-row block;
+  input_gradient_us                nn.input_gradient on a 64-row block,
+                                   float64 model and rows;
+  input_gradient_f32_us            the same on the model cast to
+                                   nn.TRAIN_DTYPE, as a trained baseline
+                                   is, and the bars rows as they are built;
   ensemble_noise_us                estimators.ensemble_noise for a 64-row
                                    block at S = 5 noisy copies;
   split_cell_us                    one pipeline.split_cells cell: the
@@ -22,7 +26,8 @@ classes). Each time is the min over --repeats runs:
                                    experiment.save_estimates writing what
                                    compute_all_estimates yields for the
                                    scripts/bars_benchmark.py ids on both
-                                   splits; measured once.
+                                   float32 bars splits, scored against the
+                                   TRAIN_DTYPE model; measured once.
 
 Prints one JSON line. Pin one BLAS thread to compare two checkouts:
 
@@ -103,14 +108,20 @@ def measure(steps: int, repeats: int) -> dict:
     dataset = datasets.generate_bars(N_TRAIN, N_TEST, size=SIZE, seed=0)
     model = nn.init_mlp([dataset.n_features, HIDDEN, 2],
                         np.random.default_rng(0))
+    model32 = nn.Model([nn.Affine(a.weight.astype(nn.TRAIN_DTYPE),
+                                  a.bias.astype(nn.TRAIN_DTYPE))
+                        for a in model.layers])
     block, targets = dataset.train_x[:BLOCK], dataset.train_y[:BLOCK]
+    block64 = block.astype(np.float64)
     scores = np.random.default_rng(1).standard_normal(dataset.train_x.shape)
     replacement = pipeline.replacement_matrix(dataset)
     return {
         "sgd_step_us_r5": sgd_step_us(dataset, 5, steps, repeats),
         "sgd_step_us_r50": sgd_step_us(dataset, 50, steps, repeats),
         "input_gradient_us": 1e6 * best_of(
-            repeats, lambda: nn.input_gradient(model, block, targets)),
+            repeats, lambda: nn.input_gradient(model, block64, targets)),
+        "input_gradient_f32_us": 1e6 * best_of(
+            repeats, lambda: nn.input_gradient(model32, block, targets)),
         "ensemble_noise_us": 1e6 * best_of(
             repeats, lambda: estimators.ensemble_noise(
                 0, BLOCK, BLOCK, SAMPLES * dataset.n_features)),
@@ -118,7 +129,7 @@ def measure(steps: int, repeats: int) -> dict:
             dataset, "train", scores, replacement)(0.5, pipeline.ROAR)),
         "split_grid_us": 1e6 * best_of(
             repeats, lambda: split_grid(dataset, scores, replacement)),
-        "estimate_peak_mb": estimate_peak_mb(dataset, model),
+        "estimate_peak_mb": estimate_peak_mb(dataset, model32),
     }
 
 

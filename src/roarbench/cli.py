@@ -102,7 +102,7 @@ def cmd_modify(args) -> int:
             experiment.compute_all_estimates(ctx, _baseline(ctx)),
             estimates_dir)
     # One estimator's scores are read at a time, and each cell's manifest is
-    # saved as it is built; no cell is kept after.
+    # saved as it is built; no cell is kept while the next is built.
     for m in pipeline.generate_modified_datasets(
             ctx.dataset, experiment.load_estimates(ctx, estimates_dir),
             cfg.thresholds, modes=cfg.modes, source_id=cfg.dataset.kind,
@@ -111,6 +111,7 @@ def cmd_modify(args) -> int:
         pipeline.save_modified_dataset(m, os.path.join(
             cfg.output, "modified",
             pipeline.cell_name(p.estimator_id, p.threshold, p.mode)))
+        del m
     return EXIT_OK
 
 

@@ -1,6 +1,6 @@
 """Image dataset ingestion: IDX (big-endian) reading and writing, [0,1]
 normalization, and a synthetic oriented-bar generator so experiments need no
-downloads."""
+downloads. Image features are held in the training dtype, `nn.TRAIN_DTYPE`."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 
-from .nn import ArrayDataset
+from .nn import TRAIN_DTYPE, ArrayDataset
 
 IDX_UBYTE = 0x08
 
@@ -67,11 +67,15 @@ def make_image_dataset(train_images: np.ndarray, train_labels: np.ndarray,
                        test_images: np.ndarray, test_labels: np.ndarray
                        ) -> ArrayDataset:
     """Flatten uint8 (n, H, W, C) image stacks and divide by 255, so the
-    features lie in [0, 1]; the dataset carries the (H, W, C) shape."""
+    features lie in [0, 1], as TRAIN_DTYPE features; the dataset carries the
+    (H, W, C) shape. Each byte's quotient is taken in float64 and rounded
+    once, through a 256-entry table, so no float64 copy of a split is made.
+    """
+    scale = (np.arange(256) / 255.0).astype(TRAIN_DTYPE)
     return ArrayDataset(
-        train_x=train_images.reshape(len(train_images), -1) / 255.0,
+        train_x=scale[train_images.reshape(len(train_images), -1)],
         train_y=train_labels.astype(np.int64),
-        test_x=test_images.reshape(len(test_images), -1) / 255.0,
+        test_x=scale[test_images.reshape(len(test_images), -1)],
         test_y=test_labels.astype(np.int64),
         image_shape=tuple(train_images.shape[1:]),
     )
@@ -92,6 +96,7 @@ def generate_bars(n_train: int, n_test: int, size: int = 12,
                   noise: float = 0.1, seed: int = 0) -> ArrayDataset:
     """Two-class oriented-bar images: one bright horizontal (class 0) or
     vertical (class 1) bar at a random position, plus clipped Gaussian noise.
+    The images are drawn in float64 and rounded once to TRAIN_DTYPE.
     """
     rng = np.random.default_rng(np.uint64(seed))
 
@@ -104,7 +109,8 @@ def generate_bars(n_train: int, n_test: int, size: int = 12,
         images[rows, positions[rows], :] = intensity[rows, None]
         images[cols, :, positions[cols]] = intensity[cols, None]
         images = np.clip(images + rng.normal(0, noise, images.shape), 0, 1)
-        return images.reshape(n, size * size), labels.astype(np.int64)
+        return (images.reshape(n, size * size).astype(TRAIN_DTYPE),
+                labels.astype(np.int64))
 
     train_x, train_y = batch(n_train)
     test_x, test_y = batch(n_test)

@@ -3,7 +3,8 @@ gradients, the SmoothGrad-family ensembles, squared variants, and the two
 model-independent controls (random scores, Sobel edge magnitude).
 
 Every model-based estimator maps (model, X, targets) -- (n, d) rows and (n,)
-target units -- to (n, d) scores."""
+target units -- to (n, d) scores, computed in the dtype of the rows and the
+model together (`np.result_type`), as `nn.forward` computes."""
 
 from __future__ import annotations
 
@@ -57,11 +58,14 @@ def estimate_ig(model: Model, x: np.ndarray, targets, steps: int,
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    x = np.asarray(x, dtype=np.float64)
+    first, upper = model.layers[0], model.layers[1:]
+    x = np.asarray(x)
+    dtype = np.result_type(x, first.weight)
+    x = x.astype(dtype, copy=False)
     if x.ndim != 2:
         raise ValueError(f"input of shape {x.shape}; expected (n, d) rows")
-    ref = np.zeros(x.shape[1:]) if reference is None else np.asarray(
-        reference, dtype=np.float64)
+    ref = np.zeros(x.shape[1:], dtype) if reference is None else np.asarray(
+        reference, dtype=dtype)
     if ref.shape != x.shape[1:]:
         raise ValueError(f"reference shape {ref.shape} != sample shape "
                          f"{x.shape[1:]}")
@@ -69,10 +73,9 @@ def estimate_ig(model: Model, x: np.ndarray, targets, steps: int,
     if targets.shape != (len(x),):  # checked before the path tiles them
         raise ValueError(f"{targets.shape} targets for {len(x)} rows")
     delta = x - ref
-    first, upper = model.layers[0], model.layers[1:]
     if not upper:
         return delta * input_gradient(model, x, targets)
-    fractions = np.arange(1, steps + 1)[:, None, None] / steps
+    fractions = (np.arange(1, steps + 1)[:, None, None] / steps).astype(dtype)
     h = fractions * (delta @ first.weight)  # (steps, n, h1)
     h += ref @ first.weight + first.bias
     path_shape = h.shape
@@ -120,28 +123,32 @@ def ensemble_moments(base: Callable[[Model, np.ndarray, np.ndarray],
     VAR are reductions.
 
     Row i's noise is row first_row + i of `ensemble_noise(settings.seed,
-    ...)`, scaled by the stddev in float64, so a row's scores do not depend
-    on the rows batched with it.
+    ...)`, scaled by the stddev and added to the row in float64, so a row's
+    scores do not depend on the rows batched with it. Each noisy copy is
+    then rounded once to the dtype of x and the model, and scored in it.
+    The moments are float64 whatever that dtype: VAR's mean_sq - mean**2
+    cancels, so they accumulate in float64.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     samples, stddev = settings.ensemble_samples, settings.noise_stddev
     if samples < 1:
         raise ValueError(f"ensemble_samples must be >= 1, got {samples}")
     if stddev == 0.0:
         # Every draw is x itself: one pass gives the moments exactly.
-        scores = base(model, x, targets)
+        scores = base(model, x, targets).astype(np.float64, copy=False)
         return scores, scores ** 2
     n, d = x.shape
+    dtype = np.result_type(x, model.layers[0].weight)
     noise = ensemble_noise(settings.seed, first_row, n,
                            samples * d).reshape(n, samples, d)
-    acc = np.zeros_like(x)
-    acc_sq = np.zeros_like(x)
+    acc = np.zeros((n, d))
+    acc_sq = np.zeros((n, d))
     for sample in range(samples):
         noisy = np.multiply(noise[:, sample], stddev, dtype=np.float64)
         noisy += x
-        scores = base(model, noisy, targets)
+        scores = base(model, noisy.astype(dtype, copy=False), targets)
         acc += scores
-        acc_sq += scores ** 2
+        acc_sq += np.square(scores, dtype=np.float64)
     return acc / samples, acc_sq / samples
 
 
@@ -214,7 +221,10 @@ def compute_estimates(estimator_id: str, settings: EstimatorSettings,
 
     Rows are scored ROW_BLOCK at a time. Ensemble row i draws its noise at
     row i of `ensemble_noise(seed, ...)`, i being its index in x, so the
-    blocks change nothing.
+    blocks change nothing. Scores come out in the dtype of x and the model
+    together; rows of a narrower dtype than the model's are promoted one
+    block at a time, never the whole split. The controls are computed in
+    float64 and stored in the split's dtype.
 
     `passes`, owned by the caller for one (model, x), keeps each row block's
     base pass or noisy-pass moments under the estimator's `pass_family`, so
@@ -225,7 +235,7 @@ def compute_estimates(estimator_id: str, settings: EstimatorSettings,
         raise ValueError(f"unknown estimator id {estimator_id!r}")
     if estimator_id == "sobel" and settings.image_shape is None:
         raise ValueError("sobel control requires image metadata")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     targets = np.asarray(targets)
     head, _, tail = estimator_id.partition("-")
     bases = {"grad": estimate_grad, "gb": estimate_gb,
@@ -237,7 +247,11 @@ def compute_estimates(estimator_id: str, settings: EstimatorSettings,
                                     targets[rows], settings, rows.start)
         return bases[head](model, x[rows], targets[rows])
 
-    out = np.empty_like(x)
+    # Controls are stored in the split's (floating) dtype, model scores in
+    # the dtype the rows and the model compute in.
+    dtype = np.result_type(x, np.float32 if estimator_id in CONTROL_IDS
+                           else model.layers[0].weight)
+    out = np.empty(x.shape, dtype)
     for start in range(0, len(x), ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
         if estimator_id == "random":

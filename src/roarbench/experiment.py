@@ -88,7 +88,10 @@ def score_split(settings: EstimatorSettings, model: nn.Model, x: np.ndarray,
 
     Ensemble noise is keyed by `split` ("train" or "test") as well as the
     seed, so train row i and test row i draw different noise. The `random`
-    control keeps the unkeyed seed: one ranking shared by both splits."""
+    control keeps the unkeyed seed: one ranking shared by both splits.
+    Scores come out in the split's dtype: a float64 least-squares model's
+    scores of a float32 image split are rounded to float32, so `run`,
+    `modify` and `deletion-metric` rank what the score files hold."""
     targets = _targets(model, y)
     keyed = replace(settings, seed=pipeline.derive_seed(settings.seed, split))
     families: dict[str, list[str]] = {}
@@ -100,7 +103,7 @@ def score_split(settings: EstimatorSettings, model: nn.Model, x: np.ndarray,
         for estimator_id in family:
             yield estimator_id, compute_estimates(
                 estimator_id, settings if estimator_id == "random" else keyed,
-                model, x, targets, passes=passes)
+                model, x, targets, passes=passes).astype(x.dtype, copy=False)
 
 
 def compute_all_estimates(ctx: ExperimentContext, model: nn.Model,
@@ -108,17 +111,19 @@ def compute_all_estimates(ctx: ExperimentContext, model: nn.Model,
     """Yield (estimator_id, (train scores, test scores)) for `ids` (by
     default every configured estimator), scored against `model` by one
     `score_split` per split, advanced in lockstep: family by family, each
-    pair as soon as both its splits are scored. A consumer that keeps no
-    pair holds one family's passes and the scores of the estimator being
-    scored and the one before it, not the scores of every id."""
+    pair as soon as both its splits are scored. A consumer that drops each
+    pair before it pulls the next holds one family's passes and the scores
+    of the estimator being scored, not the scores of every id: no pair is
+    held here while the next is scored."""
     settings = estimator_settings(ctx)
     ids = ctx.config.estimators.ids if ids is None else ids
     ds = ctx.dataset
-    for (estimator_id, train_scores), (_, test_scores) in zip(
-            score_split(settings, model, ds.train_x, ds.train_y, ids,
-                        "train"),
-            score_split(settings, model, ds.test_x, ds.test_y, ids, "test")):
+    test = score_split(settings, model, ds.test_x, ds.test_y, ids, "test")
+    for estimator_id, train_scores in score_split(
+            settings, model, ds.train_x, ds.train_y, ids, "train"):
+        _, test_scores = next(test)
         yield estimator_id, (train_scores, test_scores)
+        del train_scores, test_scores
 
 
 def deletion_estimates(ctx: ExperimentContext, model: nn.Model):
@@ -152,10 +157,18 @@ def _read_npz(path: str) -> dict[str, np.ndarray]:
             f"cannot read {path}: {type(err).__name__}: {err}") from None
 
 
+def baseline_dtype(cfg: ExperimentConfig) -> np.dtype:
+    """The dtype the config's trainer returns its layers in."""
+    return np.dtype(np.float64 if cfg.train.model == "least_squares"
+                    else nn.TRAIN_DTYPE)
+
+
 def load_baseline(cfg: ExperimentConfig, path: str
                   ) -> tuple[nn.Model, float]:
     """The baseline `save_baseline` wrote; a file of another config, one
-    missing an array, or one numpy cannot read, is refused by name."""
+    missing an array, one whose layers are not in the trainer's dtype
+    (`baseline_dtype`: a file written before models came back in it), or
+    one numpy cannot read, is refused by name."""
     data = _read_npz(path)
     if ("config_sha256" not in data
             or str(data["config_sha256"]) != config_sha256(cfg)):
@@ -170,6 +183,14 @@ def load_baseline(cfg: ExperimentConfig, path: str
     except KeyError as err:
         raise pipeline.ProvenanceError(
             f"{path} is incomplete: {err}") from None
+    dtype = baseline_dtype(cfg)
+    for i, affine in enumerate(affines):
+        for name, array in (("weight", affine.weight), ("bias", affine.bias)):
+            if array.dtype != dtype:
+                raise pipeline.ProvenanceError(
+                    f"{path} holds {name}_{i} in {array.dtype}; the "
+                    f"{cfg.train.model} trainer's layers are {dtype}; use a "
+                    f"fresh output directory")
     return nn.Model(affines), baseline_acc
 
 
@@ -177,13 +198,15 @@ def save_estimates(estimates, directory: str):
     """Write each (estimator_id, (train scores, test scores)) pair of
     `estimates` to `<directory>/<estimator_id>.npz`, through a temporary file
     and a rename, before the next pair is pulled; so a generator of pairs
-    (`compute_all_estimates`) is saved one estimator at a time."""
+    (`compute_all_estimates`) is saved one estimator at a time, and each
+    pair is dropped before the next is pulled."""
     os.makedirs(directory, exist_ok=True)
     for estimator_id, (train_scores, test_scores) in estimates:
         path = os.path.join(directory, f"{estimator_id}.npz")
         tmp = path + ".tmp.npz"  # suffix keeps savez from renaming it
         np.savez(tmp, train=train_scores, test=test_scores)
         os.replace(tmp, path)
+        del train_scores, test_scores
 
 
 def load_estimates(ctx: ExperimentContext, directory: str):
@@ -196,7 +219,9 @@ def load_estimates(ctx: ExperimentContext, directory: str):
 def load_estimate(ctx: ExperimentContext, directory: str, estimator_id: str
                   ) -> tuple[np.ndarray, np.ndarray]:
     """One estimator's cached (train, test) scores. Each split's scores must
-    be finite, one row per sample of the context's split or one shared row."""
+    be finite, in the split's dtype (a file written while scores were
+    float64 for image data is refused), and one row per sample of the
+    context's split or one shared row."""
     d = ctx.dataset.n_features
     path = os.path.join(directory, f"{estimator_id}.npz")
     if not os.path.exists(path):
@@ -211,6 +236,10 @@ def load_estimate(ctx: ExperimentContext, directory: str, estimator_id: str
             raise pipeline.ProvenanceError(
                 f"{path} holds {split} scores of shape {array.shape}; the "
                 f"config needs ({len(x)}, {d}) or ({d},)")
+        if array.dtype != x.dtype:
+            raise pipeline.ProvenanceError(
+                f"{path} holds {split} scores in {array.dtype}; the dataset's "
+                f"features are {x.dtype}; use a fresh output directory")
         if not np.all(np.isfinite(array)):
             raise pipeline.ProvenanceError(
                 f"{path} holds non-finite {split} scores")
@@ -287,6 +316,7 @@ def run_grid(ctx: ExperimentContext, model: nn.Model, output_dir: str):
             map(pipeline.record_row, grid.entries)) + "\n")
         print(f"estimator={estimator_id} status=done", file=sys.stderr,
               flush=True)
+        del scores, grid  # not held while the next estimator is scored
 
 
 def collect_grid(cfg: ExperimentConfig, output_dir: str) -> pipeline.ResultGrid:

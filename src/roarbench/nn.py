@@ -14,7 +14,8 @@ import numpy as np
 STANDARD = "standard"
 GUIDED = "guided"
 
-# The dtype SGD trains the stacked model in; models come back in float64.
+# The dtype SGD trains the stacked model in and trained models come back in;
+# image datasets hold their features in it.
 TRAIN_DTYPE = np.float32
 
 
@@ -89,8 +90,11 @@ class TrainConfig:
 
 
 def forward(model: Model, x: np.ndarray, pre_acts=None) -> np.ndarray:
-    """Evaluate the model on (n, d) rows; rectifier inputs go to `pre_acts`."""
-    h = np.asarray(x, dtype=np.float64)
+    """Evaluate the model on (n, d) rows; rectifier inputs go to `pre_acts`.
+    Computes in the dtype of the rows and the first weight together, so a
+    float32 model scores float32 rows in float32."""
+    h = np.asarray(x)
+    h = h.astype(np.result_type(h, model.layers[0].weight), copy=False)
     if h.ndim != 2:
         raise ValueError(f"input of shape {h.shape}; expected (n, d) rows")
     for i, layer in enumerate(model.layers):
@@ -251,8 +255,8 @@ def train(layer_sizes: Sequence[int], stack: DatasetStack, config: TrainConfig,
     training its seed alone on its dataset bit for bit.
     A run whose loss turns non-finite leaves the stack at that step, before
     its update; the others go on. Each trained run's layers come back as
-    float64 arrays of their own, so scoring and ranking stay in float64.
-    Dataset c's test split is built only to score its runs.
+    TRAIN_DTYPE arrays of their own, so a float32 split is scored and ranked
+    in float32. Dataset c's test split is built only to score its runs.
     """
     if len(seeds) != stack.size:
         raise ValueError(f"{len(seeds)} seed lists for {stack.size} datasets")
@@ -337,8 +341,8 @@ def train(layer_sizes: Sequence[int], stack: DatasetStack, config: TrainConfig,
               *((w, b[:, 0]) for w, b in zip(weights[1:], biases))]
     for k, run in enumerate(live):
         for layer, (w, b) in zip(models[run].layers, params):
-            layer.weight = w[k].astype(np.float64)
-            layer.bias = b[k].astype(np.float64)
+            layer.weight = w[k].copy()
+            layer.bias = b[k].copy()
     bounds = np.cumsum([0, *map(len, seeds)])
     out = []
     for c in range(stack.size):
@@ -358,14 +362,17 @@ def fit_least_squares(dataset: ArrayDataset, ridge: float = 0.0,
     """Closed-form ridge-stabilized least squares as a single-affine model.
 
     Binary labels are regressed directly; predictions threshold at 0.5.
+    The normal equations are formed and solved in float64 whatever the
+    features' dtype.
     """
-    x = dataset.train_x
+    x = np.asarray(dataset.train_x, dtype=np.float64)
     y = dataset.train_y.astype(np.float64)
     gram, rhs = x.T @ x, x.T @ y
     if fit_bias:
         # The bias column is all ones, so its Gram row and column are the
         # column sums and the row count: no copy of x with a ones column.
-        sums = x.sum(axis=0)
+        # The sums are one BLAS product, cheaper than a reduction over rows.
+        sums = np.ones(len(x)) @ x
         gram = np.block([[gram, sums[:, None]], [sums, float(len(x))]])
         rhs = np.append(rhs, y.sum())
     d = len(gram)

@@ -87,31 +87,38 @@ def replacement_matrix(dataset: ArrayDataset) -> np.ndarray:
     """(P, C) replacement values from the unmodified train split.
 
     Images: dataset-wide per-channel mean over all train pixels, broadcast
-    over pixels. Flat data: per-feature mean (C = 1).
+    over pixels. Flat data: per-feature mean (C = 1). The means accumulate
+    in float64 and come back in the split's dtype.
     """
     train_x = dataset.train_x
     if len(train_x) == 0:
         raise ValueError("empty train split")
     if dataset.image_shape is not None:
         h, w, c = dataset.image_shape
-        channel_mean = train_x.reshape(-1, h * w, c).mean(axis=(0, 1))
-        return np.tile(channel_mean, (h * w, 1))
-    return train_x.mean(axis=0)[:, None]
+        channel_mean = train_x.reshape(-1, h * w, c).mean(axis=(0, 1),
+                                                          dtype=np.float64)
+        return np.tile(channel_mean.astype(train_x.dtype), (h * w, 1))
+    return train_x.mean(axis=0, dtype=np.float64).astype(
+        train_x.dtype)[:, None]
 
 
-def top_positions(scores: np.ndarray, k: int) -> np.ndarray:
+def top_positions(scores: np.ndarray, k: int,
+                  ordered: np.ndarray | None = None) -> np.ndarray:
     """Boolean mask of each row's k highest-scoring positions, ties broken
     by ascending index: the first k of the row's `rank_features` order,
-    found by selection (`np.partition`) instead of a full sort.
+    found from each row's k-th highest value instead of an argsort.
 
-    `scores` are finite (rows, P) per-position scores. A row holds every
-    position scored above its k-th highest value; the cumsum fix-up that
-    picks the lowest-indexed positions tied at that value runs only on the
-    rows where more than k positions reach it."""
+    `scores` are finite (rows, P) per-position scores; `ordered`, if given,
+    is `np.sort(scores, axis=1)`, so that one sort serves every k. A row
+    holds every position scored above its k-th highest value; the cumsum
+    fix-up that picks the lowest-indexed positions tied at that value runs
+    only on the rows where more than k positions reach it."""
     n, p = scores.shape
     if k in (0, p):
         return np.full((n, p), k == p)
-    kth = np.partition(scores, p - k, axis=1)[:, p - k, None]
+    if ordered is None:
+        ordered = np.sort(scores, axis=1)
+    kth = ordered[:, p - k, None]
     top = scores >= kth
     tied = np.flatnonzero(np.count_nonzero(top, axis=1) > k)
     if len(tied):
@@ -130,11 +137,11 @@ def modify_rows(x: np.ndarray, top: np.ndarray, mode: str,
 
     `top` is a `top_positions` mask: (n, P), one row per row of x, or
     (1, P), shared by all rows. Untouched values are bit-identical to the
-    input.
+    input, and the rows come back in the dtype of x and the replacement.
     """
     p, c = replacement.shape
     replaced = top if mode == ROAR else ~top
-    rows = np.asarray(x, dtype=np.float64).reshape(len(x), p, c)
+    rows = np.asarray(x).reshape(len(x), p, c)
     return np.where(replaced[:, :, None], replacement,
                     rows).reshape(len(x), p * c)
 
@@ -167,7 +174,7 @@ def rank_split(dataset: ArrayDataset, split: str,
     they are. Non-finite scores, which no ranking orders, are refused naming
     the split and the first such sample."""
     x, image_shape = getattr(dataset, f"{split}_x"), dataset.image_shape
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
     if scores.ndim == 1:
         scores = scores[None]
     elif scores.shape[0] != len(x):
@@ -189,8 +196,10 @@ def split_cells(dataset: ArrayDataset, split: str, scores: np.ndarray,
     modified at that cell under one estimator's scores. Every modified
     split is built here: the scores are checked once (`rank_split`), the
     replacement once (finite, one row per position), and each cell's
-    threshold and mode as it is asked for. Cells asked for in a row that
-    replace the same count share one `top_positions` selection."""
+    threshold and mode as it is asked for. The scores are sorted once, when
+    the first ranked cell is asked for, and that sort gives every count its
+    k-th value; cells asked for in a row that replace the same count share
+    one `top_positions` selection."""
     x = getattr(dataset, f"{split}_x")
     scores = rank_split(dataset, split, scores)
     p = len(replacement)
@@ -200,15 +209,19 @@ def split_cells(dataset: ArrayDataset, split: str, scores: np.ndarray,
     if not np.all(np.isfinite(replacement)):
         raise ValueError("non-finite replacement values")
     last = [None, None]  # the count selected last, and its mask
+    ordered = None  # the row-wise sort of the scores, once it is needed
 
     def cell(threshold: float, mode: str) -> np.ndarray:
+        nonlocal ordered
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold {threshold} outside [0, 1]")
         if mode not in (ROAR, KAR):
             raise ValueError(f"unknown mode {mode!r}")
         k = n_modified(threshold, p)
         if k != last[0]:
-            last[:] = k, top_positions(scores, k)
+            if ordered is None and k not in (0, p):
+                ordered = np.sort(scores, axis=1)
+            last[:] = k, top_positions(scores, k, ordered)
         return modify_rows(x, last[1], mode, replacement)
     return cell
 
@@ -235,6 +248,8 @@ def generate_modified_datasets(
                     dataset.image_shape,
                     provenance=Provenance(estimator_id, threshold, mode, seed,
                                           source_id))
+        # Not held while the next pair is read or scored.
+        del train_scores, test_scores, train_cell, test_cell
 
 
 def make_modified_dataset(dataset: ArrayDataset, train_scores: np.ndarray,
@@ -436,7 +451,8 @@ def run_deletion_metric(dataset: ArrayDataset, original_model: Model,
 
 # ---------------------------------------------------------------------------
 # Modified-dataset persistence: a cell is saved as its recipe, a plain-text
-# manifest with its provenance, shapes and the sha256 of the cell as built.
+# manifest with its provenance, shapes and the sha256 of the cell's own bytes,
+# little-endian, in the dtypes it was built in.
 # The config and estimates of its output directory rebuild it.
 
 def _manifest(modified: ModifiedDataset) -> dict[str, str]:
@@ -444,9 +460,10 @@ def _manifest(modified: ModifiedDataset) -> dict[str, str]:
     p = modified.provenance
     shape = modified.image_shape
     digest = hashlib.sha256()
-    for array, dtype in ((modified.train_x, "<f8"), (modified.train_y, "<i8"),
-                         (modified.test_x, "<f8"), (modified.test_y, "<i8")):
-        digest.update(np.ascontiguousarray(array, dtype=dtype))
+    for array in (modified.train_x, modified.train_y, modified.test_x,
+                  modified.test_y):
+        digest.update(np.ascontiguousarray(
+            array, dtype=array.dtype.newbyteorder("<")))
     return {"estimator_id": p.estimator_id,
             "threshold": threshold_text(p.threshold), "mode": p.mode,
             "seed": str(p.seed), "source_id": p.source_id,
@@ -479,7 +496,8 @@ def load_modified_dataset(directory: str) -> ModifiedDataset:
     a missing or unparsable config, an (estimator id, threshold, mode) that
     is not a cell of that config, and a manifest value that differs from
     the rebuilt cell's (another seed, shape or digest) are refused by name.
-    The cell comes back as built, with float64 features."""
+    The cell comes back as built, with features in the dataset's dtype:
+    float32 (`nn.TRAIN_DTYPE`) for image data, float64 for the toy task."""
     from . import config, experiment  # both import this module
 
     manifest_path = os.path.join(directory, "manifest.txt")

@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -1436,16 +1437,101 @@ class TestLoadEstimates:
     def test_shared_row_is_accepted(self, cached, bars_config):
         ctx, out, directory = cached
         d = ctx.dataset.n_features
+        dtype = ctx.dataset.train_x.dtype
         np.savez(os.path.join(directory, "grad.npz"),
-                 train=np.arange(d, dtype=float), test=np.ones(d))
+                 train=np.arange(d, dtype=dtype), test=np.ones(d, dtype))
         train, test = dict(experiment.load_estimates(ctx, directory))["grad"]
         assert train.shape == test.shape == (d,)
         assert run_cli("modify", "--config", bars_config,
                        "--output", out) == 0
 
 
-# Twelve ids on 500 12 x 12 images: each id's scores take 0.58 MB, all
-# twelve 6.9 MB.
+class TestImageDtype:
+    """Image data is float32 (`nn.TRAIN_DTYPE`) end to end: an mlp
+    baseline's layers, every score file and every modified cell. A score
+    file or baseline in another dtype, such as one written while they were
+    float64, is refused by name, and the CLI exits 3."""
+
+    @staticmethod
+    def arrays(path):
+        with np.load(path) as data:
+            return {name: data[name] for name in data.files}
+
+    def test_mlp_baseline_scores_and_cells_are_float32(self, bars_config,
+                                                       tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", str(out)) == 0
+        baseline = self.arrays(out / "baseline.npz")
+        layers = [name for name in baseline
+                  if name.startswith(("weight_", "bias_"))]
+        assert layers and all(baseline[name].dtype == np.float32
+                              for name in layers)
+        for path in (out / "estimates").iterdir():
+            scores = self.arrays(path)
+            assert scores["train"].dtype == scores["test"].dtype \
+                == np.float32, path.name
+        for cell in (out / "modified").iterdir():
+            loaded = pipeline.load_modified_dataset(str(cell))
+            assert loaded.train_x.dtype == loaded.test_x.dtype == np.float32
+
+    def test_least_squares_scores_of_images_are_stored_in_float32(
+            self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("modify", "--config",
+                       TestIdxRun.idx_config(tmp_path, 2),
+                       "--output", str(out)) == 0
+        assert self.arrays(out / "baseline.npz")["weight_0"].dtype \
+            == np.float64
+        for path in (out / "estimates").iterdir():
+            scores = self.arrays(path)
+            assert scores["train"].dtype == scores["test"].dtype \
+                == np.float32, path.name
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_score_file_in_float64_is_refused(self, bars_config, tmp_path,
+                                              capsys, split):
+        out = str(tmp_path / "out")
+        assert run_cli("estimate", "--config", bars_config,
+                       "--output", out) == 0
+        path = os.path.join(out, "estimates", "grad.npz")
+        arrays = self.arrays(path)
+        arrays[split] = arrays[split].astype(np.float64)
+        np.savez(path, **arrays)
+        ctx = experiment.build_context(parse_config(BARS))
+        with pytest.raises(pipeline.ProvenanceError,
+                           match=f"grad.npz holds {split} scores in float64"):
+            dict(experiment.load_estimates(
+                ctx, os.path.join(out, "estimates")))
+        capsys.readouterr()
+        assert run_cli("modify", "--config", bars_config,
+                       "--output", out) == 3
+        assert path in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "modified"))
+
+    @pytest.mark.parametrize("model,stale", [("mlp", np.float64),
+                                             ("least_squares", np.float32)])
+    def test_baseline_in_another_dtype_is_refused(self, tmp_path, capsys,
+                                                  model, stale):
+        config = tmp_path / "config.ini"
+        config.write_text(BARS.replace("model = mlp", f"model = {model}"))
+        out = str(tmp_path / "out")
+        assert run_cli("deletion-metric", "--config", str(config),
+                       "--output", out) == 0
+        path = os.path.join(out, "baseline.npz")
+        arrays = self.arrays(path)
+        arrays["weight_0"] = arrays["weight_0"].astype(stale)
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        assert run_cli("deletion-metric", "--config", str(config),
+                       "--output", out) == 3
+        err = capsys.readouterr().err
+        assert "ProvenanceError" in err and path in err
+        assert f"weight_0 in {np.dtype(stale)}" in err
+
+
+# Twelve ids on 500 12 x 12 images: each id's float32 scores take 0.29 MB,
+# all twelve 3.5 MB.
 STREAMED = """
 [experiment]
 seed = 5
@@ -1481,7 +1567,8 @@ class TestStreamedEstimates:
         config.write_text(STREAMED)
         spec = parse_config(STREAMED)
         n = spec.dataset.n_train + spec.dataset.n_test
-        every_id = len(spec.estimators.ids) * n * spec.dataset.size ** 2 * 8
+        every_id = (len(spec.estimators.ids) * n * spec.dataset.size ** 2
+                    * np.dtype(nn.TRAIN_DTYPE).itemsize)
         out = str(tmp_path / "out")
         peaks = {}
         for command in ("estimate", "modify"):
@@ -1517,6 +1604,39 @@ class TestStreamedEstimates:
         assert seen == [(e, sorted(f"{d}.npz" for d in order[:i]))
                         for i, e in enumerate(order)
                         for split in ("train", "test")]
+
+    @pytest.mark.parametrize("command", ["estimate", "run", "modify"])
+    def test_no_pair_is_held_while_the_next_is_made(self, tmp_path,
+                                                    monkeypatch, command):
+        # Each call that makes scores, one split at a time for `estimate`
+        # and `run`, one (train, test) pair for `modify`, finds the arrays
+        # of every earlier pair freed: only the train scores of the pair
+        # being scored may still be alive.
+        config = tmp_path / "config.ini"
+        config.write_text(BARS.replace(
+            "ids = grad, random",
+            "ids = sg-grad, grad, random, var-grad\nensemble_samples = 2"))
+        out = str(tmp_path / "out")
+        if command == "modify":
+            assert run_cli("estimate", "--config", str(config),
+                           "--output", out) == 0
+        refs, alive = [], []
+        name = "load_estimate" if command == "modify" else "compute_estimates"
+        make = getattr(experiment, name)
+
+        def recording(*args, **kwargs):
+            held = 0 if command == "modify" or len(refs) % 2 == 0 else 1
+            alive.append(sum(ref() is not None for ref in refs) - held)
+            made = make(*args, **kwargs)
+            refs.extend(map(weakref.ref, made if command == "modify"
+                            else [made]))
+            return made
+
+        monkeypatch.setattr(experiment, name, recording)
+        assert run_cli(command, "--config", str(config),
+                       "--output", out) == 0
+        assert len(alive) == (4 if command == "modify" else 8)
+        assert alive == [0] * len(alive)
 
 
 class TestEstimatorSettings:

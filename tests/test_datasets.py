@@ -128,6 +128,15 @@ class TestChannelMeans:
 
 
 class TestNormalization:
+    def test_features_are_the_float64_quotient_rounded_once(self):
+        raw = np.arange(256, dtype=np.uint8).reshape(4, 8, 8, 1)
+        ds = datasets.make_image_dataset(raw, np.zeros(4, np.uint8),
+                                         raw[:1], np.zeros(1, np.uint8))
+        want = (raw.reshape(4, -1) / 255.0).astype(nn.TRAIN_DTYPE)
+        assert ds.train_x.dtype == ds.test_x.dtype == nn.TRAIN_DTYPE
+        assert ds.train_x.tobytes() == want.tobytes()
+        assert ds.test_x.tobytes() == want[:1].tobytes()
+
     def test_values_in_unit_range(self, rng):
         ds = image_dataset(rng)
         assert ds.train_x.min() >= 0.0 and ds.train_x.max() <= 1.0
@@ -157,7 +166,8 @@ class TestBars:
     @pytest.mark.parametrize("size", [2, 12])
     @pytest.mark.parametrize("seed", [0, 5, 2 ** 40 + 3])
     def test_images_match_a_per_image_loop(self, n, size, seed):
-        # Oracle: the same draws, each bar painted one image at a time.
+        # Oracle: the same draws, each bar painted one image at a time, and
+        # rounded once to the training dtype.
         rng = np.random.default_rng(np.uint64(seed))
 
         def batch(count):
@@ -171,12 +181,14 @@ class TestBars:
                 else:
                     images[i, :, positions[i]] = intensity[i]
             images = np.clip(images + rng.normal(0, 0.1, images.shape), 0, 1)
-            return images.reshape(count, size * size), labels
+            return (images.reshape(count, size * size).astype(nn.TRAIN_DTYPE),
+                    labels)
 
         train, test = batch(n), batch(n // 2)
         ds = datasets.generate_bars(n, n // 2, size=size, seed=seed)
         for got, want in ((ds.train_x, train[0]), (ds.train_y, train[1]),
                           (ds.test_x, test[0]), (ds.test_y, test[1])):
+            assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
     def test_classes_are_learnable(self):
@@ -215,9 +227,12 @@ class TestPipelineReadsTheShape:
 
     @staticmethod
     def expected(ds, x, scores, threshold, mode):
-        """Independent per-pixel reference for one modified split."""
+        """Independent per-pixel reference for one modified split, in the
+        split's dtype: each channel's mean is taken in float64 and rounded
+        to it."""
         h, w, c = ds.image_shape
-        means = ds.train_x.reshape(-1, c).mean(axis=0)
+        means = ds.train_x.reshape(-1, c).mean(axis=0, dtype=np.float64)
+        means = means.astype(x.dtype)
         pixel_scores = scores.reshape(len(x), h * w, c).sum(axis=2)
         k = pipeline.n_modified(threshold, h * w)
         pixels = x.reshape(len(x), h * w, c).copy()

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -427,3 +428,95 @@ class TestComputeEstimates:
         with pytest.raises(ValueError, match="unknown estimator"):
             compute_estimates("shapley", EstimatorSettings(), None,
                               np.ones((2, 3)), np.zeros(2, dtype=int))
+
+
+def cast_model(model, dtype):
+    return nn.Model([nn.Affine(a.weight.astype(dtype), a.bias.astype(dtype))
+                     for a in model.layers])
+
+
+class TestDtypes:
+    """Scores come out in the dtype of the rows and the model together, as
+    `nn.forward` computes; ensemble moments accumulate in float64."""
+
+    @staticmethod
+    def problem(rng, n=2 * ROW_BLOCK + 3):
+        model = nn.init_mlp([12, 5, 3], rng)
+        x = rng.standard_normal((n, 12))
+        y = rng.integers(0, 3, n)
+        settings = EstimatorSettings(ig_steps=3, ensemble_samples=2,
+                                     noise_stddev=0.3, seed=5,
+                                     image_shape=(2, 2, 3))
+        return model, x, y, settings
+
+    def test_float64_model_on_float64_rows_scores_in_float64(self, rng):
+        model, x, y, settings = self.problem(rng)
+        for estimator_id in all_estimator_ids():
+            scores = compute_estimates(estimator_id, settings, model, x, y)
+            assert scores.dtype == np.float64, estimator_id
+
+    def test_float32_model_on_float32_rows_scores_in_float32(self, rng):
+        model, x, y, settings = self.problem(rng)
+        model, x = cast_model(model, np.float32), x.astype(np.float32)
+        for estimator_id in all_estimator_ids():
+            scores = compute_estimates(estimator_id, settings, model, x, y)
+            assert scores.dtype == np.float32, estimator_id
+
+    def test_float64_model_promotes_float32_rows_like_the_whole_split(
+            self, rng):
+        model, x, y, settings = self.problem(rng)
+        x32 = x.astype(np.float32)
+        for estimator_id in all_estimator_ids():
+            got = compute_estimates(estimator_id, settings, model, x32, y)
+            want = compute_estimates(estimator_id, settings, model,
+                                     x32.astype(np.float64), y)
+            if estimator_id in estimators.CONTROL_IDS:
+                # Computed as ever, stored in the split's dtype.
+                want = want.astype(np.float32)
+            assert got.dtype == want.dtype, estimator_id
+            assert got.tobytes() == want.tobytes(), estimator_id
+
+    @pytest.mark.parametrize("estimator_id", ["grad", "ig", "sg-grad"])
+    def test_float64_model_promotes_one_block_at_a_time(self, rng,
+                                                        estimator_id):
+        # The float64 scores themselves take `out` bytes; a float64 copy of
+        # the float32 split would take as much again.
+        model, x, y, settings = self.problem(rng, n=32 * ROW_BLOCK)
+        x32 = x.astype(np.float32)
+        out = x.nbytes
+        tracemalloc.start()
+        try:
+            compute_estimates(estimator_id, settings, model, x32, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out, (peak, out)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_float32_passes_accumulate_in_float64(self, rng, noise):
+        model, x, y, settings = self.problem(rng)
+        settings = replace(settings, noise_stddev=noise)
+        model, x = cast_model(model, np.float32), x.astype(np.float32)
+        mean, mean_sq = ensemble_moments(estimate_grad, model, x, y, settings)
+        assert mean.dtype == mean_sq.dtype == np.float64
+        # Oracle: each noisy copy is the float64 sum rounded once to float32
+        # and scored in float32; the scores are summed in float64. With no
+        # noise both copies are x, and the mean of two equal values is
+        # exact, as is the one pass that zero noise takes.
+        n, d = x.shape
+        samples = settings.ensemble_samples
+        noise_rows = ensemble_noise(settings.seed, 0, n, samples * d)
+        acc, acc_sq = np.zeros((n, d)), np.zeros((n, d))
+        for sample in range(samples):
+            noisy = (noise_rows[:, sample * d:(sample + 1) * d]
+                     .astype(np.float64) * noise + x).astype(np.float32)
+            scores = estimate_grad(model, noisy, y)
+            assert scores.dtype == np.float32
+            acc += scores.astype(np.float64)
+            acc_sq += scores.astype(np.float64) ** 2
+        assert mean.tobytes() == (acc / samples).tobytes()
+        assert mean_sq.tobytes() == (acc_sq / samples).tobytes()
+        var = compute_estimates("var-grad", settings, model, x, y)
+        assert var.dtype == np.float32
+        assert var.tobytes() == (mean_sq - mean ** 2).astype(
+            np.float32).tobytes()

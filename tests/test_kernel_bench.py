@@ -14,9 +14,11 @@ def test_kernel_bench_prints_one_json_line_of_kernel_times(capsys):
     [line] = capsys.readouterr().out.splitlines()
     times = json.loads(line)
     assert sorted(times) == ["ensemble_noise_us", "estimate_peak_mb",
-                             "input_gradient_us", "sgd_step_us_r5",
+                             "input_gradient_f32_us", "input_gradient_us",
+                             "sgd_step_us_r5",
                              "sgd_step_us_r50", "split_cell_us",
                              "split_grid_us"]
     assert all(isinstance(v, float) for v in times.values())
-    assert all(times[k] > 0 for k in ("input_gradient_us", "split_cell_us",
+    assert all(times[k] > 0 for k in ("input_gradient_us",
+                                     "input_gradient_f32_us", "split_cell_us",
                                      "split_grid_us", "estimate_peak_mb"))

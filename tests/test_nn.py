@@ -62,6 +62,22 @@ class TestForward:
             nn.forward(model, np.array([[1.0, 2.0]]))
         assert err.value.layer_index == 1
 
+    @pytest.mark.parametrize("x_dtype,w_dtype,want", [
+        (np.float32, np.float32, np.float32),
+        (np.float32, np.float64, np.float64),
+        (np.float64, np.float32, np.float64),
+        (np.float64, np.float64, np.float64)])
+    def test_computes_in_the_dtype_of_rows_and_weights(self, x_dtype,
+                                                       w_dtype, want):
+        model = nn.Model([nn.Affine(a.weight.astype(w_dtype),
+                                    a.bias.astype(w_dtype))
+                          for a in two_layer_model().layers])
+        x = np.array([[1.0, -1.0], [0.0, 1.0]], dtype=x_dtype)
+        out = nn.forward(model, x)
+        assert out.dtype == want
+        np.testing.assert_array_equal(out[:, 0], [0.5, 1.5])
+        assert nn.input_gradient(model, x, [0, 0]).dtype == want
+
     @pytest.mark.parametrize("call", [
         lambda x: nn.forward(identity_model(), x),
         lambda x: nn.input_gradient(identity_model(), x, 0)])
@@ -213,7 +229,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train_on([2, 2], ds, nn.TrainConfig(batch_size=1), [0])
 
-    def test_returned_layers_are_float64_arrays_of_their_own(self):
+    def test_returned_layers_are_train_dtype_arrays_of_their_own(self):
         base = separable_blobs(n=30, seed=2)
         stack = nn.DatasetStack.of([base, base])
         cfg = nn.TrainConfig(learning_rate=0.1, steps=20, batch_size=8)
@@ -222,7 +238,7 @@ class TestTrain:
         for model, _ in (r for cell in results for r in cell):
             for layer in model.layers:
                 for a in (layer.weight, layer.bias):
-                    assert a.dtype == np.float64
+                    assert a.dtype == nn.TRAIN_DTYPE
                     assert a.flags.c_contiguous and a.flags.owndata
                     arrays.append(a)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
@@ -518,3 +534,27 @@ class TestLeastSquares:
         ds = self.dataset(x, np.zeros(10, dtype=int))
         with pytest.raises(nn.SingularMatrixError):
             nn.fit_least_squares(ds, ridge=0.0)
+
+    def test_float32_features_fit_in_float64(self, rng):
+        x = rng.standard_normal((40, 3)).astype(np.float32)
+        y = rng.integers(0, 2, 40)
+        got = nn.fit_least_squares(self.dataset(x, y), ridge=1e-8,
+                                   fit_bias=True)
+        want = nn.fit_least_squares(self.dataset(x.astype(np.float64), y),
+                                    ridge=1e-8, fit_bias=True)
+        for a, b in zip(got.layers, want.layers):
+            assert a.weight.dtype == a.bias.dtype == np.float64
+            assert a.weight.tobytes() == b.weight.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+
+    def test_bias_matches_a_ones_column_oracle(self, rng):
+        x = rng.standard_normal((50, 4))
+        y = rng.integers(0, 2, 50)
+        model = nn.fit_least_squares(self.dataset(x, y), ridge=0.0,
+                                     fit_bias=True)
+        ones = np.hstack([x, np.ones((50, 1))])
+        w_oracle = np.linalg.solve(ones.T @ ones, ones.T @ y.astype(float))
+        np.testing.assert_allclose(model.layers[0].weight[:, 0],
+                                   w_oracle[:-1], atol=1e-10)
+        np.testing.assert_allclose(model.layers[0].bias, w_oracle[-1:],
+                                   atol=1e-10)

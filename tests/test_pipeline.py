@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import shutil
 
@@ -176,7 +177,31 @@ SCORE_KINDS = {
     "constant": lambda rng, shape: np.full(shape, 0.5),
     "signed_zeros": lambda rng, shape: rng.choice([-0.0, 0.0, 1.0], shape),
     "continuous": lambda rng, shape: rng.standard_normal(shape),
+    "float32_ties": lambda rng, shape: rng.integers(-2, 3, shape).astype(
+        np.float32),
 }
+
+
+class TestReplacementMatrix:
+    @pytest.mark.parametrize("image_shape", [None, (2, 3, 1), (2, 3, 2)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_means_accumulate_in_float64_in_the_split_dtype(
+            self, rng, image_shape, dtype):
+        d = 6 if image_shape is None else int(np.prod(image_shape))
+        ds = tiny_dataset(rng, d=d, image_shape=image_shape)
+        ds.train_x = ds.train_x.astype(dtype)
+        c = 1 if image_shape is None else image_shape[2]
+        per = d if image_shape is None else c
+        means = np.array([math.fsum(column) / len(column) for column in
+                          ds.train_x.astype(np.float64).reshape(-1, per).T])
+        got = replacement_matrix(ds)
+        assert got.dtype == dtype and got.shape == (d // c, c)
+        want = np.broadcast_to(means.astype(dtype).reshape(-1, c), got.shape)
+        if dtype == np.float32:
+            # The float64 sums round to the exact means' float32 values.
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 class TestTopPositions:
@@ -196,11 +221,35 @@ class TestTopPositions:
         order = np.atleast_2d(rank_features(scores, image_shape))
         p = order.shape[1]
         assert positions.shape == (1 if shared else n, p)
+        ordered = np.sort(positions, axis=1)
         for k in range(p + 1):
             expected = np.zeros(order.shape, dtype=bool)
             np.put_along_axis(expected, order[:, :k], True, axis=1)
             np.testing.assert_array_equal(
                 pipeline.top_positions(positions, k), expected)
+            np.testing.assert_array_equal(
+                pipeline.top_positions(positions, k, ordered), expected)
+
+    def test_split_cells_sorts_each_split_once(self, rng, monkeypatch):
+        ds = tiny_dataset(rng)
+        scores = rng.standard_normal(ds.train_x.shape).astype(np.float32)
+        replacement = replacement_matrix(ds)
+        cells = [(t, mode) for t in (0.1, 0.5, 0.9, 0.5)
+                 for mode in (ROAR, KAR)]
+        expected = [modify_rows(ds.train_x, pipeline.top_positions(
+            scores, n_modified(t, 6)), mode, replacement)
+            for t, mode in cells]
+        sorts = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1)
+                            or sort(*a, **k))
+        cell = pipeline.split_cells(ds, "train", scores, replacement)
+        for t in (0.0, 1.0):
+            cell(t, ROAR)
+        assert sorts == []  # rank-free cells select nothing
+        for (t, mode), want in zip(cells, expected):
+            assert cell(t, mode).tobytes() == want.tobytes()
+        assert len(sorts) == 1
 
     def test_one_channel_scores_are_not_copied(self, rng):
         scores = rng.standard_normal((4, 6))
@@ -779,11 +828,27 @@ class TestPersistence:
             str(out / "modified" / pipeline.cell_name("grad", 0.5, ROAR)))
         modified = make_modified_dataset(ctx.dataset, *estimates["grad"],
                                          "grad", 0.5, ROAR, 3, "bars")
-        # The cell as built: float64 features, not a float32 copy.
-        assert loaded.train_x.dtype == np.float64
+        # The cell as built: the bars dataset's float32 features, not a
+        # float64 copy.
+        assert loaded.train_x.dtype == ctx.dataset.train_x.dtype == np.float32
         np.testing.assert_array_equal(loaded.train_x, modified.train_x)
         np.testing.assert_array_equal(loaded.train_y, modified.train_y)
         assert loaded.provenance == modified.provenance
+
+    @pytest.mark.parametrize("text,dtype", [("bars", np.float32),
+                                            ("toy", np.float64)])
+    def test_sha256_cell_is_the_digest_of_the_cells_own_bytes(
+            self, tmp_path, text, dtype):
+        out = modified_output(tmp_path,
+                              {"bars": TINY_BARS, "toy": TINY_TOY}[text])
+        cell = out / "modified" / pipeline.cell_name("grad", 0.5, ROAR)
+        loaded = load_modified_dataset(str(cell))
+        assert loaded.train_x.dtype == loaded.test_x.dtype == dtype
+        digest = hashlib.sha256(b"".join(
+            a.tobytes() for a in (loaded.train_x, loaded.train_y,
+                                  loaded.test_x, loaded.test_y)))
+        assert f"sha256_cell={digest.hexdigest()}\n" in \
+            (cell / "manifest.txt").read_text()
 
     def test_image_shape_survives_round_trip(self, tmp_path):
         out = modified_output(tmp_path, TINY_BARS)
